@@ -1,5 +1,9 @@
 """The Address Resolution Buffer (Franklin & Sohi; paper Section 2.3)."""
 
-from repro.arb.arb import ARBFullError, AddressResolutionBuffer
+from repro._lazy import lazy_exports
 
 __all__ = ["ARBFullError", "AddressResolutionBuffer"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "arb": ("ARBFullError", "AddressResolutionBuffer"),
+})

@@ -60,18 +60,20 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.compiler import annotate_program
-from repro.config import multiscalar_config, scalar_config
-from repro.core import MultiscalarProcessor, ScalarProcessor
-from repro.core.tracer import TaskTracer
-from repro.isa import Program, assemble
-from repro.minic import compile_and_annotate, compile_minic, compile_scalar
+# Nothing else at module scope: each ``cmd_*`` imports what it runs, so
+# ``--help``, ``cache`` and a sweep or search answered from the store
+# never load the toolchain or the simulator (docs/INTERNALS.md,
+# "import layering").
 
 
 def _load_program(path: str, multiscalar: bool,
-                  entries: list[str], auto_loops: bool) -> Program:
+                  entries: list[str], auto_loops: bool):
     """Compile/assemble ``path`` (.mc/.minc or assembly) into a
     Program, annotated for multiscalar execution when requested."""
+    from repro.compiler.annotate import annotate_program
+    from repro.isa.assembler import assemble
+    from repro.minic.driver import compile_and_annotate, compile_scalar
+
     text = Path(path).read_text()
     if path.endswith(".mc") or path.endswith(".minc"):
         if multiscalar:
@@ -88,6 +90,11 @@ def _load_program(path: str, multiscalar: bool,
 def cmd_run(args: argparse.Namespace) -> int:
     """Entry point for ``repro run``: simulate one program on
     the scalar baseline or a multiscalar machine."""
+    from repro.config import multiscalar_config, scalar_config
+    from repro.core.processor import MultiscalarProcessor
+    from repro.core.scalar import ScalarProcessor
+    from repro.core.tracer import TaskTracer
+
     multiscalar = args.units > 1 or args.multiscalar
     program = _load_program(args.file, multiscalar, args.entries,
                             args.auto_loops)
@@ -133,6 +140,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     """Entry point for ``repro compile``: MinC to assembly text."""
+    from repro.minic.codegen import compile_minic
+
     unit = compile_minic(Path(args.file).read_text(), args.file)
     output = unit.asm
     if unit.task_labels:
@@ -164,7 +173,10 @@ def cmd_workloads(args: argparse.Namespace) -> int:
             print(f"{name:10} {spec.paper_benchmark:28} "
                   f"{spec.description}")
         return 0
-    from repro.engine import SimulationMismatchError
+    from repro.config import multiscalar_config, scalar_config
+    from repro.core.processor import MultiscalarProcessor
+    from repro.core.scalar import ScalarProcessor
+    from repro.engine.job import SimulationMismatchError
 
     spec = WORKLOADS[args.run]
     scalar = ScalarProcessor(spec.scalar_program(), scalar_config()).run()
@@ -185,16 +197,20 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 def _apply_cache_flags(args: argparse.Namespace) -> None:
     """Apply --cache-dir/--purge-cache/--no-cache before a
     harness command touches the store."""
-    from repro.harness import runner
-
     if getattr(args, "cache_dir", None):
         import os
 
         os.environ["REPRO_CACHE_DIR"] = args.cache_dir
-    if getattr(args, "purge_cache", False):
+    purge = getattr(args, "purge_cache", False)
+    no_cache = getattr(args, "no_cache", False)
+    if not (purge or no_cache):
+        return
+    from repro.harness import runner
+
+    if purge:
         removed = runner.clear_cache(persistent=True)
         print(f"cache: purged {removed} stored results", file=sys.stderr)
-    if getattr(args, "no_cache", False):
+    if no_cache:
         runner.set_persistent_cache(False)
         runner.clear_cache()
 
@@ -640,6 +656,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
                   "bounds (either side may be empty)", file=sys.stderr)
             return 2
     multiscalar = args.units > 1 or args.multiscalar
+    from repro.config import multiscalar_config, scalar_config
+    from repro.core.processor import MultiscalarProcessor
+    from repro.core.scalar import ScalarProcessor
     from repro.workloads import WORKLOADS
 
     if args.target in WORKLOADS:

@@ -19,20 +19,7 @@ callees, whose register effects are folded in through conservative
 may-def/may-use summaries.
 """
 
-from repro.compiler.annotate import (
-    AnnotationError,
-    annotate_program,
-    strip_annotations,
-)
-from repro.compiler.cfg import ControlFlowGraph, build_cfg
-from repro.compiler.knobs import (
-    CREATE_MASK_POLICIES,
-    DEFAULT_KNOBS,
-    LOOP_CUT_STRATEGIES,
-    CompilerKnobs,
-)
-from repro.compiler.liveness import LivenessAnalysis
-from repro.compiler.regions import TaskRegion, compute_regions
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AnnotationError",
@@ -48,3 +35,14 @@ __all__ = [
     "build_cfg",
     "compute_regions",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "annotate": ("AnnotationError", "annotate_program", "strip_annotations"),
+    "cfg": ("ControlFlowGraph", "build_cfg"),
+    "knobs": (
+        "CREATE_MASK_POLICIES", "DEFAULT_KNOBS", "LOOP_CUT_STRATEGIES",
+        "CompilerKnobs",
+    ),
+    "liveness": ("LivenessAnalysis",),
+    "regions": ("TaskRegion", "compute_regions"),
+})

@@ -1,13 +1,6 @@
 """Processor cores: the scalar baseline and the multiscalar processor."""
 
-from repro.core.processor import (
-    MultiscalarProcessor,
-    MultiscalarResult,
-    TaskInstance,
-)
-from repro.core.predictor import TaskPredictor
-from repro.core.scalar import ScalarProcessor, ScalarResult
-from repro.core.stats import CycleDistribution
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CycleDistribution",
@@ -18,3 +11,11 @@ __all__ = [
     "TaskInstance",
     "TaskPredictor",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "processor": ("MultiscalarProcessor", "TaskInstance"),
+    "predictor": ("TaskPredictor",),
+    "results": ("MultiscalarResult", "ScalarResult"),
+    "scalar": ("ScalarProcessor",),
+    "stats": ("CycleDistribution",),
+})

@@ -12,11 +12,12 @@ violation, ARB overflow) discard a suffix of the active task window.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.arb import ARBFullError, AddressResolutionBuffer
 from repro.config import MachineConfig, multiscalar_config
 from repro.core.predictor import DescriptorCache, TaskPredictor
+from repro.core.results import MultiscalarResult
 from repro.core.ring import ForwardingRing
 from repro.core.stats import CycleDistribution, TaskCycleRecord
 from repro.isa import semantics
@@ -108,38 +109,6 @@ class _UnitSlot:
     pipeline: UnitPipeline
     context: "_UnitContext"
     task: TaskInstance | None = None
-
-
-@dataclass
-class MultiscalarResult:
-    cycles: int
-    instructions: int            # retired (useful) dynamic instructions
-    output: str
-    ipc: float
-    tasks_retired: int
-    tasks_squashed: int
-    squashes_mispredict: int
-    squashes_memory: int
-    squashes_arb: int
-    prediction_accuracy: float
-    distribution: CycleDistribution
-    icache_misses: int
-    dcache_misses: int
-    arb_peak_entries: int
-    ring_sends: int
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (inverse of :meth:`from_dict`)."""
-        data = asdict(self)
-        data["distribution"] = self.distribution.as_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MultiscalarResult":
-        data = dict(data)
-        data["distribution"] = CycleDistribution.from_dict(
-            data["distribution"])
-        return cls(**data)
 
 
 class _UnitContext(PipelineContext):

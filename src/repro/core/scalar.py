@@ -10,9 +10,8 @@ testing (release instructions execute as no-ops).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 from repro.config import MachineConfig, scalar_config
+from repro.core.results import ScalarResult
 from repro.isa import semantics
 from repro.isa.executor import (
     SYS_EXIT,
@@ -33,28 +32,6 @@ from repro.resilience.failures import CycleBudgetError, LivelockError
 
 class SimulationTimeout(CycleBudgetError):
     """The cycle budget was exhausted before the program halted."""
-
-
-@dataclass
-class ScalarResult:
-    cycles: int
-    instructions: int
-    output: str
-    ipc: float
-    icache_misses: int
-    dcache_misses: int
-    stall_cycles: dict[str, int]
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (inverse of :meth:`from_dict`)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScalarResult":
-        data = dict(data)
-        data["stall_cycles"] = {str(k): int(v)
-                                for k, v in data["stall_cycles"].items()}
-        return cls(**data)
 
 
 class _ScalarContext(PipelineContext):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.pipeline.context import StallReason
+from repro.pipeline.stall import StallReason
 
 #: Stall buckets a task can be charged with (classification never
 #: yields NONE for a stalled cycle). Pre-seeding every task's tally

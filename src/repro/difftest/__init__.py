@@ -22,26 +22,10 @@ reusable, one-command regression oracle:
   seam used to validate that the oracle actually catches bugs.
 """
 
-from repro.difftest.campaign import CampaignResult, FuzzCampaign
-from repro.difftest.generator import (
-    AsmProgramGenerator,
-    GeneratedProgram,
-    MinicProgramGenerator,
-    generator_for,
-)
-from repro.difftest.injection import (
-    current_backend,
-    inject_jit_guard_miss,
-    inject_livelock,
-    inject_opcode_bug,
-)
-from repro.difftest.oracle import (
-    BackendSpec,
-    DiffReport,
-    Divergence,
-    check_program,
-    full_grid,
-)
+from repro._lazy import lazy_exports
+# Eager on purpose: the function shares its submodule's name, and the
+# import system binds ``repro.difftest.shrink`` to the *module* whenever
+# anything imports it first, which a lazy hook could never override.
 from repro.difftest.shrink import shrink
 
 __all__ = [
@@ -62,3 +46,19 @@ __all__ = [
     "inject_opcode_bug",
     "shrink",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "campaign": ("CampaignResult", "FuzzCampaign"),
+    "generator": (
+        "AsmProgramGenerator", "GeneratedProgram", "MinicProgramGenerator",
+        "generator_for",
+    ),
+    "injection": (
+        "current_backend", "inject_jit_guard_miss", "inject_livelock",
+        "inject_opcode_bug",
+    ),
+    "oracle": (
+        "BackendSpec", "DiffReport", "Divergence", "check_program",
+        "full_grid",
+    ),
+})

@@ -14,43 +14,18 @@ Layers:
   :func:`~repro.engine.sweep.run_sweep_via_server`, the thin-client
   variant).
 
-The one-job convenience path used by the harness runner lives here:
-:func:`execute_cached` consults the persistent store, simulates on a
-miss, persists the fresh payload, and returns the native result
-object.
+The one-job convenience path used by the harness runner is
+:func:`~repro.engine.job.execute_cached`: it consults the persistent
+store, simulates on a miss, persists the fresh payload, and returns
+the native result object.
+
+Names resolve on first use: reaching for :class:`ResultStore` or
+:class:`SimJob` loads neither the scheduler nor the simulator.
 """
 
 from __future__ import annotations
 
-from repro.engine.job import (
-    SimJob,
-    SimulationMismatchError,
-    code_fingerprint,
-    count_job,
-    execute,
-    multiscalar_job,
-    result_from_payload,
-    scalar_job,
-)
-from repro.engine.scheduler import (
-    InjectedWorkerDeath,
-    JobOutcome,
-    Lease,
-    LeaseQueue,
-    PoolJob,
-    QueuedJob,
-    QueueFullError,
-    QuotaExceededError,
-    RetryableJobError,
-    WorkerDaemon,
-    WorkerPool,
-    priority_value,
-)
-from repro.engine.store import (
-    ResultStore,
-    default_cache_dir,
-    persistent_cache_enabled,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "InjectedWorkerDeath",
@@ -79,19 +54,17 @@ __all__ = [
     "scalar_job",
 ]
 
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "job": (
+        "SimJob", "SimulationMismatchError", "code_fingerprint", "count_job",
+        "execute", "execute_cached", "multiscalar_job",
+        "result_from_payload", "scalar_job",
+    ),
+    "scheduler": (
+        "InjectedWorkerDeath", "JobOutcome", "Lease", "LeaseQueue", "PoolJob",
+        "QueuedJob", "QueueFullError", "QuotaExceededError",
+        "RetryableJobError", "WorkerDaemon", "WorkerPool", "priority_value",
+    ),
+    "store": ("ResultStore", "default_cache_dir", "persistent_cache_enabled"),
+})
 
-def execute_cached(job: SimJob, store: ResultStore | None):
-    """Run one job through the persistent store (serially, in-process).
-
-    With ``store=None`` the job always simulates and nothing persists.
-    Returns the native result object (:class:`ScalarResult`,
-    :class:`MultiscalarResult`, or an ``int`` instruction count).
-    """
-    if store is None:
-        return result_from_payload(execute(job))
-    key = job.key()
-    payload = store.get(key)
-    if payload is None:
-        payload = execute(job)
-        store.put(key, payload, job=job.describe())
-    return result_from_payload(payload)

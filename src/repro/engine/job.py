@@ -23,10 +23,9 @@ from pathlib import Path
 
 from dataclasses import replace as _dc_replace
 
-from repro.compiler import CompilerKnobs
+from repro.compiler.knobs import CompilerKnobs
 from repro.config import MachineConfig, multiscalar_config, scalar_config
-from repro.core.processor import MultiscalarProcessor, MultiscalarResult
-from repro.core.scalar import ScalarProcessor, ScalarResult
+from repro.core.results import MultiscalarResult, ScalarResult
 
 #: Bump when the job-key recipe or payload layout changes shape.
 JOB_SCHEMA_VERSION = 2
@@ -246,15 +245,15 @@ class SimJob:
                 if self._annotated() else spec.scalar_program()
             return program, spec.expected_output
         if self.language == "asm":
-            from repro.compiler import annotate_program
-            from repro.isa import assemble
+            from repro.compiler.annotate import annotate_program
+            from repro.isa.assembler import assemble
 
             program = assemble(self.source)
             if self._annotated():
                 program = annotate_program(
                     program, task_entries=list(self.entries), knobs=knobs)
         else:
-            from repro.minic import compile_and_annotate, compile_scalar
+            from repro.minic.driver import compile_and_annotate, compile_scalar
 
             if self._annotated():
                 program = compile_and_annotate(
@@ -333,6 +332,28 @@ def _workload_spec(name: str):
 
 # --------------------------------------------------------------- execution
 
+def import_execution_modules() -> None:
+    """Import everything :func:`execute` touches, in this process, now.
+
+    The import graph is lazy so that a run served from the store never
+    loads the toolchain or the simulator. The price: ``WorkerPool``
+    forks one child *per job* and children inherit the parent's
+    ``sys.modules``, so a parent that forks before loading the
+    simulator makes every child import it again. :func:`execute` calls
+    this itself; whoever is about to fork workers that will run
+    :func:`execute` calls it first (docs/INTERNALS.md, "import
+    layering").
+    """
+    import repro.compiler.annotate
+    import repro.core.processor
+    import repro.core.scalar
+    import repro.isa.executor
+    import repro.minic.driver
+    import repro.observability.metrics
+    import repro.resilience.checkpoint
+    import repro.workloads
+
+
 def _checkpoint_manager(job: SimJob, checkpoints, attempt: int):
     """Build the (manager, keep) pair for a checkpointed timing job."""
     if checkpoints is None or job.kind == "count":
@@ -360,6 +381,12 @@ def execute(job: SimJob, checkpoints=None, attempt: int = 0,
     whenever a checkpoint lands; the server daemon uses it as both a
     lease heartbeat and a client-visible progress event.
     """
+    import_execution_modules()
+    from repro.core.processor import MultiscalarProcessor
+    from repro.core.scalar import ScalarProcessor
+    from repro.isa.executor import FunctionalCPU
+    from repro.observability.metrics import collect_metrics
+
     program, expected = job._build()
     manager = _checkpoint_manager(job, checkpoints, attempt)
     if manager is not None and progress is not None:
@@ -372,8 +399,6 @@ def execute(job: SimJob, checkpoints=None, attempt: int = 0,
     elif job.kind == "multiscalar":
         processor = MultiscalarProcessor(program, job.machine_config())
     else:
-        from repro.isa import FunctionalCPU
-
         cpu = FunctionalCPU(program)
         cpu.run()
         job._verify(cpu.output, expected)
@@ -384,10 +409,25 @@ def execute(job: SimJob, checkpoints=None, attempt: int = 0,
     job._verify(result.output, expected)
     if manager is not None and not checkpoints.keep:
         manager.discard()
-    from repro.observability.metrics import collect_metrics
-
     return {"type": job.kind, "result": result.to_dict(),
             "metrics": collect_metrics(processor).to_dict()}
+
+
+def execute_cached(job: SimJob, store):
+    """Run one job through the persistent store (serially, in-process).
+
+    With ``store=None`` the job always simulates and nothing persists.
+    Returns the native result object (:class:`ScalarResult`,
+    :class:`MultiscalarResult`, or an ``int`` instruction count).
+    """
+    if store is None:
+        return result_from_payload(execute(job))
+    key = job.key()
+    payload = store.get(key)
+    if payload is None:
+        payload = execute(job)
+        store.put(key, payload, job=job.describe())
+    return result_from_payload(payload)
 
 
 def result_from_payload(payload: dict):

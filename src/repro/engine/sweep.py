@@ -26,14 +26,17 @@ from dataclasses import dataclass, field
 from repro.engine.job import (
     SimJob,
     execute,
+    import_execution_modules,
     metrics_from_payload,
     multiscalar_job,
     result_from_payload,
     scalar_job,
 )
-from repro.engine.scheduler import JobOutcome, PoolJob, WorkerPool
 from repro.engine.store import ResultStore
-from repro.resilience.checkpoint import CheckpointPolicy
+
+# The scheduler, the checkpoint layer and (through ``execute``) the
+# simulator are imported by ``_dispatch``, i.e. only when a job misses
+# the store: a sweep answered from the store pays for none of them.
 
 
 @dataclass(frozen=True)
@@ -194,6 +197,55 @@ def _pool_entrypoint(payload, attempt: int) -> dict:
     return execute(payload)
 
 
+def _dispatch(request: SweepRequest, store: ResultStore | None,
+              misses: list[tuple[str, SimJob, dict | None]],
+              summary: SweepSummary, payloads: dict[str, dict],
+              progress) -> None:
+    """Run the store misses on the worker pool, persist what finishes
+    and fold the fault accounting into ``summary``."""
+    from repro.engine.scheduler import PoolJob, WorkerPool
+    from repro.resilience.checkpoint import CheckpointPolicy
+
+    # Before the first fork: the pool forks one child per job, and a
+    # child that finds the simulator missing imports it all over again.
+    import_execution_modules()
+    policy = None
+    if store is not None:
+        policy = CheckpointPolicy(directory=str(store.root / "ckpt"),
+                                  every=request.checkpoint_every)
+    by_key = {key: job for key, job, _ in misses}
+    to_run: list[PoolJob] = []
+    for key, job, fault in misses:
+        job_policy = policy
+        if policy is not None and fault is not None \
+                and fault.get("kill_after_checkpoint"):
+            job_policy = CheckpointPolicy(
+                directory=policy.directory, every=policy.every,
+                kill_after_checkpoint_on_attempts=tuple(
+                    fault["kill_after_checkpoint"]))
+        to_run.append(PoolJob(
+            job_id=key,
+            payload=job if job_policy is None else (job, job_policy),
+            kill_on_attempts=tuple(
+                fault.get("kill_on_attempts", ())) if fault else ()))
+    pool = WorkerPool(_pool_entrypoint, jobs=request.jobs,
+                      timeout=request.timeout, retries=request.retries,
+                      backoff=request.backoff, progress=progress)
+    outcomes = pool.run(to_run)
+    summary.interrupted = pool.interrupted
+    for key, outcome in outcomes.items():
+        summary.retries += outcome.retries
+        summary.worker_deaths += outcome.worker_deaths
+        summary.timeouts += outcome.timeouts
+        if outcome.ok:
+            payloads[key] = outcome.value
+            if store is not None:
+                store.put(key, outcome.value, job=by_key[key].describe())
+        else:
+            summary.failures += 1
+            summary.errors.append(f"{by_key[key].label()}: {outcome.error}")
+
+
 def run_sweep(request: SweepRequest, store: ResultStore | None,
               progress=None, faults: dict[str, dict] | None = None
               ) -> SweepSummary:
@@ -221,12 +273,7 @@ def run_sweep(request: SweepRequest, store: ResultStore | None,
                     .setdefault("kill_on_attempts", (0,))
                 break
 
-    policy = None
-    if store is not None:
-        policy = CheckpointPolicy(directory=str(store.root / "ckpt"),
-                                  every=request.checkpoint_every)
-
-    to_run: list[PoolJob] = []
+    misses: list[tuple[str, SimJob, dict | None]] = []
     for job in grid:
         key = job.key()
         fault = faults.get(key)
@@ -235,39 +282,13 @@ def run_sweep(request: SweepRequest, store: ResultStore | None,
         if payload is not None:
             summary.cache_hits += 1
             payloads[key] = payload
-            continue
-        summary.cache_misses += 1
-        job_policy = policy
-        if policy is not None and fault is not None \
-                and fault.get("kill_after_checkpoint"):
-            job_policy = CheckpointPolicy(
-                directory=policy.directory, every=policy.every,
-                kill_after_checkpoint_on_attempts=tuple(
-                    fault["kill_after_checkpoint"]))
-        to_run.append(PoolJob(
-            job_id=key,
-            payload=job if job_policy is None else (job, job_policy),
-            kill_on_attempts=tuple(
-                fault.get("kill_on_attempts", ())) if fault else ()))
-    if to_run:
-        progress(f"{summary.cache_hits} cached, "
-                 f"{len(to_run)} jobs to run on {request.jobs} workers")
-    pool = WorkerPool(_pool_entrypoint, jobs=request.jobs,
-                      timeout=request.timeout, retries=request.retries,
-                      backoff=request.backoff, progress=progress)
-    outcomes = pool.run(to_run)
-    summary.interrupted = pool.interrupted
-    for key, outcome in outcomes.items():
-        summary.retries += outcome.retries
-        summary.worker_deaths += outcome.worker_deaths
-        summary.timeouts += outcome.timeouts
-        if outcome.ok:
-            payloads[key] = outcome.value
-            if store is not None:
-                store.put(key, outcome.value, job=by_key[key].describe())
         else:
-            summary.failures += 1
-            summary.errors.append(f"{by_key[key].label()}: {outcome.error}")
+            summary.cache_misses += 1
+            misses.append((key, job, fault))
+    if misses:
+        progress(f"{summary.cache_hits} cached, "
+                 f"{len(misses)} jobs to run on {request.jobs} workers")
+        _dispatch(request, store, misses, summary, payloads, progress)
     _tabulate(summary, by_key, payloads)
     if store is not None:
         store.flush_counters()

@@ -21,36 +21,7 @@ simulator version); see ``docs/EXPLORE.md`` for the reproducibility
 contract.
 """
 
-from repro.explore.cost import cost_breakdown, hardware_cost
-from repro.explore.evaluate import (
-    LocalEvaluator,
-    PointResult,
-    ServerEvaluator,
-)
-from repro.explore.report import (
-    build_report,
-    render_markdown,
-    render_terminal,
-    validate_report,
-    write_report,
-)
-from repro.explore.search import (
-    ExploreRequest,
-    ExploreSummary,
-    WorkloadSearch,
-    pareto_frontier,
-    run_explore,
-    search_workload,
-)
-from repro.explore.space import (
-    AXES,
-    DesignPoint,
-    default_point,
-    knob_probes,
-    mutate,
-    sample,
-    space_size,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AXES",
@@ -77,3 +48,20 @@ __all__ = [
     "validate_report",
     "write_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cost": ("cost_breakdown", "hardware_cost"),
+    "evaluate": ("LocalEvaluator", "PointResult", "ServerEvaluator"),
+    "report": (
+        "build_report", "render_markdown", "render_terminal",
+        "validate_report", "write_report",
+    ),
+    "search": (
+        "ExploreRequest", "ExploreSummary", "WorkloadSearch",
+        "pareto_frontier", "run_explore", "search_workload",
+    ),
+    "space": (
+        "AXES", "DesignPoint", "default_point", "knob_probes", "mutate",
+        "sample", "space_size",
+    ),
+})

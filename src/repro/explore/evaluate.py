@@ -6,12 +6,17 @@ served from) the shared result store — a search resumed tomorrow, or
 pointed at a ``repro serve`` instance another client already warmed,
 re-simulates nothing.
 
-Infeasible points are filtered *before* any job is dispatched: the
-compiler knobs are tried in-process (a compile, no simulation), and a
-point whose knob combination the annotator rejects is reported as
-``infeasible`` without consuming a simulation. This matters for cache
-accounting — failed jobs are never cached, so submitting doomed points
-would make a warm re-run do fresh work.
+Evaluation order is store -> pre-check -> dispatch. A stored payload
+proves the point compiled under this exact code fingerprint, so a hit
+needs neither the toolchain nor the simulator; only misses are
+pre-checked. The pre-check filters infeasible points *before* any job
+is dispatched: the compiler knobs are tried in-process (a compile, no
+simulation), and a point whose knob combination the annotator rejects
+is reported as ``infeasible`` without consuming a simulation. This
+matters for cache accounting — failed jobs are never cached, so
+submitting doomed points would make a warm re-run do fresh work. (An
+infeasible point is never stored either, so it is re-checked on every
+run; it counts as neither a hit nor a fresh simulation.)
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ from dataclasses import dataclass, field
 from repro.engine.job import (
     SimJob,
     execute,
+    import_execution_modules,
     metrics_from_payload,
     result_from_payload,
     scalar_job,
 )
-from repro.engine.scheduler import PoolJob, WorkerPool
 from repro.engine.store import ResultStore
 from repro.explore.cost import hardware_cost
 from repro.explore.space import DesignPoint
@@ -92,13 +97,24 @@ class _EvaluatorBase:
         else the compile error (memoized per knob setting)."""
         key = (workload, point.task_size, point.loop_cut, point.create_mask)
         if key not in self._feasible:
+            from repro.compiler.annotate import AnnotationError
+            from repro.compiler.regions import RegionError
+            from repro.isa.assembler import AssemblerError
+            from repro.minic.codegen import CodegenError
+            from repro.minic.lexer import LexError
+            from repro.minic.parser import ParseError
             from repro.workloads import WORKLOADS
 
             job = self._job(workload, point)
+            # The toolchain's own rejections only: anything else (an
+            # ImportError, an AttributeError) is a bug in this program
+            # and must fail the search, not shrink it.
             try:
                 WORKLOADS[workload].multiscalar_program(
                     knobs=job.compiler_knobs())
-            except Exception as exc:  # annotator rejected the knobs
+            except (AnnotationError, RegionError, AssemblerError,
+                    CodegenError, LexError, ParseError,
+                    ValueError) as exc:
                 self._feasible[key] = f"{type(exc).__name__}: {exc}"
             else:
                 self._feasible[key] = None
@@ -169,14 +185,9 @@ class LocalEvaluator(_EvaluatorBase):
         scalar = self.scalar_cycles(workload)
         results = [PointResult(point=p, cost=hardware_cost(p))
                    for p in points]
-        to_run: list[PoolJob] = []
+        to_run: dict[str, SimJob] = {}
         by_key: dict[str, list[int]] = {}
         for index, result in enumerate(results):
-            error = self._precheck(workload, result.point)
-            if error is not None:
-                result.infeasible = True
-                result.error = error
-                continue
             job = self._job(workload, result.point)
             key = job.key()
             if self.store is not None:
@@ -186,31 +197,44 @@ class LocalEvaluator(_EvaluatorBase):
                     result.cached = True
                     self._finish(result, payload, scalar)
                     continue
+            error = self._precheck(workload, result.point)
+            if error is not None:
+                result.infeasible = True
+                result.error = error
+                continue
             by_key.setdefault(key, []).append(index)
-            if len(by_key[key]) == 1:
-                to_run.append(PoolJob(job_id=key, payload=job))
-        if to_run and self.jobs > 1:
-            pool = WorkerPool(_entrypoint, jobs=self.jobs,
-                              timeout=self.timeout, retries=self.retries,
-                              progress=self.progress)
-            outcomes = pool.run(to_run)
-        else:
-            outcomes = {pj.job_id: _inline(pj.payload) for pj in to_run}
-        for pool_job, key in ((pj, pj.job_id) for pj in to_run):
-            outcome = outcomes[key]
+            to_run[key] = job
+        for key, outcome in self._dispatch(to_run).items():
             self.fresh_runs += 1
             for index in by_key[key]:
                 result = results[index]
-                if getattr(outcome, "ok", False):
+                if outcome.ok:
                     payload = outcome.value
                     if self.store is not None:
                         self.store.put(key, payload,
-                                       job=pool_job.payload.describe())
+                                       job=to_run[key].describe())
                     self._finish(result, payload, scalar)
                 else:
                     self.failures += 1
                     result.error = outcome.error
         return results
+
+    def _dispatch(self, to_run: dict[str, SimJob]) -> dict:
+        """key -> outcome (``ok``/``value``/``error``) for the store
+        misses, in ``to_run`` order: on the pool when ``jobs > 1``,
+        else in-process."""
+        if not to_run or self.jobs <= 1:
+            return {key: _inline(job) for key, job in to_run.items()}
+        from repro.engine.scheduler import PoolJob, WorkerPool
+
+        # Before the first fork: the pool forks one child per job, and
+        # a child that finds the simulator missing imports it again.
+        import_execution_modules()
+        pool = WorkerPool(_entrypoint, jobs=self.jobs,
+                          timeout=self.timeout, retries=self.retries,
+                          progress=self.progress)
+        return pool.run([PoolJob(job_id=key, payload=job)
+                         for key, job in to_run.items()])
 
 
 class _Outcome:

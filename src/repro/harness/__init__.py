@@ -1,27 +1,6 @@
 """Evaluation harness: regenerates the paper's Tables 2, 3, and 4."""
 
-from repro.harness.paper_data import (
-    PAPER_TABLE2,
-    PAPER_TABLE3,
-    PAPER_TABLE4,
-    PaperSpeedups,
-)
-from repro.harness.runner import (
-    SpeedupCell,
-    TableRow,
-    clear_cache,
-    run_multiscalar,
-    run_scalar,
-    table2_rows,
-    table3_rows,
-    table4_rows,
-)
-from repro.harness.tables import (
-    format_table1,
-    format_table2,
-    format_table3,
-    format_cycle_distribution,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PAPER_TABLE2",
@@ -41,3 +20,17 @@ __all__ = [
     "table3_rows",
     "table4_rows",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "paper_data": (
+        "PAPER_TABLE2", "PAPER_TABLE3", "PAPER_TABLE4", "PaperSpeedups",
+    ),
+    "runner": (
+        "SpeedupCell", "TableRow", "clear_cache", "run_multiscalar",
+        "run_scalar", "table2_rows", "table3_rows", "table4_rows",
+    ),
+    "tables": (
+        "format_table1", "format_table2", "format_table3",
+        "format_cycle_distribution",
+    ),
+})

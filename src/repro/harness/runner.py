@@ -12,17 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.processor import MultiscalarResult
-from repro.core.scalar import ScalarResult
-from repro.engine import (
-    ResultStore,
+from repro.core.results import MultiscalarResult, ScalarResult
+from repro.engine.job import (
     SimulationMismatchError,
     count_job,
     execute_cached,
     multiscalar_job,
-    persistent_cache_enabled,
     scalar_job,
 )
+from repro.engine.store import ResultStore, persistent_cache_enabled
 from repro.harness.paper_data import ROW_ORDER
 
 __all__ = [

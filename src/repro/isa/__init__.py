@@ -11,21 +11,7 @@ the paper: per-instruction *forward* and *stop* bits, an explicit
 create masks).
 """
 
-from repro.isa.registers import (
-    FP_REG_BASE,
-    FPCOND_REG,
-    NUM_INT_REGS,
-    REG_NAMES,
-    fp_reg,
-    is_fp_reg,
-    reg_name,
-)
-from repro.isa.opcodes import FUClass, Kind, Op, OPSPECS, StopKind
-from repro.isa.instruction import Instruction
-from repro.isa.program import Program, TaskDescriptor, TargetKind, TaskTarget
-from repro.isa.assembler import AssemblerError, assemble
-from repro.isa.executor import ExecutionError, FunctionalCPU, MachineState
-from repro.isa.memory_image import SparseMemory
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AssemblerError",
@@ -52,3 +38,16 @@ __all__ = [
     "is_fp_reg",
     "reg_name",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "registers": (
+        "FP_REG_BASE", "FPCOND_REG", "NUM_INT_REGS", "REG_NAMES", "fp_reg",
+        "is_fp_reg", "reg_name",
+    ),
+    "opcodes": ("FUClass", "Kind", "Op", "OPSPECS", "StopKind"),
+    "instruction": ("Instruction",),
+    "program": ("Program", "TaskDescriptor", "TargetKind", "TaskTarget"),
+    "assembler": ("AssemblerError", "assemble"),
+    "executor": ("ExecutionError", "FunctionalCPU", "MachineState"),
+    "memory_image": ("SparseMemory",),
+})

@@ -18,14 +18,7 @@ Layout:
   the ``engine_for`` factory the run loops call.
 """
 
-from repro.jit.blocks import EXIT_NAMES, TraceTables, tables_for
-from repro.jit.engine import (
-    MIN_WINDOW,
-    UnitJIT,
-    current_injection,
-    engine_for,
-    set_injection,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "EXIT_NAMES",
@@ -37,3 +30,11 @@ __all__ = [
     "set_injection",
     "tables_for",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "blocks": ("EXIT_NAMES", "TraceTables", "tables_for"),
+    "engine": (
+        "MIN_WINDOW", "UnitJIT", "current_injection", "engine_for",
+        "set_injection",
+    ),
+})

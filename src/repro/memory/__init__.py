@@ -8,10 +8,7 @@ standard trace-driven simplification and cannot change simulated values,
 only simulated time.
 """
 
-from repro.memory.bus import SplitTransactionBus
-from repro.memory.cache import DirectMappedCache
-from repro.memory.icache import InstructionCache
-from repro.memory.dcache import BankedDataCache, ScalarDataCache
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BankedDataCache",
@@ -20,3 +17,10 @@ __all__ = [
     "ScalarDataCache",
     "SplitTransactionBus",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "bus": ("SplitTransactionBus",),
+    "cache": ("DirectMappedCache",),
+    "icache": ("InstructionCache",),
+    "dcache": ("BankedDataCache", "ScalarDataCache"),
+})

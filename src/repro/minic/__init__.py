@@ -14,10 +14,7 @@ through a computed address), ``float(e)``/``int(e)`` conversions, and
 ``alloc(bytes)`` (a bump allocator over the heap segment).
 """
 
-from repro.minic.lexer import LexError, tokenize
-from repro.minic.parser import ParseError, parse
-from repro.minic.codegen import CodegenError, CompiledUnit, compile_minic
-from repro.minic.driver import compile_and_annotate, compile_scalar
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CodegenError",
@@ -30,3 +27,10 @@ __all__ = [
     "parse",
     "tokenize",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "lexer": ("LexError", "tokenize"),
+    "parser": ("ParseError", "parse"),
+    "codegen": ("CodegenError", "CompiledUnit", "compile_minic"),
+    "driver": ("compile_and_annotate", "compile_scalar"),
+})

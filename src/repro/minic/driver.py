@@ -9,9 +9,11 @@ Extra task entry labels can be supplied for manual partitioning hints
 
 from __future__ import annotations
 
-from repro.compiler import CompilerKnobs, annotate_program
-from repro.isa import Program, assemble
-from repro.minic.codegen import compile_minic
+from repro.compiler.annotate import annotate_program
+from repro.compiler.knobs import CompilerKnobs
+from repro.isa.assembler import assemble
+from repro.isa.program import Program
+from repro.minic.codegen import CompiledUnit, compile_minic
 
 
 def compile_scalar(source: str, name: str = "<minc>") -> Program:
@@ -32,7 +34,18 @@ def compile_and_annotate(source: str, name: str = "<minc>",
     ``knobs`` tunes the partitioning heuristics
     (:class:`~repro.compiler.CompilerKnobs`; ``None`` = defaults).
     """
-    unit = compile_minic(source, name)
+    return annotate_unit(compile_minic(source, name), name, extra_entries,
+                         auto_loops, knobs)
+
+
+def annotate_unit(unit: CompiledUnit, name: str = "<minc>",
+                  extra_entries: list[str] | None = None,
+                  auto_loops: bool = False,
+                  knobs: CompilerKnobs | None = None) -> Program:
+    """The back half of :func:`compile_and_annotate`: assemble an
+    already-compiled unit and annotate it. Callers that re-partition
+    one source under many knob settings compile the front end once and
+    call this per setting (the unit is only read)."""
     program = assemble(unit.asm, name)
     entries = list(unit.task_labels) + list(extra_entries or [])
     return annotate_program(program, task_entries=entries,

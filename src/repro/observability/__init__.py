@@ -23,18 +23,7 @@ see docs/OBSERVABILITY.md for the event taxonomy and a Perfetto
 walkthrough.
 """
 
-from repro.observability.events import Category, EventBus, TraceEvent
-from repro.observability.export import (
-    chrome_trace,
-    render_flamegraph,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.observability.metrics import (
-    Histogram,
-    MetricsRegistry,
-    collect_metrics,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Category",
@@ -48,3 +37,12 @@ __all__ = [
     "write_chrome_trace",
     "render_flamegraph",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "events": ("Category", "EventBus", "TraceEvent"),
+    "export": (
+        "chrome_trace", "render_flamegraph", "validate_chrome_trace",
+        "write_chrome_trace",
+    ),
+    "metrics": ("Histogram", "MetricsRegistry", "collect_metrics"),
+})

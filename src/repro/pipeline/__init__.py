@@ -9,8 +9,13 @@ pipeline wired to a ring-connected register file and the ARB through a
 :class:`~repro.pipeline.context.PipelineContext`.
 """
 
-from repro.pipeline.functional_units import FUPool
-from repro.pipeline.context import PipelineContext, StallReason
-from repro.pipeline.unit import UnitPipeline
+from repro._lazy import lazy_exports
 
 __all__ = ["FUPool", "PipelineContext", "StallReason", "UnitPipeline"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "functional_units": ("FUPool",),
+    "context": ("PipelineContext",),
+    "stall": ("StallReason",),
+    "unit": ("UnitPipeline",),
+})

@@ -9,25 +9,9 @@ is behind :class:`PipelineContext`.
 from __future__ import annotations
 
 import abc
-import enum
 
 from repro.isa.instruction import Instruction
-
-
-class StallReason(enum.IntEnum):
-    """Why a unit performed no computation in a cycle (paper Section 3).
-
-    An ``IntEnum`` so the per-cycle stall tallies hash members through
-    the C-level int hash instead of ``Enum.__hash__`` (a Python-level
-    function that shows up in simulator profiles).
-    """
-
-    NONE = enum.auto()           # it did issue work
-    INTER_TASK = enum.auto()     # waiting on a value from an earlier task
-    INTRA_TASK = enum.auto()     # waiting on a value produced in-task
-    WAIT_RETIRE = enum.auto()    # task complete, waiting to become head
-    FETCH = enum.auto()          # nothing decoded yet (icache miss, flush)
-    SYSCALL = enum.auto()        # syscall held until non-speculative
+from repro.pipeline.stall import StallReason  # re-exported: its old home
 
 
 class PipelineContext(abc.ABC):

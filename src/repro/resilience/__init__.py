@@ -18,24 +18,7 @@ Layers:
 
 from __future__ import annotations
 
-from repro.resilience.checkpoint import (
-    CheckpointManager,
-    CheckpointPolicy,
-)
-from repro.resilience.failures import (
-    CycleBudgetError,
-    InstructionBudgetError,
-    LivelockError,
-    MemoryBudgetError,
-    SimulationFailure,
-)
-from repro.resilience.snapshot import (
-    SNAPSHOT_SCHEMA_VERSION,
-    SnapshotError,
-    capture_state,
-    restore_state,
-)
-from repro.resilience.watchdog import Watchdog
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CheckpointManager",
@@ -51,3 +34,16 @@ __all__ = [
     "capture_state",
     "restore_state",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "checkpoint": ("CheckpointManager", "CheckpointPolicy"),
+    "failures": (
+        "CycleBudgetError", "InstructionBudgetError", "LivelockError",
+        "MemoryBudgetError", "SimulationFailure",
+    ),
+    "snapshot": (
+        "SNAPSHOT_SCHEMA_VERSION", "SnapshotError", "capture_state",
+        "restore_state",
+    ),
+    "watchdog": ("Watchdog",),
+})

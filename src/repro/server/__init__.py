@@ -14,14 +14,7 @@ death, and checkpoint-resume for interrupted simulations. Standalone
 fleet. See ``docs/SERVER.md`` for the endpoint and lifecycle contract.
 """
 
-from repro.server.app import JobRecord, ReproServer
-from repro.server.client import ServerClient, ServerError
-from repro.server.jobs import (
-    JOB_TYPES,
-    BadJobError,
-    ServerJob,
-    execute_server_job,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BadJobError",
@@ -33,3 +26,9 @@ __all__ = [
     "ServerJob",
     "execute_server_job",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "app": ("JobRecord", "ReproServer"),
+    "client": ("ServerClient", "ServerError"),
+    "jobs": ("JOB_TYPES", "BadJobError", "ServerJob", "execute_server_job"),
+})

@@ -37,7 +37,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 
-from repro.engine.job import metrics_from_payload
+from repro.engine.job import import_execution_modules, metrics_from_payload
 from repro.engine.scheduler import (
     DEFAULT_PRIORITY,
     PRIORITY_CLASSES,
@@ -161,8 +161,9 @@ class ReproServer:
             elif kind == "interrupted":
                 record.status = "failed"
                 record.error = "interrupted"
-            elif kind == "done":
-                record.status = "done"
+            # "done" only joins the event history here: the status flips
+            # in _on_settled, after the payload is stored, so a client
+            # that polls "done" can always fetch the result.
             self._append_event(record, event)
 
     def _on_settled(self, job_id: str, outcome) -> None:
@@ -468,6 +469,9 @@ class ReproServer:
     # --------------------------------------------------------- lifecycle
 
     async def _run_async(self, host: str, port: int, ready) -> None:
+        # The fleet is forked from this process: load the simulator
+        # once here, not once in every worker at its first job.
+        import_execution_modules()
         self.daemon.start()
         server = await asyncio.start_server(self._handle, host, port)
         self.port = server.sockets[0].getsockname()[1]

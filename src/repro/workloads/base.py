@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from repro.compiler import CompilerKnobs
-from repro.isa import Program
-from repro.minic import compile_and_annotate, compile_scalar
+# The toolchain is imported by the compile functions at the bottom, on
+# first use: a workload's source text is all a cache-key hash needs.
+if TYPE_CHECKING:
+    from repro.compiler.knobs import CompilerKnobs
+    from repro.isa.program import Program
+    from repro.minic.codegen import CompiledUnit
 
 
 def lcg(seed: int):
@@ -61,14 +65,27 @@ class WorkloadSpec:
 
 
 @lru_cache(maxsize=64)
+def _front_end(source: str, name: str) -> CompiledUnit:
+    """MinC -> assembly text + task labels, once per workload per
+    process: every knob setting re-partitions the same text, and
+    lexing/parsing it again was most of each compile."""
+    from repro.minic.codegen import compile_minic
+
+    return compile_minic(source, name)
+
+
+@lru_cache(maxsize=64)
 def _compile_scalar_cached(source: str, name: str) -> Program:
-    return compile_scalar(source, name)
+    from repro.isa.assembler import assemble
+
+    return assemble(_front_end(source, name).asm, name)
 
 
 @lru_cache(maxsize=128)
 def _compile_multiscalar_cached(source: str, name: str,
                                 extra_entries: tuple[str, ...],
                                 knobs: CompilerKnobs | None) -> Program:
-    return compile_and_annotate(source, name,
-                                extra_entries=list(extra_entries),
-                                knobs=knobs)
+    from repro.minic.driver import annotate_unit
+
+    return annotate_unit(_front_end(source, name), name,
+                         extra_entries=list(extra_entries), knobs=knobs)

@@ -254,6 +254,114 @@ def test_search_reports_knob_wins_on_matched_hardware(tmp_path):
     assert all(win["cycles"] < win["default_cycles"] for win in wins)
 
 
+# ------------------------------------- evaluation order: store first
+
+#: wc under this knob setting has a task with five successor targets,
+#: which the annotator rejects.
+_REJECTED = dict(task_size=32, loop_cut="none")
+
+
+def _break_toolchain(monkeypatch, error=AssertionError):
+    """Make every binding of the compile entry points raise: a run that
+    still completes provably compiled nothing."""
+    def broken(*args, **kwargs):
+        raise error("the toolchain must not run here")
+
+    for target in ("repro.minic.codegen.compile_minic",
+                   "repro.minic.driver.compile_minic",
+                   "repro.compiler.annotate.annotate_program",
+                   "repro.minic.driver.annotate_program"):
+        monkeypatch.setattr(target, broken)
+    # Compiles memoized by earlier tests would mask the sabotage.
+    from repro.workloads import base
+
+    for cached in (base._front_end, base._compile_scalar_cached,
+                   base._compile_multiscalar_cached):
+        cached.cache_clear()
+
+
+def test_warm_evaluation_reads_the_store_and_never_compiles(
+        tmp_path, monkeypatch):
+    request = ExploreRequest(workloads=("cmp",), budget=9, seed=4)
+    store = ResultStore(tmp_path / "store")
+    cold, report_cold = _run(request, store)
+    assert cold.fresh_runs > 0 and cold.searches[0].infeasible == 0
+    _break_toolchain(monkeypatch)
+    warm, report_warm = _run(request, store)
+    assert warm.fresh_runs == 0 and warm.hit_rate == 1.0
+    assert warm.cache_hits == cold.fresh_runs + cold.cache_hits
+    assert json.dumps(report_warm, sort_keys=True) \
+        == json.dumps(report_cold, sort_keys=True)
+    # One level down: every point of a repeated batch is a hit.
+    evaluator = LocalEvaluator(store, jobs=1)
+    points = [r.point for r in cold.searches[0].evaluated]
+    results = evaluator.evaluate("cmp", points)
+    assert all(r.cached and r.ok for r in results)
+    assert evaluator.cache_hits == len(points) + 1     # + scalar baseline
+
+
+def test_rejected_knobs_are_infeasible_cold_and_warm(tmp_path):
+    from dataclasses import replace
+
+    store = ResultStore(tmp_path / "store")
+    points = [default_point(), replace(default_point(), **_REJECTED)]
+    for run in ("cold", "warm"):
+        evaluator = LocalEvaluator(store, jobs=1)
+        good, bad = evaluator.evaluate("wc", points)
+        assert good.ok and good.cached == (run == "warm")
+        assert bad.infeasible and not bad.ok and not bad.cached
+        assert bad.error.startswith("AnnotationError:")
+        # Never stored, so the warm run asks the compiler again; the
+        # stored point is pre-checked only while it is still a miss.
+        assert store.get(evaluator._job("wc", points[1]).key()) is None
+        assert evaluator._feasible[("wc", 32, "none", "pruned")] == bad.error
+        assert (("wc", 0, "marked", "pruned") in evaluator._feasible) \
+            == (run == "cold")
+
+
+def test_infeasible_points_do_not_break_require_hit_rate(tmp_path, capsys):
+    from repro.cli import main
+
+    # Seed 5 draws the rejected wc knob setting in its explore phase.
+    argv = ["explore", "wc", "--budget", "15", "--seed", "5",
+            "--cache-dir", str(tmp_path / "store")]
+    assert main(argv + ["--out", str(tmp_path / "cold")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "warm"),
+                        "--require-hit-rate", "1.0"]) == 0
+    assert "0 fresh simulations" in capsys.readouterr().err
+    cold = (tmp_path / "cold" / "explore.json").read_bytes()
+    assert cold == (tmp_path / "warm" / "explore.json").read_bytes()
+    assert json.loads(cold)["workloads"][0]["infeasible"] >= 1
+
+
+def test_precheck_lets_program_bugs_propagate(tmp_path, monkeypatch):
+    # A broken import inside the compile path is not "the annotator
+    # rejected the knobs": filing it under infeasible would quietly
+    # shrink every search to nothing.
+    _break_toolchain(monkeypatch, error=ImportError)
+    evaluator = LocalEvaluator(ResultStore(tmp_path / "store"), jobs=1)
+    evaluator._scalar_cycles["wc"] = 1      # skip the baseline run
+    with pytest.raises(ImportError, match="toolchain must not run"):
+        evaluator.evaluate("wc", [default_point()])
+
+
+def test_server_evaluator_still_prechecks_before_submitting():
+    from dataclasses import replace
+
+    from repro.explore import ServerEvaluator
+
+    class NoServer:
+        def submit(self, *args, **kwargs):
+            raise AssertionError("an infeasible point was submitted")
+
+    evaluator = ServerEvaluator("http://127.0.0.1:1")
+    evaluator.client = NoServer()
+    evaluator._scalar_cycles["wc"] = 1
+    (bad,) = evaluator.evaluate(
+        "wc", [replace(default_point(), **_REJECTED)])
+    assert bad.infeasible and bad.error.startswith("AnnotationError:")
+
+
 # ------------------------------------------------------------- reports
 
 def test_validate_report_rejects_tampered_reports(tmp_path):

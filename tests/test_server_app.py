@@ -221,6 +221,25 @@ def test_duplicate_pending_submission_dedupes():
     assert again[1].get("deduped")
 
 
+def test_status_reads_done_only_once_the_result_is_readable():
+    # The daemon reports the "done" event before it hands over the
+    # outcome; a client polling in between must not see a finished job
+    # whose result is still 202.
+    from repro.engine.scheduler import JobOutcome
+
+    srv = ReproServer(workers=1, store=None)
+    job = count_job("wc", annotated=True)
+    srv.submit(sim_envelope(job))
+    srv._on_event(job.key(), {"type": "done", "error": ""})
+    assert srv.status(job.key())["status"] != "done"
+    assert srv.result(job.key())[0] == 202
+    srv._on_settled(job.key(), JobOutcome(job_id=job.key(), ok=True,
+                                          value={"type": "count",
+                                                 "count": 7}))
+    assert srv.status(job.key())["status"] == "done"
+    assert srv.result(job.key()) == (200, {"type": "count", "count": 7})
+
+
 def test_fault_requires_chaos_mode():
     srv = ReproServer(workers=1, chaos=False, store=None)
     body = sim_envelope(count_job("wc", annotated=True))
