@@ -343,7 +343,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Entry point for ``repro sweep``: run a workload x config
     grid through the job engine with persistent caching."""
     from repro.engine import ResultStore, persistent_cache_enabled
-    from repro.engine.sweep import SweepRequest, render_timelines, run_sweep
+    from repro.engine.sweep import (
+        SweepRequest,
+        render_timelines,
+        run_sweep,
+        run_sweep_via_server,
+    )
     from repro.harness.paper_data import ROW_ORDER
     from repro.workloads import WORKLOADS
 
@@ -371,21 +376,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     progress = (lambda message: print(f"sweep: {message}",
                                       file=sys.stderr))
-    if args.server:
-        from repro.engine.sweep import run_sweep_via_server
-        from repro.server import ServerError
-
-        try:
+    try:
+        if args.server:
             summary = run_sweep_via_server(request, args.server,
                                            progress=progress)
-        except ServerError as error:
-            print(f"repro sweep: server error: {error}", file=sys.stderr)
-            return 2
-    else:
-        store = None
-        if request.use_cache and persistent_cache_enabled():
-            store = ResultStore()
-        summary = run_sweep(request, store, progress=progress)
+        else:
+            store = None
+            if request.use_cache and persistent_cache_enabled():
+                store = ResultStore()
+            summary = run_sweep(request, store, progress=progress)
+    except ConnectionError as error:
+        print(f"repro sweep: server error: {error}", file=sys.stderr)
+        return 2
     print(summary.render())
     if args.metrics:
         if summary.metrics is not None:
@@ -396,7 +398,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"note: {summary.cells_without_metrics} of "
                   f"{summary.total_jobs} payloads carried no metrics "
                   "(pre-metrics cache entries); the aggregate above "
-                  "under-counts them. Re-run with --fresh to regenerate.")
+                  "under-counts them. Re-run with --purge-cache (or "
+                  "--no-cache) to regenerate.")
     if summary.interrupted:
         print("sweep: interrupted; completed results were persisted",
               file=sys.stderr)
@@ -496,23 +499,16 @@ def cmd_explore(args: argparse.Namespace) -> int:
             return 2
     request = ExploreRequest(
         workloads=workloads, budget=args.budget, seed=args.seed,
-        max_cycles=args.max_cycles, jobs=args.jobs, timeout=args.timeout,
-        retries=args.retries, use_cache=not args.no_cache)
+        max_cycles=args.max_cycles, jobs=args.jobs,
+        use_cache=not args.no_cache)
     progress = (lambda message: print(f"explore: {message}",
                                       file=sys.stderr))
+    store = None
     if args.server:
-        from repro.server import ServerError
-
         evaluator = ServerEvaluator(args.server, timeout=args.timeout,
                                     max_cycles=args.max_cycles,
                                     progress=progress)
-        try:
-            summary = run_explore(request, evaluator, progress=progress)
-        except ServerError as error:
-            print(f"repro explore: server error: {error}", file=sys.stderr)
-            return 2
     else:
-        store = None
         if request.use_cache and persistent_cache_enabled():
             store = ResultStore()
         evaluator = LocalEvaluator(store, jobs=args.jobs,
@@ -520,9 +516,13 @@ def cmd_explore(args: argparse.Namespace) -> int:
                                    retries=args.retries,
                                    max_cycles=args.max_cycles,
                                    progress=progress)
+    try:
         summary = run_explore(request, evaluator, progress=progress)
-        if store is not None:
-            store.flush_counters()
+    except ConnectionError as error:
+        print(f"repro explore: server error: {error}", file=sys.stderr)
+        return 2
+    if store is not None:
+        store.flush_counters()
     report = build_report(summary)
     validate_report(report)
     print(render_terminal(report))

@@ -10,9 +10,9 @@ Layers:
   priority :class:`LeaseQueue` and the persistent
   :class:`WorkerDaemon` fleet that drains it under heartbeat-renewed
   leases;
-* :mod:`repro.engine.sweep` — grid sweeps combining all three (and
-  :func:`~repro.engine.sweep.run_sweep_via_server`, the thin-client
-  variant).
+* :mod:`repro.engine.resolve` — the one path from a list of jobs to
+  payloads plus accounting, over a local pool or ``repro serve``;
+* :mod:`repro.engine.sweep` — grid sweeps combining all four.
 
 The one-job convenience path used by the harness runner is
 :func:`~repro.engine.job.execute_cached`: it consults the persistent

@@ -4,9 +4,11 @@ Both evaluators speak the same content-addressed :class:`SimJob`
 language as ``repro sweep``, so every evaluated point lands in (and is
 served from) the shared result store — a search resumed tomorrow, or
 pointed at a ``repro serve`` instance another client already warmed,
-re-simulates nothing.
+re-simulates nothing. They are one :class:`Evaluator` over the two
+:mod:`repro.engine.resolve` transports, which own the evaluation order.
 
-Evaluation order is store -> pre-check -> dispatch. A stored payload
+Evaluation order is store -> pre-check -> dispatch, the pre-check
+being the resolver's ``admit`` step. A stored payload
 proves the point compiled under this exact code fingerprint, so a hit
 needs neither the toolchain nor the simulator; only misses are
 pre-checked. The pre-check filters infeasible points *before* any job
@@ -25,18 +27,18 @@ from dataclasses import dataclass, field
 
 from repro.engine.job import (
     SimJob,
-    execute,
-    import_execution_modules,
     metrics_from_payload,
     result_from_payload,
     scalar_job,
 )
+from repro.engine.resolve import LocalResolver, ServerResolver
 from repro.engine.store import ResultStore
 from repro.explore.cost import hardware_cost
 from repro.explore.space import DesignPoint
 
 __all__ = [
     "PointResult",
+    "Evaluator",
     "LocalEvaluator",
     "ServerEvaluator",
 ]
@@ -74,10 +76,14 @@ def _stalls(payload: dict) -> dict[str, int]:
             if name.startswith(prefix)}
 
 
-class _EvaluatorBase:
-    """Shared accounting + feasibility precheck."""
+class Evaluator:
+    """Design points -> :class:`PointResult` through a resolver
+    (:mod:`repro.engine.resolve`), with the feasibility pre-check as
+    the resolver's ``admit`` step."""
 
-    def __init__(self, max_cycles: int, fast_path: bool, jit: bool) -> None:
+    def __init__(self, resolver, max_cycles: int = 20_000_000,
+                 fast_path: bool = True, jit: bool = True) -> None:
+        self.resolver = resolver
         self.max_cycles = max_cycles
         self.fast_path = fast_path
         self.jit = jit
@@ -92,10 +98,10 @@ class _EvaluatorBase:
         return point.to_job(workload, max_cycles=self.max_cycles,
                             fast_path=self.fast_path, jit=self.jit)
 
-    def _precheck(self, workload: str, point: DesignPoint) -> str | None:
-        """``None`` when the point's knobs compile for ``workload``,
+    def _precheck(self, job: SimJob) -> str | None:
+        """``None`` when the job's knobs compile for its workload,
         else the compile error (memoized per knob setting)."""
-        key = (workload, point.task_size, point.loop_cut, point.create_mask)
+        key = (job.workload, job.task_size, job.loop_cut, job.create_mask)
         if key not in self._feasible:
             from repro.compiler.annotate import AnnotationError
             from repro.compiler.regions import RegionError
@@ -105,12 +111,11 @@ class _EvaluatorBase:
             from repro.minic.parser import ParseError
             from repro.workloads import WORKLOADS
 
-            job = self._job(workload, point)
             # The toolchain's own rejections only: anything else (an
             # ImportError, an AttributeError) is a bug in this program
             # and must fail the search, not shrink it.
             try:
-                WORKLOADS[workload].multiscalar_program(
+                WORKLOADS[job.workload].multiscalar_program(
                     knobs=job.compiler_knobs())
             except (AnnotationError, RegionError, AssemblerError,
                     CodegenError, LexError, ParseError,
@@ -120,48 +125,14 @@ class _EvaluatorBase:
                 self._feasible[key] = None
         return self._feasible[key]
 
-    def _finish(self, result: PointResult, payload: dict,
-                scalar_cycles: int) -> PointResult:
-        sim = result_from_payload(payload)
-        result.cycles = sim.cycles
-        result.speedup = scalar_cycles / sim.cycles
-        result.prediction_accuracy = sim.prediction_accuracy
-        result.stalls = _stalls(payload)
-        if not result.stalls:
-            self.points_without_metrics += 1
-        return result
-
-
-class LocalEvaluator(_EvaluatorBase):
-    """Evaluate points through the persistent store and a local
-    :class:`~repro.engine.scheduler.WorkerPool` (``jobs=1`` executes
-    in-process, no pool)."""
-
-    def __init__(self, store: ResultStore | None, jobs: int = 1,
-                 timeout: float = 600.0, retries: int = 2,
-                 max_cycles: int = 20_000_000, fast_path: bool = True,
-                 jit: bool = True, progress=None) -> None:
-        super().__init__(max_cycles, fast_path, jit)
-        self.store = store
-        self.jobs = jobs
-        self.timeout = timeout
-        self.retries = retries
-        self.progress = progress or (lambda message: None)
-
-    def _run_job(self, job: SimJob) -> tuple[dict | None, bool, str]:
-        """(payload, cached, error) for one job via store + execute."""
-        key = job.key()
-        if self.store is not None:
-            payload = self.store.get(key)
-            if payload is not None:
-                return payload, True, ""
-        try:
-            payload = execute(job)
-        except Exception as exc:
-            return None, False, f"{type(exc).__name__}: {exc}"
-        if self.store is not None:
-            self.store.put(key, payload, job=job.describe())
-        return payload, False, ""
+    def _resolve(self, jobs: list[SimJob], admit=None):
+        resolution = self.resolver.resolve(jobs, admit=admit)
+        self.cache_hits += len(resolution.cached)
+        self.fresh_runs += resolution.fresh
+        if resolution.interrupted:
+            # What finished is persisted; the search itself stops.
+            raise KeyboardInterrupt
+        return resolution
 
     def scalar_cycles(self, workload: str) -> int:
         """The workload's scalar-baseline cycle count (cache-backed,
@@ -169,13 +140,13 @@ class LocalEvaluator(_EvaluatorBase):
         if workload not in self._scalar_cycles:
             job = scalar_job(workload, max_cycles=self.max_cycles,
                              fast_path=self.fast_path, jit=self.jit)
-            payload, cached, error = self._run_job(job)
-            if payload is None:
-                raise RuntimeError(f"scalar baseline failed: {error}")
-            self.cache_hits += cached
-            self.fresh_runs += not cached
+            key = job.key()
+            resolution = self._resolve([job])
+            if key in resolution.errors:
+                raise RuntimeError("scalar baseline failed: "
+                                   f"{resolution.errors[key]}")
             self._scalar_cycles[workload] = \
-                result_from_payload(payload).cycles
+                result_from_payload(resolution.payloads[key]).cycles
         return self._scalar_cycles[workload]
 
     def evaluate(self, workload: str,
@@ -183,80 +154,52 @@ class LocalEvaluator(_EvaluatorBase):
         """Evaluate ``points`` for ``workload``; results align with the
         input order. Cache hits and infeasible points never dispatch."""
         scalar = self.scalar_cycles(workload)
-        results = [PointResult(point=p, cost=hardware_cost(p))
-                   for p in points]
-        to_run: dict[str, SimJob] = {}
-        by_key: dict[str, list[int]] = {}
-        for index, result in enumerate(results):
-            job = self._job(workload, result.point)
+        jobs = [self._job(workload, point) for point in points]
+        resolution = self._resolve(jobs, admit=self._precheck)
+        results = []
+        for point, job in zip(points, jobs):
+            result = PointResult(point=point, cost=hardware_cost(point))
             key = job.key()
-            if self.store is not None:
-                payload = self.store.get(key)
-                if payload is not None:
-                    self.cache_hits += 1
-                    result.cached = True
-                    self._finish(result, payload, scalar)
-                    continue
-            error = self._precheck(workload, result.point)
-            if error is not None:
+            payload = resolution.payloads.get(key)
+            if payload is not None:
+                result.cached = key in resolution.cached
+                sim = result_from_payload(payload)
+                result.cycles = sim.cycles
+                result.speedup = scalar / sim.cycles
+                result.prediction_accuracy = sim.prediction_accuracy
+                result.stalls = _stalls(payload)
+                if not result.stalls:
+                    self.points_without_metrics += 1
+            elif key in resolution.rejected:
                 result.infeasible = True
-                result.error = error
-                continue
-            by_key.setdefault(key, []).append(index)
-            to_run[key] = job
-        for key, outcome in self._dispatch(to_run).items():
-            self.fresh_runs += 1
-            for index in by_key[key]:
-                result = results[index]
-                if outcome.ok:
-                    payload = outcome.value
-                    if self.store is not None:
-                        self.store.put(key, payload,
-                                       job=to_run[key].describe())
-                    self._finish(result, payload, scalar)
-                else:
-                    self.failures += 1
-                    result.error = outcome.error
+                result.error = resolution.rejected[key]
+            else:
+                self.failures += 1
+                result.error = resolution.errors[key]
+            results.append(result)
         return results
 
-    def _dispatch(self, to_run: dict[str, SimJob]) -> dict:
-        """key -> outcome (``ok``/``value``/``error``) for the store
-        misses, in ``to_run`` order: on the pool when ``jobs > 1``,
-        else in-process."""
-        if not to_run or self.jobs <= 1:
-            return {key: _inline(job) for key, job in to_run.items()}
-        from repro.engine.scheduler import PoolJob, WorkerPool
 
-        # Before the first fork: the pool forks one child per job, and
-        # a child that finds the simulator missing imports it again.
-        import_execution_modules()
-        pool = WorkerPool(_entrypoint, jobs=self.jobs,
-                          timeout=self.timeout, retries=self.retries,
-                          progress=self.progress)
-        return pool.run([PoolJob(job_id=key, payload=job)
-                         for key, job in to_run.items()])
+class LocalEvaluator(Evaluator):
+    """Evaluate points through the persistent store and a local
+    :class:`~repro.engine.scheduler.WorkerPool` (``jobs=1`` executes
+    in-process)."""
 
+    def __init__(self, store: ResultStore | None, jobs: int = 1,
+                 timeout: float = 600.0, retries: int = 2,
+                 max_cycles: int = 20_000_000, fast_path: bool = True,
+                 jit: bool = True, progress=None) -> None:
+        super().__init__(
+            LocalResolver(store, jobs=jobs, timeout=timeout,
+                          retries=retries, progress=progress),
+            max_cycles, fast_path, jit)
 
-class _Outcome:
-    __slots__ = ("ok", "value", "error")
-
-    def __init__(self, ok, value, error):
-        self.ok, self.value, self.error = ok, value, error
+    # perf/ wraps this method through ``LocalEvaluator.__dict__``, so the
+    # name is bound on this class as well as inherited.
+    evaluate = Evaluator.evaluate
 
 
-def _inline(job: SimJob) -> _Outcome:
-    try:
-        return _Outcome(True, execute(job), "")
-    except Exception as exc:
-        return _Outcome(False, None, f"{type(exc).__name__}: {exc}")
-
-
-def _entrypoint(payload, attempt: int) -> dict:
-    """Module-level pool entrypoint (picklable)."""
-    return execute(payload)
-
-
-class ServerEvaluator(_EvaluatorBase):
+class ServerEvaluator(Evaluator):
     """Evaluate points as a thin client of a ``repro serve`` instance —
     same keys as :class:`LocalEvaluator`, shared server-side cache."""
 
@@ -264,73 +207,7 @@ class ServerEvaluator(_EvaluatorBase):
                  timeout: float = 600.0, max_cycles: int = 20_000_000,
                  fast_path: bool = True, jit: bool = True,
                  progress=None) -> None:
-        super().__init__(max_cycles, fast_path, jit)
-        from repro.server.client import ServerClient
-
-        self.client = ServerClient(url, client_id=client_id)
-        self.timeout = timeout
-        self.progress = progress or (lambda message: None)
-
-    def _submit_and_wait(self, jobs: list[SimJob]) -> dict[str, dict | None]:
-        """Submit jobs, wait, return key -> payload (or None)."""
-        keys: list[str] = []
-        cached: set[str] = set()
-        for job in jobs:
-            answer = self.client.submit({"type": "sim", "spec": job.spec()},
-                                        priority="batch")
-            if answer.get("cached"):
-                cached.add(answer["key"])
-            keys.append(answer["key"])
-        unique = list(dict.fromkeys(keys))
-        records = self.client.wait(
-            unique, timeout=self.timeout * max(1, len(unique)))
-        payloads: dict[str, dict | None] = {}
-        for key in unique:
-            record = records[key]
-            payloads[key] = self.client.result(key) \
-                if record["status"] == "done" else None
-            if key in cached:
-                self.cache_hits += 1
-            else:
-                self.fresh_runs += 1
-        return payloads
-
-    def scalar_cycles(self, workload: str) -> int:
-        """The workload's scalar-baseline cycle count via the server."""
-        if workload not in self._scalar_cycles:
-            job = scalar_job(workload, max_cycles=self.max_cycles,
-                             fast_path=self.fast_path, jit=self.jit)
-            payload = self._submit_and_wait([job])[job.key()]
-            if payload is None:
-                raise RuntimeError("scalar baseline failed on the server")
-            self._scalar_cycles[workload] = \
-                result_from_payload(payload).cycles
-        return self._scalar_cycles[workload]
-
-    def evaluate(self, workload: str,
-                 points: list[DesignPoint]) -> list[PointResult]:
-        """Evaluate ``points`` via the server; aligns with input order."""
-        scalar = self.scalar_cycles(workload)
-        results = [PointResult(point=p, cost=hardware_cost(p))
-                   for p in points]
-        jobs: list[SimJob] = []
-        indices: list[int] = []
-        for index, result in enumerate(results):
-            error = self._precheck(workload, result.point)
-            if error is not None:
-                result.infeasible = True
-                result.error = error
-                continue
-            jobs.append(self._job(workload, result.point))
-            indices.append(index)
-        if jobs:
-            payloads = self._submit_and_wait(jobs)
-            for job, index in zip(jobs, indices):
-                payload = payloads[job.key()]
-                result = results[index]
-                if payload is None:
-                    self.failures += 1
-                    result.error = "job failed on the server"
-                else:
-                    self._finish(result, payload, scalar)
-        return results
+        super().__init__(
+            ServerResolver(url, client_id=client_id, timeout=timeout,
+                           progress=progress),
+            max_cycles, fast_path, jit)

@@ -63,8 +63,6 @@ class ExploreRequest:
     seed: int = 0
     max_cycles: int = 20_000_000
     jobs: int = 1
-    timeout: float = 600.0
-    retries: int = 2
     use_cache: bool = True
 
 
@@ -147,10 +145,9 @@ def search_workload(workload: str, evaluator, budget: int,
                     seed: int, progress=None) -> WorkloadSearch:
     """Run the three-phase search for one workload.
 
-    ``evaluator`` is a :class:`~repro.explore.evaluate.LocalEvaluator`
-    or :class:`~repro.explore.evaluate.ServerEvaluator`. ``budget``
-    caps the number of distinct design points considered (infeasible
-    points count — they are part of the trajectory)."""
+    ``evaluator`` is an :class:`~repro.explore.evaluate.Evaluator`.
+    ``budget`` caps the number of distinct design points considered
+    (infeasible points count — they are part of the trajectory)."""
     progress = progress or (lambda message: None)
     rng = random.Random(f"{seed}:{workload}")
     search = WorkloadSearch(workload=workload,

@@ -84,6 +84,7 @@ class JobRecord:
     attempts: int = 0
     requeues: int = 0
     worker_deaths: int = 0
+    timeouts: int = 0
     error: str = ""
     events: list[dict] = field(default_factory=list)
 
@@ -94,7 +95,8 @@ class JobRecord:
             "priority": self.priority, "client": self.client,
             "cached": self.cached, "attempts": self.attempts,
             "requeues": self.requeues,
-            "worker_deaths": self.worker_deaths, "error": self.error,
+            "worker_deaths": self.worker_deaths,
+            "timeouts": self.timeouts, "error": self.error,
             "events": len(self.events),
             "lease": lease.to_dict() if lease is not None else None,
         }
@@ -151,7 +153,9 @@ class ReproServer:
             elif kind == "requeue":
                 record.status = "queued"
                 record.requeues += 1
-                if event.get("reason") != "timeout":
+                if event.get("reason") == "timeout":
+                    record.timeouts += 1
+                else:
                     record.worker_deaths += 1
                 self.metrics.count("server.requeues")
             elif kind == "failed":
@@ -285,7 +289,8 @@ class ReproServer:
             if self._payload_for(key) is not None:
                 return {"key": key, "status": "done", "cached": True,
                         "attempts": 0, "requeues": 0,
-                        "worker_deaths": 0, "error": "", "events": 0,
+                        "worker_deaths": 0, "timeouts": 0, "error": "",
+                        "events": 0,
                         "lease": None}
             raise _HttpError(404, f"unknown job {key}")
         return record.to_dict(lease=self.queue.lease_of(key))

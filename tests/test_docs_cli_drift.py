@@ -11,11 +11,14 @@ silently rotting in the documentation.
 from __future__ import annotations
 
 import argparse
+import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser
 
 REPO = Path(__file__).parent.parent
@@ -72,6 +75,20 @@ def test_documented_flags_exist(doc):
                 problems.append(f"{name}:{number}: {flag!r} is not a "
                                 f"repro CLI flag ({line.strip()!r})")
     assert problems == []
+
+
+def test_flags_named_in_cli_strings_exist():
+    """Help texts, notes and error messages in ``cli.py`` are
+    documentation too: the ``sweep --metrics`` note once told users to
+    re-run with a ``--fresh`` flag that no subcommand has."""
+    known = _known_flags()
+    tree = ast.parse(inspect.getsource(repro.cli))
+    unknown = sorted({
+        flag for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for flag in re.findall(r"--[A-Za-z][A-Za-z0-9-]*", node.value)
+        if flag not in known})
+    assert unknown == []
 
 
 def test_documented_subcommands_exist():

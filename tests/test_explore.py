@@ -350,12 +350,17 @@ def test_server_evaluator_still_prechecks_before_submitting():
 
     from repro.explore import ServerEvaluator
 
+    from repro.server import ServerError
+
     class NoServer:
+        def result(self, key):
+            raise ServerError(404, f"unknown job {key}")
+
         def submit(self, *args, **kwargs):
             raise AssertionError("an infeasible point was submitted")
 
     evaluator = ServerEvaluator("http://127.0.0.1:1")
-    evaluator.client = NoServer()
+    evaluator.resolver.client = NoServer()
     evaluator._scalar_cycles["wc"] = 1
     (bad,) = evaluator.evaluate(
         "wc", [replace(default_point(), **_REJECTED)])

@@ -37,6 +37,9 @@ HEAVY = (
 #: What a parent must hold before it forks a worker that simulates.
 EXECUTION = tuple(name for name in HEAVY
                   if name not in ("repro.server.app", "multiprocessing"))
+#: The resolver's transports: the scheduler loads only on a store
+#: miss, the HTTP client only with ``--server``.
+TRANSPORT = ("repro.engine.scheduler", "repro.server.client")
 
 SWEEP = ["sweep", "--workloads", "wc,cmp", "--units", "4", "--jobs", "2"]
 EXPLORE = ["explore", "cmp", "--budget", "6", "--seed", "3", "--jobs", "2"]
@@ -108,12 +111,9 @@ def filled(tmp_path_factory):
     probe records of both cold runs."""
     tmp = tmp_path_factory.mktemp("import-graph")
     store = tmp / "store"
-    cold = {
-        "sweep": _run(tmp, SWEEP, store,
-                      probe="repro.engine.sweep:_pool_entrypoint"),
-        "explore": _run(tmp, EXPLORE, store,
-                        probe="repro.explore.evaluate:_entrypoint"),
-    }
+    probe = "repro.engine.resolve:_pool_entrypoint"
+    cold = {"sweep": _run(tmp, SWEEP, store, probe=probe),
+            "explore": _run(tmp, EXPLORE, store, probe=probe)}
     return tmp, store, cold
 
 
@@ -138,7 +138,9 @@ def test_warm_run_loads_neither_toolchain_nor_simulator(filled, command):
     argv = {"sweep": SWEEP, "explore": EXPLORE}[command]
     loaded, children = _run(tmp, argv + ["--require-hit-rate", "1.0"],
                             store)
-    assert not loaded & set(HEAVY), sorted(loaded & set(HEAVY))
+    assert "repro.engine.resolve" in loaded
+    unwanted = loaded & set(HEAVY + TRANSPORT)
+    assert not unwanted, sorted(unwanted)
     assert children == []
 
 
@@ -147,10 +149,30 @@ def test_cold_run_imports_everything_before_the_first_fork(filled, command):
     _, _, cold = filled
     loaded, children = cold[command]
     assert set(EXECUTION) <= loaded
+    assert "repro.engine.scheduler" in loaded
+    assert "repro.server.client" not in loaded
     assert children, "the cold run forked no worker"
     for child in children:
         assert set(EXECUTION) <= set(child["at_fork"])
         assert child["imported"] == []
+
+
+def test_resolver_module_imports_only_leaves():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "from repro.engine.resolve import LocalResolver, ServerResolver\n"
+         "LocalResolver(None)\n"
+         "local = sorted(m for m in sys.modules if m.startswith('repro.')"
+         " or m == 'multiprocessing')\n"
+         "ServerResolver('http://127.0.0.1:1')\n"
+         "print(json.dumps([local, sorted(m for m in sys.modules"
+         " if m.startswith('repro.') or m == 'multiprocessing')]))"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+        text=True, check=True)
+    local, server = map(set, json.loads(done.stdout))
+    assert not local & set(HEAVY + TRANSPORT), sorted(local)
+    assert server - local == {"repro.server", "repro.server.client"}
 
 
 def _packages() -> list[str]:

@@ -11,6 +11,7 @@ slow fleet out of those paths.
 import json
 import tempfile
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -25,6 +26,7 @@ from repro.server import (
     ServerJob,
 )
 from repro.server.app import _HttpError
+from repro.server.jobs import execute_server_job
 
 
 def sim_envelope(job):
@@ -257,6 +259,34 @@ def test_status_answers_from_a_previous_server_life():
     job = count_job("wc", annotated=True)
     store.put(job.key(), execute(job), job=job.describe())
     srv = ReproServer(workers=1, store=store)
-    assert srv.status(job.key())["cached"]
+    record = srv.status(job.key())
+    assert record["cached"] and record["timeouts"] == 0
     status, payload = srv.result(job.key())
     assert status == 200 and payload == execute(job)
+
+
+# ------------------------------------------------------------ timeouts
+
+def _stall_first_attempt(payload, attempt, progress):
+    if attempt == 0:
+        time.sleep(60)
+    return execute_server_job(payload, attempt, progress)
+
+
+def test_overrunning_attempt_is_recorded_as_a_timeout(serve):
+    # The server used to leave timeout requeues out of worker_deaths and
+    # count them nowhere, so `sweep --server` always read "0 timeouts".
+    from repro.engine.resolve import ServerResolver
+
+    srv = ReproServer(workers=1, timeout=1.0, store=None)
+    srv.daemon.entrypoint = _stall_first_attempt
+    url = serve(srv)
+    job = count_job("cmp", annotated=True)
+    resolution = ServerResolver(url).resolve([job])
+    assert resolution.payloads == {job.key(): execute(job)}
+    assert (resolution.timeouts, resolution.worker_deaths,
+            resolution.retries) == (1, 0, 1)
+    record = ServerClient(url).status(job.key())
+    assert record["timeouts"] == 1 and record["worker_deaths"] == 0
+    assert record["attempts"] == 2 and record["requeues"] == 1
+
