@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Kind, Op
 from repro.isa.program import Program
-from repro.isa.registers import NUM_UNIFIED_REGS, RA, V0, A0
+from repro.isa.registers import FP_REG_BASE, NUM_UNIFIED_REGS, RA, V0, A0
 
 
 @dataclass
@@ -225,7 +225,9 @@ class ControlFlowGraph:
                                - {RA})
             return ALL_REGS - {RA}
         if instr.kind is Kind.SYSCALL:
-            return base | frozenset({V0, A0})
+            # $v0 selects the call; $a0 or $f12 (print-double) is its
+            # argument (isa.executor.service_syscall).
+            return base | frozenset({V0, A0, FP_REG_BASE + 12})
         return base
 
     # --------------------------------------------------------- dominators

@@ -19,20 +19,13 @@ from repro.config import MachineConfig, multiscalar_config
 from repro.core.predictor import DescriptorCache, TaskPredictor
 from repro.core.results import MultiscalarResult
 from repro.core.ring import ForwardingRing
+from repro.core.runloop import drive
 from repro.core.stats import CycleDistribution, TaskCycleRecord
 from repro.isa import semantics
-from repro.isa.executor import (
-    SYS_EXIT,
-    SYS_PRINT_CHAR,
-    SYS_PRINT_INT,
-    SYS_PRINT_STRING,
-    _fresh_regs,
-)
+from repro.isa.executor import _fresh_regs, service_syscall
 from repro.isa.instruction import Instruction
-from repro.isa.memory_image import u32
 from repro.isa.program import Program, TargetKind, TaskDescriptor
 from repro.jit.blocks import EV_SQUASH
-from repro.jit.engine import engine_for
 from repro.memory import BankedDataCache, InstructionCache, SplitTransactionBus
 from repro.isa.opcodes import FUClass
 from repro.observability.events import Category as _Cat
@@ -41,10 +34,15 @@ from repro.pipeline.context import StallReason
 from repro.pipeline.functional_units import FUPool
 from repro.pipeline.unit import MemRetry
 from repro.pipeline.unit import NEVER as PIPELINE_NEVER
-from repro.resilience.failures import CycleBudgetError, LivelockError
+from repro.resilience.failures import LivelockError, SimulationTimeout
 
 #: Sentinel for "the walk ends here" predictions.
 PRED_HALT = -1
+
+#: Snapshot schema v1 records a ``cycle_horizon``. The budget belongs
+#: to the run loop now, not the machine, so the key is kept for schema
+#: stability and always holds the budget every caller defaults to.
+_SNAPSHOT_CYCLE_HORIZON = 20_000_000
 
 # Event-category ints, bound once so emission sites pay no enum lookup.
 _TASK = int(_Cat.TASK)
@@ -56,10 +54,6 @@ _PREDICT = int(_Cat.PREDICT)
 
 class MultiscalarError(Exception):
     """Configuration or program-structure errors (missing descriptors)."""
-
-
-class SimulationTimeout(CycleBudgetError):
-    """Cycle budget exhausted without the program halting."""
 
 
 @dataclass
@@ -228,6 +222,10 @@ class _UnitContext(PipelineContext):
 class MultiscalarProcessor:
     """Cycle-level simulator of a multiscalar processor."""
 
+    #: Tag bits are live here, so the run loop builds a trace-JIT
+    #: engine that honours them.
+    SUPPRESS_ANNOTATIONS = False
+
     def __init__(self, program: Program,
                  config: MachineConfig | None = None) -> None:
         if not program.is_multiscalar():
@@ -307,9 +305,6 @@ class MultiscalarProcessor:
         #: A watchdog may lower it (see repro.resilience.Watchdog.bind).
         self._progress_window = 200_000
         self._fast = self.config.fast_path
-        #: Hard bound on cycle skipping, so the timeout/deadlock checks
-        #: in run() fire at exactly the same cycle as per-cycle ticking.
-        self._cycle_horizon = 20_000_000
         self._activity = True
         #: Optional event observer (see repro.core.tracer.TaskTracer):
         #: an object with task_assigned/task_stopped/task_retired/
@@ -321,15 +316,8 @@ class MultiscalarProcessor:
         #: zero-cost when disabled.
         self.trace = None
         #: Lazily built trace-JIT engine (repro.jit), shared by all
-        #: units; None until run() first needs it. A bound watchdog
-        #: caps compiled-window length to keep its check cadence.
+        #: units; None until run() first needs it.
         self._jit = None
-        self._jit_cap = None
-        #: Active checkpointer while run() is live: compiled windows,
-        #: machine frames, and the quiescence skip all stop at its
-        #: next_cycle so snapshots land exactly on the requested cycle
-        #: in every execution mode (jit, fast path, reference).
-        self._checkpointer = None
 
     # ================================================== public interface
 
@@ -340,63 +328,33 @@ class MultiscalarProcessor:
             raise MultiscalarError(
                 f"no task descriptor at program entry "
                 f"{self.program.entry:#x}")
-        if watchdog is not None:
-            watchdog.bind(self, max_cycles)
-        self._cycle_horizon = max_cycles
-        self._jit_cap = (watchdog.check_interval
-                         if watchdog is not None else None)
-        self._checkpointer = checkpointer
-        if self.config.jit and (self._jit is None
-                                or not self._jit.fresh()):
-            self._jit = engine_for(self.program, self.config,
-                                   suppress=False)
-        while not self.halted:
-            self.step()
-            if self.cycle >= max_cycles:
-                raise SimulationTimeout(
-                    f"exceeded {max_cycles} cycles (head task at "
-                    f"{self.active[0].entry:#x})" if self.active else
-                    f"exceeded {max_cycles} cycles")
-            if self.cycle - self._last_progress > self._progress_window:
-                raise self._livelock_error()
-            if checkpointer is not None \
-                    and self.cycle >= checkpointer.next_cycle:
-                checkpointer.capture(self)
-            if watchdog is not None:
-                watchdog.check(self)
+        drive(self, max_cycles, checkpointer, watchdog)
         # The halting task retires (halt only commits at the head); any
         # younger tasks are speculative overshoot past the program end.
         if self.active:
-            head = self.active[0]
-            slot = self.units[head.unit_index]
-            self.arb.commit_task(head.seq)
-            self.arch_regs = list(head.regs)
-            self.retired_instructions += (
-                slot.pipeline.stats.committed - head.committed_base)
-            self.distribution.fold_retired(head.cycles)
-            self.tasks_retired += 1
-            slot.task = None
-            self.active.pop(0)
-            if self.observer is not None:
-                self.observer.task_retired(head, self.cycle)
-            if self.trace is not None:
-                self.trace.emit(_TASK, "retire", self.cycle,
-                                head.unit_index, {"seq": head.seq})
-                self.trace.emit(_ARB, "occupancy", self.cycle, -1,
-                                {"entries": self.arb.entry_count()})
+            self._retire_head(self.cycle)
         for task in self.active:
             self._discard_task(task)
         self.active.clear()
         return self._result()
 
-    # ========================================================== one step
+    # ================================================= the run-loop seam
 
     def step(self) -> None:
+        """Advance under no harness limit (tests single-step the
+        machine; a skip or window then runs to its own next event)."""
+        self.advance(PIPELINE_NEVER)
+
+    def advance(self, limit: int) -> None:
+        """Execute at least one cycle, stopping at or before ``limit``
+        (see :mod:`repro.core.runloop`): a compiled unit window, a
+        machine frame, or one interpreter step plus its quiescence
+        skip."""
         cycle = self.cycle
         jit = self._jit
         if jit is not None and not jit.dead \
-                and (self._jit_step(cycle)
-                     or self._jit_machine_step(cycle)):
+                and (self._jit_step(cycle, limit)
+                     or self._jit_machine_step(cycle, limit)):
             return
         self._activity = False
         self._deliver_ring(cycle)
@@ -456,21 +414,14 @@ class MultiscalarProcessor:
         if self._fast and not self._activity and not self.halted \
                 and self._squash_request is None:
             wake = self._wake_cycle(cycle)
+            if wake > limit:
+                wake = limit
             if wake > next_cycle:
-                horizon = min(self._cycle_horizon,
-                              self._last_progress
-                              + self._progress_window + 1)
-                ckpt = self._checkpointer
-                if ckpt is not None and cycle < ckpt.next_cycle < horizon:
-                    horizon = ckpt.next_cycle
-                if wake > horizon:
-                    wake = horizon
-                if wake > next_cycle:
-                    self._account_skip(next_cycle, wake)
-                    next_cycle = wake
+                self._account_skip(next_cycle, wake)
+                next_cycle = wake
         self.cycle = next_cycle
 
-    def _jit_step(self, cycle: int) -> bool:
+    def _jit_step(self, cycle: int, limit: int) -> bool:
         """Run one compiled multi-cycle window; False declines the step.
 
         A window is sound only while the machine-level events the
@@ -490,15 +441,7 @@ class MultiscalarProcessor:
             # An empty machine has nothing to run; a stopped head can
             # retire mid-window (which reshapes every gate below).
             return False
-        end = min(self._cycle_horizon,
-                  self._last_progress + self._progress_window + 1)
-        if self._jit_cap is not None:
-            cap = cycle + self._jit_cap
-            if cap < end:
-                end = cap
-        ckpt = self._checkpointer
-        if ckpt is not None and cycle < ckpt.next_cycle < end:
-            end = ckpt.next_cycle
+        end = limit
         # Ring: no message may arrive inside the window (and none can be
         # sent: forwards/releases/stops are ring events and all deopt).
         ring_next = self.ring.next_arrival()
@@ -597,7 +540,7 @@ class MultiscalarProcessor:
         self.cycle = next_cycle
         return True
 
-    def _jit_machine_step(self, cycle: int) -> bool:
+    def _jit_machine_step(self, cycle: int, limit: int) -> bool:
         """Run the compiled machine frame; False declines the step.
 
         The frame transcribes the machine loop itself (ring delivery,
@@ -606,24 +549,12 @@ class MultiscalarProcessor:
         is regular and ``pipeline.step()`` for the rest, so no
         machine-level event needs an entry refusal here: each is
         either handled in-frame or exits the frame with the cycle
-        unexecuted (task assignment) or just executed (halt). The
-        budget caps the frame exactly where the run loop's timeout,
-        livelock, checkpoint, and watchdog checks need control back.
+        unexecuted (task assignment) or just executed (halt).
+        ``limit`` caps the frame where the run loop needs control back.
         """
         if self.halted or self._squash_request is not None:
             return False
-        end = min(self._cycle_horizon,
-                  self._last_progress + self._progress_window + 1)
-        if self._jit_cap is not None:
-            cap = cycle + self._jit_cap
-            if cap < end:
-                end = cap
-        ckpt = self._checkpointer
-        if ckpt is not None and cycle < ckpt.next_cycle < end:
-            end = ckpt.next_cycle
-        if end - cycle < 2:
-            return False
-        frame = self._jit.try_machine(self, cycle, end)
+        frame = self._jit.try_machine(self, cycle, limit)
         if frame is None:
             return False
         next_cycle, _code, last_issue, lastact = frame[:4]
@@ -996,14 +927,28 @@ class MultiscalarProcessor:
             return
         if head.pending or head.deferred:
             return  # a predecessor value is still in flight on the ring
-        self.arb.commit_task(head.seq)
-        self.arch_regs = list(head.regs)
         self._retired_outgoing[head.seq] = head.outgoing
         referenced = {seq for t in self.active if t is not head
                       for seq in t.pending.values()}
         for seq in [s for s in self._retired_outgoing
                     if s not in referenced and s != head.seq]:
             del self._retired_outgoing[seq]
+        self._retire_head(cycle)
+        # Headship moved and the ARB committed a task's stores: wake
+        # every unit (syscall commit gates, store-ordering waits, and
+        # "stall"-policy ARB space all key off the head).
+        for task in self.active:
+            task.sleep_until = 0
+        self._last_progress = cycle
+        self._activity = True
+
+    def _retire_head(self, cycle: int) -> None:
+        """Commit the head task's state and account for it: what a
+        mid-run retirement and the halting head's epilogue share."""
+        head = self.active[0]
+        slot = self.units[head.unit_index]
+        self.arb.commit_task(head.seq)
+        self.arch_regs = list(head.regs)
         self.retired_instructions += (
             slot.pipeline.stats.committed - head.committed_base)
         self.distribution.fold_retired(head.cycles)
@@ -1012,13 +957,6 @@ class MultiscalarProcessor:
         slot.context.cur_regs = None
         slot.context.cur_pending = None
         self.active.pop(0)
-        # Headship moved and the ARB committed a task's stores: wake
-        # every unit (syscall commit gates, store-ordering waits, and
-        # "stall"-policy ARB space all key off the head).
-        for task in self.active:
-            task.sleep_until = 0
-        self._last_progress = cycle
-        self._activity = True
         if self.observer is not None:
             self.observer.task_retired(head, cycle)
         trace = self.trace
@@ -1031,19 +969,9 @@ class MultiscalarProcessor:
     # =========================================================== system
 
     def syscall(self, task: TaskInstance) -> None:
-        code = task.regs[2]   # $v0
-        arg = task.regs[4]    # $a0
-        if code == SYS_PRINT_INT:
-            self.output.append(str(arg - 0x100000000
-                                   if arg >= 0x80000000 else arg))
-        elif code == SYS_PRINT_STRING:
-            self.output.append(self._read_string(task, u32(arg)))
-        elif code == SYS_PRINT_CHAR:
-            self.output.append(chr(arg & 0xFF))
-        elif code == SYS_EXIT:
+        if service_syscall(task.regs, self.output,
+                           lambda addr: self._read_string(task, addr)):
             self.halted = True
-        else:
-            raise MultiscalarError(f"unknown syscall {code}")
 
     def _read_string(self, task: TaskInstance, addr: int,
                      limit: int = 1 << 16) -> str:
@@ -1090,6 +1018,27 @@ class MultiscalarProcessor:
                 f"stopped={task.stopped} pending={pending} "
                 f"rob={len(slot.pipeline.rob)} pc={slot.pipeline.pc}")
         return "\n".join(lines)
+
+    def _timeout_error(self, budget: int) -> SimulationTimeout:
+        return SimulationTimeout(
+            f"exceeded {budget} cycles (head task at "
+            f"{self.active[0].entry:#x})" if self.active else
+            f"exceeded {budget} cycles")
+
+    def instructions_executed(self) -> int:
+        """Dynamic instructions executed so far (retired + squashed +
+        in flight)."""
+        in_flight = sum(slot.pipeline.stats.committed
+                        - slot.task.committed_base
+                        for slot in self.units if slot.task is not None)
+        return (self.retired_instructions + self.squashed_instructions
+                + in_flight)
+
+    def state_entries(self) -> int:
+        """Simulated-state footprint: touched memory pages plus live
+        ARB entries and ROB occupancy."""
+        return (len(self.memory._pages) + self.arb.entry_count()
+                + sum(len(slot.pipeline.rob) for slot in self.units))
 
     def _livelock_error(self) -> LivelockError:
         units = []
@@ -1163,7 +1112,7 @@ class MultiscalarProcessor:
                 for seq, outgoing in sorted(self._retired_outgoing.items())],
             "last_progress": self._last_progress,
             "progress_window": self._progress_window,
-            "cycle_horizon": self._cycle_horizon,
+            "cycle_horizon": _SNAPSHOT_CYCLE_HORIZON,
             "activity": self._activity,
         }
 
@@ -1250,7 +1199,6 @@ class MultiscalarProcessor:
             for seq, pairs in state["retired_outgoing"]}
         self._last_progress = state["last_progress"]
         self._progress_window = state["progress_window"]
-        self._cycle_horizon = state["cycle_horizon"]
         self._activity = state["activity"]
 
     def _load_task(self, state: dict) -> TaskInstance:

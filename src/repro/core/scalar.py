@@ -12,26 +12,15 @@ from __future__ import annotations
 
 from repro.config import MachineConfig, scalar_config
 from repro.core.results import ScalarResult
+from repro.core.runloop import drive
 from repro.isa import semantics
-from repro.isa.executor import (
-    SYS_EXIT,
-    SYS_PRINT_CHAR,
-    SYS_PRINT_INT,
-    SYS_PRINT_STRING,
-    _fresh_regs,
-)
+from repro.isa.executor import _fresh_regs, service_syscall
 from repro.isa.instruction import Instruction
-from repro.isa.memory_image import u32
 from repro.isa.program import Program
-from repro.jit.engine import engine_for
 from repro.memory import InstructionCache, ScalarDataCache, SplitTransactionBus
 from repro.pipeline import PipelineContext, UnitPipeline
 from repro.pipeline.context import StallReason
-from repro.resilience.failures import CycleBudgetError, LivelockError
-
-
-class SimulationTimeout(CycleBudgetError):
-    """The cycle budget was exhausted before the program halted."""
+from repro.resilience.failures import LivelockError, SimulationTimeout
 
 
 class _ScalarContext(PipelineContext):
@@ -90,6 +79,10 @@ class _ScalarContext(PipelineContext):
 class ScalarProcessor:
     """Runs a program on one pipelined processing unit."""
 
+    #: The scalar core ignores multiscalar tag bits, and so does the
+    #: trace-JIT engine the run loop builds for it.
+    SUPPRESS_ANNOTATIONS = True
+
     def __init__(self, program: Program,
                  config: MachineConfig | None = None) -> None:
         self.program = program
@@ -110,6 +103,7 @@ class ScalarProcessor:
         #: Cycles without an issue before run() declares livelock.
         self._progress_window = 200_000
         self.stall_cycles: dict[str, int] = {r.name: 0 for r in StallReason}
+        self._fast = self.config.fast_path
         ctx = _ScalarContext(self)
         ctx.fetch_group = self.icache.fetch
         self.pipeline = UnitPipeline(self.config.unit, ctx,
@@ -121,102 +115,15 @@ class ScalarProcessor:
         self._jit = None
 
     def syscall(self) -> None:
-        code = self.regs[2]   # $v0
-        arg = self.regs[4]    # $a0
-        if code == SYS_PRINT_INT:
-            self.output.append(str(arg - 0x100000000
-                                   if arg >= 0x80000000 else arg))
-        elif code == SYS_PRINT_STRING:
-            self.output.append(self.memory.read_cstring(u32(arg)))
-        elif code == SYS_PRINT_CHAR:
-            self.output.append(chr(arg & 0xFF))
-        elif code == SYS_EXIT:
+        if service_syscall(self.regs, self.output,
+                           self.memory.read_cstring):
             self.halted = True
-        else:
-            raise RuntimeError(f"unknown syscall {code}")
 
     def run(self, max_cycles: int = 20_000_000, checkpointer=None,
             watchdog=None) -> ScalarResult:
-        pipeline = self.pipeline
-        fast = self.config.fast_path
-        stall_cycles = self.stall_cycles
-        if watchdog is not None:
-            watchdog.bind(self, max_cycles)
-        jit = self._jit
-        if self.config.jit and (jit is None or not jit.fresh()):
-            jit = self._jit = engine_for(self.program, self.config,
-                                         suppress=True)
-        while not self.halted:
-            cycle = self.cycle
-            window = None
-            if jit is not None:
-                # Compiled window: runs whole cycles up to the same
-                # horizon the skip below uses (so the timeout and
-                # livelock checks raise at identical cycles), further
-                # capped so a bound watchdog keeps its check cadence.
-                budget = min(max_cycles + 1,
-                             self._last_progress
-                             + self._progress_window + 1)
-                if watchdog is not None:
-                    cap = cycle + watchdog.check_interval
-                    if cap < budget:
-                        budget = cap
-                if checkpointer is not None \
-                        and cycle < checkpointer.next_cycle < budget:
-                    # Snapshots land exactly on the requested cycle.
-                    budget = checkpointer.next_cycle
-                window = jit.try_run(pipeline, pipeline.ctx, cycle,
-                                     budget)
-            if window is not None:
-                next_cycle, _code, last_issue, _busy = window
-                if last_issue >= 0:
-                    self._last_progress = last_issue
-                counts = jit.counts
-                for reason in StallReason:
-                    stalled = counts[reason]
-                    if stalled:
-                        stall_cycles[reason.name] += stalled
-                        counts[reason] = 0
-            else:
-                issued, reason = pipeline.step(cycle)
-                if issued:
-                    self._last_progress = cycle
-                else:
-                    stall_cycles[reason.name] += 1
-                next_cycle = cycle + 1
-                if fast and not issued and not self.halted:
-                    # Quiescence-aware cycle skipping: with nothing
-                    # issued and no local state change, jump to the
-                    # unit's next known event, charging the skipped
-                    # cycles to the same (stable) stall reason
-                    # per-cycle ticking would have.
-                    wake = pipeline.wake_cycle(cycle)
-                    if wake > next_cycle:
-                        # Cap so the timeout and livelock checks below
-                        # raise at the same cycle as per-cycle ticking.
-                        horizon = min(max_cycles + 1,
-                                      self._last_progress
-                                      + self._progress_window + 1)
-                        if checkpointer is not None \
-                                and cycle < checkpointer.next_cycle \
-                                < horizon:
-                            horizon = checkpointer.next_cycle
-                        if wake > horizon:
-                            wake = horizon
-                        if wake > next_cycle:
-                            stall_cycles[reason.name] += wake - next_cycle
-                            next_cycle = wake
-            self.cycle = next_cycle
-            if self.cycle > max_cycles:
-                raise SimulationTimeout(
-                    f"scalar run exceeded {max_cycles} cycles")
-            if self.cycle - self._last_progress > self._progress_window:
-                raise self._livelock_error()
-            if checkpointer is not None \
-                    and self.cycle >= checkpointer.next_cycle:
-                checkpointer.capture(self)
-            if watchdog is not None:
-                watchdog.check(self)
+        # The scalar budget is inclusive: the run may *reach* cycle
+        # max_cycles, so the first forbidden cycle is one past it.
+        drive(self, max_cycles + 1, checkpointer, watchdog)
         committed = self.pipeline.stats.committed
         return ScalarResult(
             cycles=self.cycle,
@@ -227,6 +134,61 @@ class ScalarProcessor:
             dcache_misses=self.dcache.stats.misses,
             stall_cycles=dict(self.stall_cycles),
         )
+
+    # ------------------------------------------------- the run-loop seam
+
+    def advance(self, limit: int) -> None:
+        """Execute at least one cycle, stopping at or before ``limit``
+        (see :mod:`repro.core.runloop`)."""
+        pipeline = self.pipeline
+        stall_cycles = self.stall_cycles
+        cycle = self.cycle
+        jit = self._jit
+        window = None
+        if jit is not None:
+            window = jit.try_run(pipeline, pipeline.ctx, cycle, limit)
+        if window is not None:
+            next_cycle, _code, last_issue, _busy = window
+            if last_issue >= 0:
+                self._last_progress = last_issue
+            counts = jit.counts
+            for reason in StallReason:
+                stalled = counts[reason]
+                if stalled:
+                    stall_cycles[reason.name] += stalled
+                    counts[reason] = 0
+        else:
+            issued, reason = pipeline.step(cycle)
+            if issued:
+                self._last_progress = cycle
+            else:
+                stall_cycles[reason.name] += 1
+            next_cycle = cycle + 1
+            if self._fast and not issued and not self.halted:
+                # Quiescence-aware cycle skipping: with nothing issued
+                # and no local state change, jump to the unit's next
+                # known event, charging the skipped cycles to the same
+                # (stable) stall reason per-cycle ticking would have.
+                wake = pipeline.wake_cycle(cycle)
+                if wake > limit:
+                    wake = limit
+                if wake > next_cycle:
+                    stall_cycles[reason.name] += wake - next_cycle
+                    next_cycle = wake
+        self.cycle = next_cycle
+
+    def _timeout_error(self, budget: int) -> SimulationTimeout:
+        return SimulationTimeout(
+            f"scalar run exceeded {budget - 1} cycles")
+
+    def instructions_executed(self) -> int:
+        """Dynamic instructions executed so far."""
+        return self.pipeline.stats.committed
+
+    def state_entries(self) -> int:
+        """Simulated-state footprint: touched memory pages plus ROB
+        occupancy."""
+        return len(self.memory._pages) + len(self.pipeline.rob)
 
     def _livelock_error(self) -> LivelockError:
         pipeline = self.pipeline
@@ -283,10 +245,7 @@ class ScalarProcessor:
         self.icache.load_state(state["icache"])
         self.dcache.load_state(state["dcache"])
         self.pipeline.load_state(state["pipeline"])
-        # In-place update: run() holds a direct reference to this dict.
-        self.stall_cycles.clear()
-        self.stall_cycles.update(
-            {str(name): count
-             for name, count in state["stall_cycles"].items()})
+        self.stall_cycles = {str(name): count for name, count
+                             in state["stall_cycles"].items()}
         self._last_progress = state["last_progress"]
         self._progress_window = state["progress_window"]

@@ -348,6 +348,7 @@ def import_execution_modules() -> None:
     import repro.core.processor
     import repro.core.scalar
     import repro.isa.executor
+    import repro.jit.engine
     import repro.minic.driver
     import repro.observability.metrics
     import repro.resilience.checkpoint

@@ -68,6 +68,33 @@ def _fresh_regs() -> list:
     return regs
 
 
+def service_syscall(regs, output: list[str], read_cstring) -> bool:
+    """Perform the system call ``$v0`` selects; True means exit.
+
+    The one decode every machine shares. ``regs`` is the register file
+    the call commits against and ``read_cstring(addr)`` is how that
+    machine reads a string: plain memory on the functional and scalar
+    cores, through the ARB on the multiscalar core (so the head task
+    sees its own pending stores).
+    """
+    code = regs[V0]
+    arg = regs[A0]
+    if code == SYS_PRINT_INT:
+        output.append(str(arg - 0x100000000
+                          if arg >= 0x80000000 else arg))
+    elif code == SYS_PRINT_STRING:
+        output.append(read_cstring(u32(arg)))
+    elif code == SYS_PRINT_CHAR:
+        output.append(chr(arg & 0xFF))
+    elif code == SYS_PRINT_DOUBLE:
+        output.append(repr(regs[FP_REG_BASE + 12]))
+    elif code == SYS_EXIT:
+        return True
+    else:
+        raise ExecutionError(f"unknown syscall {code}")
+    return False
+
+
 def next_pc(instr: Instruction, state_read, pc: int) -> int:
     """Architectural next-PC of an instruction.
 
@@ -157,21 +184,9 @@ class FunctionalCPU:
 
     def _syscall(self) -> None:
         state = self.state
-        code = state.regs[V0]
-        arg = state.regs[A0]
-        if code == SYS_PRINT_INT:
-            state.output.append(str(u32(arg) - 0x100000000
-                                    if arg >= 0x80000000 else arg))
-        elif code == SYS_PRINT_STRING:
-            state.output.append(state.memory.read_cstring(arg))
-        elif code == SYS_PRINT_CHAR:
-            state.output.append(chr(arg & 0xFF))
-        elif code == SYS_PRINT_DOUBLE:
-            state.output.append(repr(state.regs[FP_REG_BASE + 12]))
-        elif code == SYS_EXIT:
+        if service_syscall(state.regs, state.output,
+                           state.memory.read_cstring):
             state.halted = True
-        else:
-            raise ExecutionError(f"unknown syscall {code}")
 
     # ------------------------------------------------------------------
 
@@ -217,4 +232,5 @@ __all__ = [
     "FPCOND_REG",
     "next_pc",
     "run_program",
+    "service_syscall",
 ]

@@ -15,7 +15,7 @@ Layout:
 * :mod:`repro.jit.codegen` — source generation for the specialized
   per-cycle executors;
 * :mod:`repro.jit.engine` — window eligibility, the body cache, and
-  the ``engine_for`` factory the run loops call.
+  the ``engine_for`` factory the run loop calls.
 """
 
 from repro._lazy import lazy_exports

@@ -275,10 +275,10 @@ class UnitJIT:
         machine_activity)`` with every executed cycle fully accounted
         in-frame (stats, task cycles, machine idle).
         """
+        if budget - cycle < MIN_WINDOW:
+            return None
         if self.machine_off:
             self.machine_declines += 1
-            return None
-        if budget - cycle < MIN_WINDOW:
             return None
         if semantics.evaluate_alu is not semantics._GENUINE_EVALUATE_ALU:
             return None

@@ -9,7 +9,7 @@ Layers:
 * :mod:`repro.resilience.snapshot` — deterministic machine-state
   capture/restore for both simulators;
 * :mod:`repro.resilience.watchdog` — forward-progress and budget
-  guards hooked into the run loops;
+  guards hooked into the run loop;
 * :mod:`repro.resilience.checkpoint` — periodic on-disk checkpoints
   and the resume protocol used by the job engine;
 * :mod:`repro.resilience.chaos` — the fault-injection harness behind
@@ -29,6 +29,7 @@ __all__ = [
     "MemoryBudgetError",
     "SNAPSHOT_SCHEMA_VERSION",
     "SimulationFailure",
+    "SimulationTimeout",
     "SnapshotError",
     "Watchdog",
     "capture_state",
@@ -39,7 +40,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "checkpoint": ("CheckpointManager", "CheckpointPolicy"),
     "failures": (
         "CycleBudgetError", "InstructionBudgetError", "LivelockError",
-        "MemoryBudgetError", "SimulationFailure",
+        "MemoryBudgetError", "SimulationFailure", "SimulationTimeout",
     ),
     "snapshot": (
         "SNAPSHOT_SCHEMA_VERSION", "SnapshotError", "capture_state",

@@ -1,7 +1,7 @@
 """Periodic on-disk checkpoints and the engine's resume protocol.
 
 A :class:`CheckpointManager` is the ``checkpointer`` object the
-processors' run loops understand (``next_cycle`` attribute plus a
+processors' run loop understands (``next_cycle`` attribute plus a
 ``capture(processor)`` method). Every ``every`` simulated cycles it
 snapshots the whole machine through
 :mod:`repro.resilience.snapshot` and atomically persists the envelope
@@ -60,7 +60,7 @@ class CheckpointManager:
         self.every = max(1, every)
         self.path = self.directory / f"{key}.ckpt.json"
         #: First cycle at or past which the run loop calls capture().
-        #: The run loops clamp cycle skips and compiled jit windows to
+        #: The run loop clamps cycle skips and compiled jit windows to
         #: this boundary, so (unless the program halts first) capture
         #: lands on exactly this cycle in every execution mode.
         self.next_cycle = self.every

@@ -8,9 +8,8 @@ messages — and so that a hung simulator surfaces as a structured
 an open-ended stall that only a blunt process kill resolves.
 
 This module deliberately imports nothing from the simulator packages:
-the processors import *it* (their historical ``SimulationTimeout``
-classes are retyped as :class:`CycleBudgetError` subclasses, so
-existing ``except SimulationTimeout`` call sites keep working).
+the processors import *it*, and both re-export the one
+:class:`SimulationTimeout` under the name their callers always used.
 """
 
 from __future__ import annotations
@@ -22,6 +21,12 @@ class SimulationFailure(Exception):
 
 class CycleBudgetError(SimulationFailure):
     """The cycle budget was exhausted before the program halted."""
+
+
+class SimulationTimeout(CycleBudgetError):
+    """What either processor's ``run()`` raises on an exhausted cycle
+    budget (``core.scalar.SimulationTimeout`` and
+    ``core.processor.SimulationTimeout`` are this class)."""
 
 
 class InstructionBudgetError(SimulationFailure):

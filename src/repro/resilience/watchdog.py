@@ -1,7 +1,8 @@
-"""Forward-progress and resource-budget guards for the run loops.
+"""Forward-progress and resource-budget guards for the run loop.
 
 A :class:`Watchdog` is handed to ``run(..., watchdog=...)`` on either
-processor. It does two things:
+processor, which passes it to the one run loop
+(:func:`repro.core.runloop.drive`). It does two things:
 
 * ``bind`` tightens the processor's livelock window (the number of
   cycles without a commit/retire before the run loop raises a
@@ -9,11 +10,17 @@ processor. It does two things:
   per-unit diagnostic dump);
 * ``check`` enforces optional instruction and simulated-state budgets,
   raising :class:`InstructionBudgetError` / :class:`MemoryBudgetError`
-  — typed failures instead of an open-ended hang or a host OOM.
+  — typed failures instead of an open-ended hang or a host OOM. It
+  reads both through the processor's budget probes
+  (``instructions_executed()``, ``state_entries()``), so it knows
+  nothing about either machine's layout.
 
-Checks are counter-based (every ``check_interval`` calls), so a
-watchdogged run's simulated behaviour is deterministic and identical
-to an unwatched one right up to the raise.
+Checks are counter-based (every ``check_interval`` run-loop
+iterations), and ``check_interval`` is also one term of the run loop's
+limit: no skip, compiled window or machine frame spans more cycles
+than that while a watchdog is bound. A watchdogged run's simulated
+behaviour is deterministic and identical to an unwatched one right up
+to the raise.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ class Watchdog:
 
     # ------------------------------------------------------------- hooks
 
-    def bind(self, processor, max_cycles: int) -> None:
+    def bind(self, processor) -> None:
         """Attach to a processor at run start."""
         processor._progress_window = self.progress_window
         self._countdown = self.check_interval
@@ -51,39 +58,14 @@ class Watchdog:
             return
         self._countdown = self.check_interval
         if self.max_instructions is not None:
-            executed = self._instructions(processor)
+            executed = processor.instructions_executed()
             if executed > self.max_instructions:
                 raise InstructionBudgetError(
                     f"executed {executed} instructions at cycle "
                     f"{processor.cycle}, budget {self.max_instructions}")
         if self.max_memory_entries is not None:
-            entries = self._memory_entries(processor)
+            entries = processor.state_entries()
             if entries > self.max_memory_entries:
                 raise MemoryBudgetError(
                     f"{entries} tracked state entries at cycle "
                     f"{processor.cycle}, budget {self.max_memory_entries}")
-
-    # ----------------------------------------------------------- metrics
-
-    @staticmethod
-    def _instructions(processor) -> int:
-        """Dynamic instructions executed so far (retired + squashed)."""
-        if hasattr(processor, "units"):   # multiscalar
-            in_flight = sum(slot.pipeline.stats.committed
-                            - slot.task.committed_base
-                            for slot in processor.units
-                            if slot.task is not None)
-            return (processor.retired_instructions
-                    + processor.squashed_instructions + in_flight)
-        return processor.pipeline.stats.committed
-
-    @staticmethod
-    def _memory_entries(processor) -> int:
-        """Simulated-state footprint: touched memory pages plus (for a
-        multiscalar machine) live ARB entries and ROB occupancy."""
-        pages = len(processor.memory._pages)
-        if hasattr(processor, "units"):   # multiscalar
-            return (pages + processor.arb.entry_count()
-                    + sum(len(slot.pipeline.rob)
-                          for slot in processor.units))
-        return pages + len(processor.pipeline.rob)

@@ -175,6 +175,23 @@ def test_resolver_module_imports_only_leaves():
     assert server - local == {"repro.server", "repro.server.client"}
 
 
+def test_runloop_module_imports_nothing_from_the_simulator():
+    # The driver is policy over a seam: it must be loadable (and
+    # testable against a fake machine) without either core, the
+    # pipeline or the jit. It reaches for the jit engine only inside
+    # drive(), and only for a machine whose config asks for one.
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "import repro.core.runloop\n"
+         "print(json.dumps(sorted(m for m in sys.modules"
+         " if m.startswith('repro'))))"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+        text=True, check=True)
+    assert json.loads(done.stdout) == [
+        "repro", "repro._lazy", "repro.core", "repro.core.runloop"]
+
+
 def _packages() -> list[str]:
     return ["repro"] + [info.name for info in pkgutil.walk_packages(
         repro.__path__, prefix="repro.") if info.ispkg]

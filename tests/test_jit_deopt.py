@@ -2,8 +2,9 @@
 
 The trace-JIT's guards exist for exactly four reasons: squashes, ARB
 activity (violations and overflow), cache misses, and the
-watchdog/checkpoint boundaries the resilience layer needs. Each test
-here *forces* one of those events to fire while the JIT is executing
+watchdog/checkpoint boundaries the resilience layer needs (the
+progress deadline is pinned per mode in ``test_core_runloop``). Each
+test here *forces* one of those events to fire while the JIT is executing
 compiled bodies and demands the machine's observable state — result
 dictionaries, metrics, per-cycle event streams, mid-run snapshots —
 match the fast-path interpreter cycle for cycle.
@@ -24,10 +25,10 @@ import pytest
 from repro.config import multiscalar_config, scalar_config
 from repro.core.processor import MultiscalarProcessor
 from repro.core.scalar import ScalarProcessor
-from repro.difftest import inject_jit_guard_miss, inject_livelock
+from repro.difftest import inject_jit_guard_miss
 from repro.isa import assemble
 from repro.observability import Category, EventBus, collect_metrics
-from repro.resilience import LivelockError, Watchdog, capture_state
+from repro.resilience import capture_state
 from repro.resilience.failures import SimulationFailure
 from repro.workloads import WORKLOADS
 
@@ -153,24 +154,6 @@ def test_scalar_dcache_misses():
             assert processor._jit.stats_dict()["entries"] > 0
     assert runs[True] == runs[False]
     assert runs[True][1]["counters"]["dcache.misses"] > 0
-
-
-# ------------------------------------------------------------- watchdog
-
-def test_livelock_watchdog_fires_identically_under_jit():
-    errors = {}
-    for jit in (True, False):
-        processor = _ms(WORKLOADS["wc"].multiscalar_program(), jit)
-        with inject_livelock():
-            with pytest.raises(LivelockError) as excinfo:
-                processor.run(max_cycles=2_000_000,
-                              watchdog=Watchdog(progress_window=2_000))
-        errors[jit] = excinfo.value
-    # The watchdog must trip at the same cycle with the same diagnosis:
-    # compiled frames may not coast past a progress deadline.
-    assert errors[True].cycle == errors[False].cycle
-    assert errors[True].last_progress == errors[False].last_progress
-    assert errors[True].stuck_unit == errors[False].stuck_unit
 
 
 # ------------------------------------- per-cycle state at deopt points
