@@ -568,11 +568,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
           f"({_bench_mode(payload)})")
     print(f"bench: wrote {args.output}", file=sys.stderr)
     overhead = payload.get("trace_overhead")
-    if args.check and overhead is not None \
-            and overhead["overhead"] > args.max_trace_overhead:
+    if args.check and overhead is not None and (
+            overhead["overhead"] > args.max_trace_overhead
+            or overhead["events_constructed"]):
         print(f"bench: tracing-disabled overhead "
-              f"{overhead['overhead']:+.2%} on {overhead['case']} "
-              f"exceeds the {args.max_trace_overhead:.0%} budget",
+              f"{overhead['overhead']:+.3%} calls "
+              f"({overhead['events_constructed']} events built) on "
+              f"{overhead['case']} exceeds the "
+              f"{args.max_trace_overhead:.1%} budget",
               file=sys.stderr)
         return 1
     baseline = bench.load_baseline(args.baseline)
@@ -957,10 +960,11 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="FRACTION",
                        help="tolerated total-throughput regression "
                             "(default 0.30)")
-    bench.add_argument("--max-trace-overhead", type=float, default=0.02,
+    bench.add_argument("--max-trace-overhead", type=float, default=0.002,
                        metavar="FRACTION",
-                       help="tolerated tracing-disabled overhead under "
-                            "--check (default 0.02)")
+                       help="tolerated extra calls with a masked-out "
+                            "event bus attached, under --check "
+                            "(default 0.002)")
     bench.add_argument("--no-fast-path", action="store_true",
                        help="benchmark the reference per-cycle path")
     bench.add_argument("--no-jit", action="store_true",

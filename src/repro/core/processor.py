@@ -114,15 +114,13 @@ class _UnitContext(PipelineContext):
         # The program never changes for a processor's lifetime; shadow
         # the methods with direct bound references to skip a call layer.
         self.uop_at = processor.program.uop_at
-        self.uop_window = processor.program.uop_window
-        # Direct references to the current task's register file and
-        # reservation table, maintained by _set_unit_task: reg_ready /
-        # read_reg / write_reg run a few times per simulated instruction
-        # and must not chase processor→units→slot→task per call. Both
-        # containers are mutated in place for a task's whole life, so
-        # the references stay valid between task changes.
-        self.cur_regs: list | None = None
-        self.cur_pending: dict[int, int] | None = None
+        # The current task's register file and reservation table (reg
+        # -> producer task seq), rebound by the processor whenever the
+        # unit's task changes. Both containers are mutated in place for
+        # a task's whole life, so the pipeline may alias them within a
+        # step.
+        self.regs: list | None = None
+        self.pending: dict[int, int] | None = None
 
     @property
     def task(self) -> TaskInstance:
@@ -137,17 +135,8 @@ class _UnitContext(PipelineContext):
     def uop_at(self, addr: int):
         return self.p.program.uop_at(addr)
 
-    def reg_ready(self, reg: int) -> bool:
-        return reg not in self.cur_pending
-
-    def read_reg(self, reg: int):
-        return self.cur_regs[reg]
-
-    def write_reg(self, reg: int, value) -> None:
-        if reg != 0:
-            self.cur_regs[reg] = value
-            # A local write supersedes any still-awaited predecessor value.
-            self.cur_pending.pop(reg, None)
+    def fetch_groups(self):
+        return self.p.program.fetch_groups()
 
     def _is_head(self, task: TaskInstance) -> bool:
         active = self.p.active
@@ -347,69 +336,68 @@ class MultiscalarProcessor:
 
     def advance(self, limit: int) -> None:
         """Execute at least one cycle, stopping at or before ``limit``
-        (see :mod:`repro.core.runloop`): a compiled unit window, a
-        machine frame, or one interpreter step plus its quiescence
-        skip."""
+        (see :mod:`repro.core.runloop`): a compiled unit window, or
+        one interpreted cycle plus its quiescence skip."""
         cycle = self.cycle
-        jit = self._jit
-        if jit is not None and not jit.dead \
-                and (self._jit_step(cycle, limit)
-                     or self._jit_machine_step(cycle, limit)):
+        if self._jit is not None and self._jit_step(cycle, limit):
             return
         self._activity = False
         self._deliver_ring(cycle)
-        self._try_assign(cycle)
+        active = self.active
+        if self.next_pc is not None and cycle >= self.seq_busy_until \
+                and len(active) < self.num_units:
+            self._try_assign(cycle)
         noted = 0
+        issuing = moving = False
         fast = self._fast
         units = self.units
-        active = self.active
-        # Index-based walk instead of iterating a snapshot copy: squash
+        # The walk iterates the live list, not a snapshot copy: squash
         # victims are always strictly younger than the task whose step
         # triggered the squash (memory violators, ARB youngest, and
         # mispredict successors all sit later in ``active``), so the
-        # list only ever loses a suffix at or past the current index.
-        i = 0
-        while i < len(active):
-            task = active[i]
-            i += 1
+        # list only ever loses a suffix past the iterator's position.
+        for task in active:
             if task.squashed:
                 continue
             slot = units[task.unit_index]
             if slot.task is not task:
                 continue
+            noted += 1
+            pipeline = slot.pipeline
             if task.sleep_until > cycle:
                 # Unit-level cycle skip: the unit's last step was quiet
                 # and no locally timetabled event fires before
                 # sleep_until, so this step would change nothing. Charge
                 # the (stable) stall reason exactly as it would have.
-                task.cycles.stall_cycles[slot.pipeline._last_stall] += 1
-                noted += 1
+                task.cycles.stall_cycles[pipeline._last_stall] += 1
                 continue
-            pipeline = slot.pipeline
             issued, reason = pipeline.step(cycle)
-            # Inlined TaskCycleRecord.note (hot: once per unit-cycle).
-            cycles = task.cycles
+            # TaskCycleRecord.note, in line (once per unit-cycle).
             if issued:
-                cycles.busy_cycles += 1
+                task.cycles.busy_cycles += 1
+                issuing = True
             else:
-                cycles.stall_cycles[reason] += 1
-            noted += 1
-            if pipeline._activity:
-                self._activity = True
-            if issued:
-                self._last_progress = cycle
+                task.cycles.stall_cycles[reason] += 1
+                if pipeline._activity:
+                    moving = True
+                elif fast and self._squash_request is None:
+                    # Quiet step: put the unit to sleep until its
+                    # earliest locally known event. NEVER (purely
+                    # external waits) is fine — the unblocking event
+                    # itself clears the sleep.
+                    wake = pipeline.wake_cycle(cycle)
+                    if wake > cycle + 1:
+                        task.sleep_until = wake
             if self._squash_request is not None:
                 self._apply_squash_request(cycle)
-                self._activity = True
-            elif fast and not issued and not pipeline._activity:
-                # Quiet step: put the unit to sleep until its earliest
-                # locally known event. NEVER (purely external waits) is
-                # fine — the unblocking event itself clears the sleep.
-                wake = pipeline.wake_cycle(cycle)
-                if wake > cycle + 1:
-                    task.sleep_until = wake
+                moving = True
+        if issuing:
+            self._last_progress = cycle
+        if issuing or moving:
+            self._activity = True
         self.distribution.idle += self.num_units - noted
-        self._try_retire(cycle)
+        if active and active[0].stopped:
+            self._try_retire(cycle)
         next_cycle = cycle + 1
         if self._fast and not self._activity and not self.halted \
                 and self._squash_request is None:
@@ -429,10 +417,12 @@ class MultiscalarProcessor:
         retirement, squash application — provably cannot occur, so this
         entry check refuses whenever one could act inside the window and
         otherwise bounds the window at the first cycle one could. The
-        single-unit window only runs with exactly one unit awake (every
-        other active task asleep past the window end — the scalar-like
-        steady state); with several awake the compiled machine frame
-        (:meth:`_jit_machine_step`) takes over instead.
+        window only runs with exactly one unit awake (every other active
+        task asleep past the window end — the scalar-like steady
+        state); with several awake the interpreter steps them. Every
+        refusal below is free of side effects, so the cheapest and most
+        frequent one on a wide machine — a second unit awake — is
+        tested first.
         """
         if self.halted or self._squash_request is not None:
             return False
@@ -442,6 +432,20 @@ class MultiscalarProcessor:
             # retire mid-window (which reshapes every gate below).
             return False
         end = limit
+        units = self.units
+        running = None
+        for task in active:
+            if task.squashed or units[task.unit_index].task is not task:
+                return False  # inconsistent mid-squash state
+            if task.sleep_until > cycle:
+                if task.sleep_until < end:
+                    end = task.sleep_until
+            elif running is not None:
+                return False  # two units awake: not a unit window
+            else:
+                running = task
+        if running is None:
+            return False
         # Ring: no message may arrive inside the window (and none can be
         # sent: forwards/releases/stops are ring events and all deopt).
         ring_next = self.ring.next_arrival()
@@ -456,28 +460,15 @@ class MultiscalarProcessor:
         # stopped, and stops never commit inside a window.
         if self.next_pc is not None:
             if len(active) >= self.num_units \
-                    or self.units[self._next_unit].task is not None:
+                    or units[self._next_unit].task is not None:
                 pass
             elif cycle < self.seq_busy_until:
                 if self.seq_busy_until < end:
                     end = self.seq_busy_until
             else:
                 return False
-        units = self.units
-        awake = -1
-        for pos, task in enumerate(active):
-            if task.squashed or units[task.unit_index].task is not task:
-                return False  # inconsistent mid-squash state
-            if task.sleep_until > cycle:
-                if task.sleep_until < end:
-                    end = task.sleep_until
-            else:
-                if awake >= 0:
-                    return False  # two units awake: not a unit window
-                awake = pos
-        if awake < 0 or end - cycle < 2:
+        if end - cycle < 2:
             return False
-        running = active[awake]
         slot = units[running.unit_index]
         window = self._jit.try_run(slot.pipeline, slot.context, cycle, end)
         if window is None:
@@ -540,30 +531,6 @@ class MultiscalarProcessor:
         self.cycle = next_cycle
         return True
 
-    def _jit_machine_step(self, cycle: int, limit: int) -> bool:
-        """Run the compiled machine frame; False declines the step.
-
-        The frame transcribes the machine loop itself (ring delivery,
-        the walk, squash application, retirement, the quiescence
-        skip), running compiled phases for units whose in-flight state
-        is regular and ``pipeline.step()`` for the rest, so no
-        machine-level event needs an entry refusal here: each is
-        either handled in-frame or exits the frame with the cycle
-        unexecuted (task assignment) or just executed (halt).
-        ``limit`` caps the frame where the run loop needs control back.
-        """
-        if self.halted or self._squash_request is not None:
-            return False
-        frame = self._jit.try_machine(self, cycle, limit)
-        if frame is None:
-            return False
-        next_cycle, _code, last_issue, lastact = frame[:4]
-        if last_issue > self._last_progress:
-            self._last_progress = last_issue
-        self._activity = lastact
-        self.cycle = next_cycle
-        return True
-
     def _wake_cycle(self, cycle: int) -> int:
         """Earliest cycle at which any machine component could act.
 
@@ -621,11 +588,9 @@ class MultiscalarProcessor:
     # ========================================================= sequencer
 
     def _try_assign(self, cycle: int) -> None:
-        if self.halted or self.next_pc is None:
-            return
-        if cycle < self.seq_busy_until:
-            return
-        if len(self.active) >= self.num_units:
+        """Assign the next task of the walk (``advance`` has checked
+        there is one, the sequencer is free, and a unit may be)."""
+        if self.halted:
             return
         slot = self.units[self._next_unit]
         if slot.task is not None:
@@ -650,8 +615,8 @@ class MultiscalarProcessor:
             return
         task = self._build_task(descriptor, slot.index)
         slot.task = task
-        slot.context.cur_regs = task.regs
-        slot.context.cur_pending = task.pending
+        slot.context.regs = task.regs
+        slot.context.pending = task.pending
         slot.pipeline.reset(pc=entry)
         self.active.append(task)
         # The reset above zeroes any shared FU port lists, which can
@@ -904,8 +869,8 @@ class MultiscalarProcessor:
             slot.pipeline.stats.committed - task.committed_base)
         slot.pipeline.reset(pc=None)
         slot.task = None
-        slot.context.cur_regs = None
-        slot.context.cur_pending = None
+        slot.context.regs = None
+        slot.context.pending = None
         self.distribution.fold_squashed(task.cycles)
         if self.observer is not None:
             self.observer.task_squashed(task, self.cycle)
@@ -919,11 +884,10 @@ class MultiscalarProcessor:
     # =========================================================== retire
 
     def _try_retire(self, cycle: int) -> None:
-        if not self.active:
-            return
+        """Retire the head task (``advance`` has checked it stopped)
+        once its pipeline has drained and its last values are in."""
         head = self.active[0]
-        slot = self.units[head.unit_index]
-        if not head.stopped or not slot.pipeline.drained():
+        if self.units[head.unit_index].pipeline.rob:
             return
         if head.pending or head.deferred:
             return  # a predecessor value is still in flight on the ring
@@ -954,8 +918,8 @@ class MultiscalarProcessor:
         self.distribution.fold_retired(head.cycles)
         self.tasks_retired += 1
         slot.task = None
-        slot.context.cur_regs = None
-        slot.context.cur_pending = None
+        slot.context.regs = None
+        slot.context.pending = None
         self.active.pop(0)
         if self.observer is not None:
             self.observer.task_retired(head, cycle)
@@ -1169,7 +1133,7 @@ class MultiscalarProcessor:
         self.active = [self._load_task(ts) for ts in state["active"]]
         by_seq = {task.seq: task for task in self.active}
         # Pipelines restore after their tasks exist so each context's
-        # cur_regs/cur_pending can rebind to the restored containers.
+        # regs/pending can rebind to the restored containers.
         # The per-pipeline reset() inside load_state zeroes shared FU
         # ports already restored by an earlier unit, but every aliasing
         # pool then rewrites them with identical snapshot values.
@@ -1179,8 +1143,8 @@ class MultiscalarProcessor:
             task_seq = unit_state["task_seq"]
             task = None if task_seq is None else by_seq[task_seq]
             slot.task = task
-            slot.context.cur_regs = None if task is None else task.regs
-            slot.context.cur_pending = (None if task is None
+            slot.context.regs = None if task is None else task.regs
+            slot.context.pending = (None if task is None
                                         else task.pending)
         self.distribution = CycleDistribution.from_dict(
             state["distribution"])

@@ -81,6 +81,10 @@ class ForwardingRing:
 
         Returns (destination unit, message) pairs in arrival order.
         """
+        if not any(self._links):
+            # The common cycle (~96% at 8 units): a value lives one
+            # cycle per hop, so the ring is usually empty.
+            return []
         out: list[tuple[int, RingMessage]] | None = None
         for from_unit, link in enumerate(self._links):
             if not link or link[0].arrive_cycle > cycle:

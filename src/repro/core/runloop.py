@@ -8,8 +8,8 @@ processor is only its machine semantics behind a small seam:
 * ``halted``, ``cycle``, ``_last_progress``, ``_progress_window`` —
   read here, written by the machine;
 * ``advance(limit)`` — execute at least one cycle and stop at or
-  before ``limit``: one interpreter step, a quiescence skip, a
-  compiled unit window or a machine frame;
+  before ``limit``: one interpreter step, a quiescence skip or a
+  compiled unit window;
 * ``_timeout_error(budget)`` / ``_livelock_error()`` — build the typed
   failure for this machine;
 * ``instructions_executed()`` / ``state_entries()`` — the budget
@@ -32,9 +32,9 @@ def drive(machine, budget: int, checkpointer=None, watchdog=None) -> None:
     Every iteration hands the machine one ``limit`` — the earliest
     cycle at which this loop needs control back — and then runs the
     checks in a fixed order: timeout, livelock, checkpoint capture,
-    watchdog. Because skips, compiled windows and machine frames all
-    stop at the same limit, each check fires at the cycle per-cycle
-    ticking would reach it, in every execution mode.
+    watchdog. Because skips and compiled windows all stop at the same
+    limit, each check fires at the cycle per-cycle ticking would reach
+    it, in every execution mode.
     """
     if watchdog is not None:
         watchdog.bind(machine)

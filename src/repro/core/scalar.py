@@ -31,8 +31,8 @@ class _ScalarContext(PipelineContext):
         # on the hot path. fetch_group is bound in ScalarProcessor's
         # constructor once the icache exists.
         self.uop_at = processor.program.uop_at
-        self.uop_window = processor.program.uop_window
-        self._regs = processor.regs
+        self.regs = processor.regs
+        self.pending = {}
 
     def fetch_group(self, addr: int, cycle: int) -> int:
         return self.p.icache.fetch(addr, cycle)
@@ -43,15 +43,8 @@ class _ScalarContext(PipelineContext):
     def uop_at(self, addr: int):
         return self.p.program.uop_at(addr)
 
-    def reg_ready(self, reg: int) -> bool:
-        return True
-
-    def read_reg(self, reg: int):
-        return self._regs[reg]
-
-    def write_reg(self, reg: int, value) -> None:
-        if reg != 0:
-            self._regs[reg] = value
+    def fetch_groups(self):
+        return self.p.program.fetch_groups()
 
     def mem_load(self, instr: Instruction, addr: int, cycle: int):
         value = semantics.do_load(instr.op, self.p.memory, addr)

@@ -101,6 +101,9 @@ class Program:
     #: instruction list changes length; callers that mutate instructions
     #: in place must call :meth:`invalidate_uops`.
     _uops: list = field(default=None, repr=False, compare=False)
+    #: The table behind :meth:`fetch_groups`; built on first use and
+    #: dropped with the uop list it was built from.
+    _fetch_groups: dict = field(default=None, repr=False, compare=False)
 
     @property
     def text_base(self) -> int:
@@ -123,6 +126,7 @@ class Program:
             from repro.isa.uop import predecode
 
             self._uops = predecode(self.instructions)
+            self._fetch_groups = None
         return self._uops
 
     def uop_at(self, addr: int):
@@ -135,23 +139,24 @@ class Program:
             return uops[index]
         return None
 
-    def uop_window(self, addr: int, count: int) -> list:
-        """Micro-ops for up to ``count`` consecutive words at ``addr``.
-
-        Truncated at the end of the text; empty for misaligned or
-        out-of-range addresses. One call serves a whole fetch group.
-        """
+    def fetch_groups(self) -> "FetchGroups":
+        """The fetch-group table: ``groups[addr]`` is what one
+        instruction fetch starting at ``addr`` delivers (see
+        :class:`FetchGroups`). Built once per micro-op list and shared
+        by every unit of every processor running this program."""
         uops = self._uops
         if uops is None or len(uops) != len(self.instructions):
             uops = self.uops()
-        index = (addr - TEXT_BASE) >> 2
-        if index < 0 or (addr & 3):
-            return []
-        return uops[index:index + count]
+        groups = self._fetch_groups
+        if groups is None:
+            groups = self._fetch_groups = FetchGroups(uops)
+        return groups
 
     def invalidate_uops(self) -> None:
-        """Drop the cached micro-ops (after mutating ``instructions``)."""
+        """Drop the cached micro-ops and the fetch-group table built
+        from them (after mutating ``instructions``)."""
         self._uops = None
+        self._fetch_groups = None
 
     def label_addr(self, name: str) -> int:
         try:
@@ -181,3 +186,26 @@ class Program:
                 lines.append(f"    # {self.tasks[instr.addr].describe()}")
             lines.append(f"    {instr.addr:#08x}  {instr}")
         return "\n".join(lines)
+
+
+class FetchGroups(dict):
+    """Fetch address -> ``(pairs, next_pc)``: the ``(uop, pc)`` pairs
+    from that address to the end of its 16-byte fetch group, and the pc
+    fetch continues at (None when the group ran off the end of the
+    text). A delivery is one subscript and one ``deque.extend``; the
+    pairs are built once and shared by every fetch."""
+
+    def __init__(self, uops: list) -> None:
+        pairs = [(uop, TEXT_BASE + 4 * index)
+                 for index, uop in enumerate(uops)]
+        for index in range(len(uops)):
+            end = (index | 3) + 1       # TEXT_BASE is group-aligned
+            self[TEXT_BASE + 4 * index] = (
+                tuple(pairs[index:end]),
+                TEXT_BASE + 4 * end if end <= len(uops) else None)
+
+    def __missing__(self, addr: int) -> tuple[tuple, int | None]:
+        # Outside the text or misaligned: nothing arrives. Fetch stops,
+        # unless the address sits in the last bytes of its group, where
+        # the (empty) request counts as complete and is reissued.
+        return (), (None if ((addr & ~15) + 16 - addr) >> 2 else addr)

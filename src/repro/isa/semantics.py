@@ -47,18 +47,21 @@ def _sra(a: int, sh: int) -> int:
 
 
 #: Integer register-register ALU ops: f(rs_value, rt_value) -> result.
+#: (The commonest wrap with ``& MASK32`` in line: every timing core
+#: evaluates one of these per issued ALU instruction, and ``u32`` is a
+#: call.)
 _INT_R3 = {
-    Op.ADD: lambda a, b: u32(a + b),
-    Op.ADDU: lambda a, b: u32(a + b),
-    Op.SUB: lambda a, b: u32(a - b),
-    Op.SUBU: lambda a, b: u32(a - b),
+    Op.ADD: lambda a, b: (a + b) & MASK32,
+    Op.ADDU: lambda a, b: (a + b) & MASK32,
+    Op.SUB: lambda a, b: (a - b) & MASK32,
+    Op.SUBU: lambda a, b: (a - b) & MASK32,
     Op.AND: lambda a, b: a & b,
     Op.OR: lambda a, b: a | b,
     Op.XOR: lambda a, b: a ^ b,
     Op.NOR: lambda a, b: u32(~(a | b)),
     Op.SLT: lambda a, b: int(s32(a) < s32(b)),
     Op.SLTU: lambda a, b: int(a < b),
-    Op.SLLV: lambda a, b: u32(a << (b & 31)),
+    Op.SLLV: lambda a, b: (a << (b & 31)) & MASK32,
     Op.SRLV: lambda a, b: a >> (b & 31),
     Op.SRAV: lambda a, b: _sra(a, b),
     Op.MULT: lambda a, b: u32(s32(a) * s32(b)),
@@ -71,14 +74,14 @@ _INT_R3 = {
 
 #: Integer register-immediate ALU ops: f(rs_value, imm) -> result.
 _INT_R2I = {
-    Op.ADDI: lambda a, i: u32(a + i),
-    Op.ADDIU: lambda a, i: u32(a + i),
+    Op.ADDI: lambda a, i: (a + i) & MASK32,
+    Op.ADDIU: lambda a, i: (a + i) & MASK32,
     Op.ANDI: lambda a, i: a & u32(i),
     Op.ORI: lambda a, i: a | u32(i),
     Op.XORI: lambda a, i: a ^ u32(i),
     Op.SLTI: lambda a, i: int(s32(a) < i),
     Op.SLTIU: lambda a, i: int(a < u32(i)),
-    Op.SLL: lambda a, i: u32(a << (i & 31)),
+    Op.SLL: lambda a, i: (a << (i & 31)) & MASK32,
     Op.SRL: lambda a, i: a >> (i & 31),
     Op.SRA: _sra,
 }

@@ -107,7 +107,8 @@ class MicroOp:
 
     __slots__ = ("instr", "op", "kind", "fu", "latency_key", "srcs",
                  "dsts", "dst", "imm", "target", "alu", "branch",
-                 "ea_base", "store_reg", "jr_reg", "ctl", "fui")
+                 "ea_base", "store_reg", "jr_reg", "ctl", "fui",
+                 "deps", "plain")
 
     def __init__(self, instr: Instruction) -> None:
         spec = instr.spec
@@ -124,6 +125,16 @@ class MicroOp:
         self.fui = spec.fu.value
         self.latency_key = spec.latency
         self.srcs = instr.src_regs()
+        # Registers issue waits on. A release does not wait for its
+        # registers: the commit handler forwards the current local
+        # value, and defers any register still awaiting a predecessor
+        # (the ring re-forwards it on arrival). Blocking issue on them
+        # would serialize tasks on values they merely pass through.
+        self.deps = () if instr.op is Op.RELEASE else self.srcs
+        # Commit is the register write and nothing else, tag bits
+        # aside (those are mutable and read through ``instr``).
+        self.plain = kind not in (Kind.STORE, Kind.SYSCALL, Kind.HALT,
+                                  Kind.RELEASE)
         self.dsts = instr.dst_regs()
         self.dst = self.dsts[0] if self.dsts else None
         self.imm = instr.imm if instr.imm is not None else 0

@@ -1,10 +1,10 @@
 """Trace-JIT for the simulator core (the PR-6 tentpole).
 
-The interpreter executes one uop stage per method call; this package
-compiles hot straight-line uop regions into generated Python functions
-that execute whole machine cycles per iteration of one flat loop,
-deopting back to the interpreter at every irregular boundary (control
-resolution, annotation side effects, syscalls/halt, squash requests).
+The interpreter executes one unit-cycle per ``UnitPipeline.step``
+call; this package compiles hot straight-line uop regions into
+generated Python functions that run many cycles of one unit per call
+in one flat loop, deopting back to the interpreter at every irregular
+boundary (annotation side effects, syscalls/halt, squash requests).
 Results are bit-identical to the interpreter by construction — see
 docs/INTERNALS.md §12 for the discovery/guard/deopt protocol.
 

@@ -53,9 +53,8 @@ EV_TRACE = 1     # dispatch crossed into another trace region
 EV_RING = 2      # a forward/release/stop committed (ring state changed)
 EV_HALT = 3      # the machine halted (HALT or exit syscall committed)
 EV_SQUASH = 4    # a squash request is pending (ARB violation/overflow)
-EV_ASSIGN = 5    # the sequencer is ready to assign a task (machine frame)
 
-EXIT_NAMES = ("limit", "trace", "ring", "halt", "squash", "assign")
+EXIT_NAMES = ("limit", "trace", "ring", "halt", "squash")
 
 
 class TraceTables:

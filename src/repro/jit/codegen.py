@@ -1,46 +1,32 @@
 """Source generation for the compiled trace executors.
 
-A generated executor runs whole machine cycles inside a single Python
-frame, against the units' real state objects (the same ROB lists,
-``_InFlight`` records, FU port lists, and caches the interpreter
-uses). It is a specialized, flattened transcription of
-``UnitPipeline.step()`` — same phase order (commit, resolve, issue,
-dispatch, fetch, stall classification, activity), same side effects,
-driven by the flat per-word tables of :mod:`repro.jit.blocks` instead
-of per-uop attribute chains.
+A generated executor — a **unit window** (:func:`build_source`) —
+advances ONE unit for many cycles inside a single Python frame, against
+the unit's real state objects (the same ROB list, ``_InFlight``
+records, FU port lists, and caches the interpreter uses). It is a
+specialized, flattened transcription of ``UnitPipeline.step()`` — same
+phase order (commit, resolve, issue, dispatch, fetch, stall
+classification, activity), same side effects, driven by the flat
+per-word tables of :mod:`repro.jit.blocks` instead of per-uop attribute
+chains. Windows serve the scalar run loop, and the multiscalar steady
+state where every other unit sleeps past the window end (the 1-2-unit
+machines ``explore`` visits; a few percent of cycles at 4-8 units).
 
-Two executor shapes share one phase transcription:
-
-* the **unit window** (:func:`build_source`) advances ONE unit for
-  many cycles — the scalar run loop, and the multiscalar steady state
-  where every other unit sleeps past the window end;
-* the **machine frame** (:func:`build_machine_source`) transcribes the
-  multiscalar machine loop itself — ring delivery, the task walk,
-  idle accounting, retirement, and the machine-level quiescence skip —
-  advancing every unit cycle-by-cycle in walk order inside one frame.
-  Units whose in-flight state is *regular* (every ROB word COMMIT_OK,
-  the next dispatch admitted) run the compiled phase transcription
-  against per-unit state slots; irregular units fall back to
-  ``pipeline.step()`` per cycle, so forwards, releases, stops,
-  syscalls, and squashes execute through the interpreter while their
-  neighbours stay compiled. Interleaving in walk order keeps the ARB
-  access order — and therefore memory-violation detection — identical
-  to the interpreter.
+A second tier used to sit here: a *machine frame* transcribing the
+whole multiscalar machine loop, with these phases for units in a
+regular state and ``pipeline.step()`` for the rest. It was deleted when
+the interpreter's single-frame ``step`` overtook it (frames bought
+0.89-1.10x at 4 and 8 units; docs/INTERNALS.md §12 has the numbers).
 
 Correctness rests on two structural invariants rather than per-effect
 guards:
 
-* **All-or-nothing cycles.** A unit-window deopt guard (the next word
-  the unit would dispatch, checked against the body's dispatch table)
-  is evaluated *before* any of a cycle's effects, so a guarded exit
+* **All-or-nothing cycles.** The deopt guard (the next word the unit
+  would dispatch, checked against the body's dispatch table) is
+  evaluated *before* any of a cycle's effects, so a guarded exit
   returns with the flagged cycle completely unexecuted and the
-  interpreter simply runs that exact cycle — there is no
-  partial-cycle state to repair. In the machine frame the same check
-  demotes just that unit to its interpreter for the cycle; the only
-  whole-frame exits are the sequencer becoming ready to assign
-  (checked before any of the cycle's effects) and the machine halting
-  (checked after the cycle completes, which is when the run loop
-  would see it).
+  interpreter simply runs that exact cycle — there is no partial-cycle
+  state to repair.
 * **No annotations in compiled state.** Compiled phases only ever run
   over ROBs whose every record decodes to a COMMIT_OK word (plain
   commits: no syscalls, halts, forwards, releases, or stop bits), and
@@ -48,22 +34,16 @@ guards:
   therefore *regular*: branch resolution is either a no-op or the
   plain mispredict flush, jumps redirect fetch, and jr/jalr stall it —
   all transcribed here — while every annotated form (task stops,
-  forwards, releases) and syscall/halt runs interpreted. In the
-  machine frame, machine-level events those commits raise — ring
-  sends, squash requests, mispredict squashes, retirement — happen
-  through the interpreter's own methods on the live machine object,
-  at exactly the walk position the machine loop would run them.
+  forwards, releases) and syscall/halt runs interpreted.
 
-Unit-window executors are specialized per machine variant (scalar vs
-multiscalar annotation suppression), per feature set of the live
-window (memory ops present, control flow present), and on whether an
-event bus is attached — a handful of compiled bodies per engine,
-cached by key. A body's dispatch table maps any word whose features it
-did not compile to an ``EV_TRACE`` deopt, so a window that branches
-into a region needing richer arms exits cleanly and re-enters under
-the right variant. Machine-frame bodies always compile the full
-feature set (several units rarely share a feature profile) and so
-specialize only on tracing.
+Executors are specialized per machine variant (scalar vs multiscalar
+annotation suppression), per feature set of the live window (memory
+ops present, control flow present), and on whether an event bus is
+attached — a handful of compiled bodies per engine, cached by key. A
+body's dispatch table maps any word whose features it did not compile
+to an ``EV_TRACE`` deopt, so a window that branches into a region
+needing richer arms exits cleanly and re-enters under the right
+variant.
 """
 
 from __future__ import annotations
@@ -149,17 +129,13 @@ def _emit_tables(L: _Lines) -> None:
 
 
 def _emit_phases(L: _Lines, ms: bool, mem: bool, br: bool, traced: bool,
-                 inject_taken: bool,
-                 stall_line: str = "counts[rid] += 1") -> None:
+                 inject_taken: bool) -> None:
     """Emit one unit-cycle of phases (commit through activity).
 
-    The emitted block reads and writes ONLY local names — the callers
-    bind them from a pipeline (unit window) or from per-unit state
-    slots (machine frame) before the block runs, and store the
-    mutated scalars back after it. ``stall_line`` is the statement
-    charging a non-issue cycle's stall reason (the unit window defers
-    into a counts buffer; the machine frame charges the task's
-    stall-cycle dict eagerly):
+    The emitted block reads and writes ONLY local names — the caller
+    binds them from a pipeline before the block runs, and stores the
+    mutated scalars back after it. A non-issue cycle's stall reason is
+    charged into the ``counts`` buffer, which the run loop folds:
 
     in/out scalars   pc fpu fpp pstores unissued didx lsid cur_bid
                      busy last_issue committed_t dispatched_t fetched_t
@@ -489,6 +465,7 @@ def _emit_phases(L: _Lines, ms: bool, mem: bool, br: bool, traced: bool,
     w("rec.pc = dpc")
     w("rec.idx = didx")
     w("rec.issuable_at = cycle + 1")
+    w("rec.blocker = None")
     w("rec.issued = False")
     w("rec.done_cycle = 0")
     w("rec.result = None")
@@ -667,7 +644,7 @@ def _emit_phases(L: _Lines, ms: bool, mem: bool, br: bool, traced: bool,
     L.dedent()
     w("if not issued:")
     L.indent()
-    w(stall_line)
+    w("counts[rid] += 1")
     L.dedent()
     w("act = bool(issued or resolved or committed or dispatched) "
       "or fpu != fpu_b")
@@ -717,12 +694,10 @@ def build_source(ms: bool, feat: int, inject_taken: bool = False) -> str:
         w("mem_store = ctx.mem_store")
         if ms:
             w("store_prep = ctx.mem_store_prepare")
+    w("regs = ctx.regs")
     if ms:
         w("machine = ctx.p")
-        w("regs = ctx.cur_regs")
-        w("pending = ctx.cur_pending")
-    else:
-        w("regs = ctx._regs")
+        w("pending = ctx.pending")
     w("cur_bid = -1")
     w("busy = 0")
     w("last_issue = -1")
@@ -810,395 +785,6 @@ def build_source(ms: bool, feat: int, inject_taken: bool = False) -> str:
     return L.source()
 
 
-def build_machine_source(traced: bool, inject_taken: bool = False) -> str:
-    """Emit the ``_make(...)`` factory for the machine-frame body.
-
-    The executor transcribes the multiscalar machine loop: per cycle it
-    checks the sequencer's assign gate, delivers due ring messages,
-    walks the active tasks in order, accounts idle units, retires a
-    drained stopped head, and applies the machine-level quiescence
-    skip — all against the live machine object, calling its own
-    methods (``_deliver_ring``, ``_apply_squash_request``,
-    ``_try_retire``, ``_wake_cycle``, ``_account_skip``) for every
-    machine-level event so their effects are the interpreter's own.
-
-    Inside the walk, a unit whose in-flight state is regular (every
-    ROB word COMMIT_OK and the next dispatch admitted by the dispatch
-    table) becomes *resident*: its pipeline state is staged into two
-    per-unit slots — a tuple of per-residency constants (aliases and
-    bound methods) and a tuple of mutable scalars — and its cycles run
-    the compiled phase transcription, with stats and task accounting
-    folded eagerly every cycle so a squash or retirement observes
-    exact live values. Irregular units run ``pipeline.step()`` — so
-    annotated commits (forwards, releases, stops), syscalls, and
-    squash-raising events execute interpreted at their exact walk
-    position while other units stay compiled. Resident state is
-    written back whenever the unit's next dispatch stops being
-    admitted, and *dropped* (never written back) when the unit's task
-    changes under it — retirement or a squash reset the pipeline,
-    making staged scalars stale.
-
-    The frame exits only when the machine halts (``EV_HALT``) or at
-    the cycle budget (``EV_LIMIT``) — every machine-level event,
-    including task assignment, is handled in-frame by the
-    interpreter's own methods. Returns ``(next_cycle, exit_code,
-    last_issue_cycle, machine_activity, resident_unit_cycles,
-    interp_unit_cycles)`` — the two counters feed the engine's
-    adaptive residency policy.
-    """
-    L = _Lines()
-    w = L.w
-
-    w("def _make(T, XV, COK, RSE, RSN, EMPTY, u32, arch_next_pc,")
-    w("          _InFlight, MemRetry):")
-    L.indent()
-    _emit_tables(L)
-    w("def run(m, cycle, budget):")
-    L.indent()
-    w("UNITS = m.units")
-    w("ACT = m.active")
-    w("NU = m.num_units")
-    w("PIPES = []")
-    w("CTXS = []")
-    w("for slot in UNITS:")
-    L.indent()
-    w("PIPES.append(slot.pipeline)")
-    w("CTXS.append(slot.context)")
-    L.dedent()
-    w("RNA = m.ring.next_arrival")
-    w("dist = m.distribution")
-    w("p0 = PIPES[0]")
-    w("window = p0._window")
-    w("fetchq = p0._fetchq")
-    if traced:
-        w("trace = m.trace")
-    w("# Per-unit resident-state slots, indexed by unit number. A set")
-    w("# DIRTY flag means the slots hold the unit's live pipeline")
-    w("# state (the pipeline's own scalar fields are stale until")
-    w("# written back): SB is the per-residency constant tuple")
-    w("# (aliases, bound methods, task records), SM the mutable")
-    w("# scalar tuple. NCOK caches the count of non-COMMIT_OK ROB")
-    w("# words for non-resident units (-1 = unknown).")
-    w("DIRTY = [0] * NU")
-    w("NCOK = [-1] * NU")
-    w("TREF = [None] * NU")
-    w("SB = [None] * NU")
-    w("SM = [None] * NU")
-    w("ACTS = [False] * NU")
-    w("def ld(u, task):")
-    L.indent()
-    w("p = PIPES[u]")
-    w("c = CTXS[u]")
-    w("tc = task.cycles")
-    w("SB[u] = (p.rob, p.fetch_buffer, p.last_writer, p.unresolved,")
-    w("         p.fus._free_by_val, p.stats, c.fetch_group,")
-    w("         c.mem_load, c.mem_store, c.mem_store_prepare,")
-    w("         c.cur_regs, c.cur_pending, tc.stall_cycles, tc,")
-    if traced:
-        w("         p.stop_committed, p.trace_tid)")
-    else:
-        w("         p.stop_committed)")
-    w("SM[u] = (p.pc, p.fetch_pending_until, p.fetch_pending_pc,")
-    w("         p.pending_stores, p._unissued, p._dispatch_idx,")
-    w("         int(p._last_stall), -1)")
-    w("TREF[u] = task")
-    w("ACTS[u] = p._activity")
-    w("DIRTY[u] = 1")
-    L.dedent()
-    w("def wb(u):")
-    L.indent()
-    w("p = PIPES[u]")
-    w("(pc, fpu, fpp, pstores, unissued, didx, lsid, cur_bid) = SM[u]")
-    w("p.pc = pc")
-    w("p.fetch_pending_until = fpu")
-    w("p.fetch_pending_pc = fpp")
-    w("p.pending_stores = pstores")
-    w("p._unissued = unissued")
-    w("p._dispatch_idx = didx")
-    w("p._last_stall = RSE[lsid]")
-    w("p._activity = ACTS[u]")
-    w("DIRTY[u] = 0")
-    L.dedent()
-    w("def drop_stale():")
-    L.indent()
-    w("# A task changed under a resident unit (retired, or its")
-    w("# pipeline was reset by a squash — including the mispredict")
-    w("# path, which applies *during* an interpreter step): the")
-    w("# staged scalars are stale and must never be written back.")
-    w("# Eager accounting means there is nothing left to fold.")
-    w("j = 0")
-    w("while j < NU:")
-    L.indent()
-    w("if DIRTY[j] and UNITS[j].task is not TREF[j]:")
-    L.indent()
-    w("DIRTY[j] = 0")
-    w("NCOK[j] = -1")
-    L.dedent()
-    w("j += 1")
-    L.dedent()
-    L.dedent()
-    w("code = 0  # EV_LIMIT unless halt exits first")
-    w("last_issue = -1")
-    w("lastact = True")
-    w("nr = 0  # resident unit-cycles (compiled phases)")
-    w("ni = 0  # interpreter-fallback unit-cycles")
-    w("while cycle < budget:")
-    L.indent()
-    w("m.cycle = cycle  # machine methods read the live cycle")
-    w("m._activity = False")
-    w("m_act = False")
-    w("rn = RNA()")
-    w("if rn is not None and rn <= cycle:")
-    L.indent()
-    w("m._deliver_ring(cycle)")
-    L.dedent()
-    w("# Sequencer: the inline test is exactly _try_assign's refusal")
-    w("# conditions (hoisted so the common no-assign cycle skips the")
-    w("# call); the assignment itself — task build, pipeline reset,")
-    w("# prediction — is the interpreter's own method. The assigned")
-    w("# unit is never resident: its slot was freed by a retire or a")
-    w("# squash, both of which drop staged state.")
-    w("if m.next_pc is not None and cycle >= m.seq_busy_until \\")
-    w("        and len(ACT) < NU and UNITS[m._next_unit].task is None:")
-    L.indent()
-    w("m._try_assign(cycle)")
-    L.dedent()
-    w("noted = 0")
-    w("i = 0")
-    w("while i < len(ACT):")
-    L.indent()
-    w("task = ACT[i]")
-    w("i += 1")
-    w("if task.squashed:")
-    L.indent()
-    w("continue")
-    L.dedent()
-    w("u = task.unit_index")
-    w("if UNITS[u].task is not task:")
-    L.indent()
-    w("continue")
-    L.dedent()
-    w("if task.sleep_until > cycle:")
-    L.indent()
-    w("task.cycles.stall_cycles[PIPES[u]._last_stall] += 1")
-    w("noted += 1")
-    w("continue")
-    L.dedent()
-    w("if DIRTY[u]:")
-    L.indent()
-    w("sb = SB[u]")
-    w("fb = sb[1]")
-    w("if fb and XV[(fb[0][1] - TB) >> 2] >= 0:")
-    L.indent()
-    w("# Next dispatch not admitted (annotated word, syscall,")
-    w("# halt): demote this unit to its interpreter.")
-    w("wb(u)")
-    w("NCOK[u] = 0")
-    L.dedent()
-    L.dedent()
-    w("else:")
-    L.indent()
-    w("# Cheap test first: an inadmissible next dispatch (annotated")
-    w("# word — the common irregularity) declines without touching")
-    w("# the ROB; only an admissible head pays the COMMIT_OK scan.")
-    w("p = PIPES[u]")
-    w("fb = p.fetch_buffer")
-    w("if (not fb) or XV[(fb[0][1] - TB) >> 2] < 0:")
-    L.indent()
-    w("n2 = NCOK[u]")
-    w("if n2 < 0:")
-    L.indent()
-    w("n2 = 0")
-    w("for r in p.rob:")
-    L.indent()
-    w("wv = (r.pc - TB) >> 2")
-    w("if wv < 0 or wv >= NW or not COK[wv]:")
-    L.indent()
-    w("n2 += 1")
-    L.dedent()
-    L.dedent()
-    w("NCOK[u] = n2")
-    L.dedent()
-    w("if n2 == 0:")
-    L.indent()
-    w("ld(u, task)")
-    w("sb = SB[u]")
-    L.dedent()
-    L.dedent()
-    L.dedent()
-    w("if DIRTY[u]:")
-    L.indent()
-    if traced:
-        w("(rob, fb, lw, unres, fbv, stats, fetch_group, mem_load,")
-        w(" mem_store, store_prep, regs, pending, tsc, tcy, stopc,")
-        w(" tid) = sb")
-    else:
-        w("(rob, fb, lw, unres, fbv, stats, fetch_group, mem_load,")
-        w(" mem_store, store_prep, regs, pending, tsc, tcy,")
-        w(" stopc) = sb")
-    w("(pc, fpu, fpp, pstores, unissued, didx, lsid, cur_bid) = SM[u]")
-    w("busy = 0")
-    w("nr += 1")
-    w("committed_t = 0; dispatched_t = 0; fetched_t = 0")
-    w("loads_t = 0; stores_t = 0")
-
-    _emit_phases(L, ms=True, mem=True, br=True, traced=traced,
-                 inject_taken=inject_taken,
-                 stall_line="tsc[RSE[rid]] += 1")
-
-    w("SM[u] = (pc, fpu, fpp, pstores, unissued, didx, lsid, cur_bid)")
-    w("ACTS[u] = act")
-    w("# Eager accounting: stats and task cycles are always live,")
-    w("# so squash discard and retirement fold exact values.")
-    w("if committed_t:")
-    L.indent()
-    w("stats.committed += committed_t")
-    L.dedent()
-    w("if dispatched_t:")
-    L.indent()
-    w("stats.dispatched += dispatched_t")
-    L.dedent()
-    w("if fetched_t:")
-    L.indent()
-    w("stats.fetched += fetched_t")
-    L.dedent()
-    w("if loads_t:")
-    L.indent()
-    w("stats.loads += loads_t")
-    L.dedent()
-    w("if stores_t:")
-    L.indent()
-    w("stats.stores += stores_t")
-    L.dedent()
-    w("if issued:")
-    L.indent()
-    w("stats.issued += 1")
-    w("tcy.busy_cycles += 1")
-    L.dedent()
-    w("noted += 1")
-    w("if act:")
-    L.indent()
-    w("m_act = True")
-    L.dedent()
-    w("elif m._squash_request is None:")
-    L.indent()
-    w("# Mirror the machine walk's unit-level sleep decision.")
-    w("p = PIPES[u]")
-    w("p._activity = False")
-    w("p.fetch_pending_until = fpu")
-    w("p.pending_stores = pstores")
-    w("p._last_stall = RSE[lsid]")
-    w("wake = p.wake_cycle(cycle)")
-    w("if wake > cycle + 1:")
-    L.indent()
-    w("task.sleep_until = wake")
-    L.dedent()
-    L.dedent()
-    L.dedent()
-    w("else:")
-    L.indent()
-    w("p = PIPES[u]")
-    w("na = len(ACT)")
-    w("ni += 1")
-    w("issued, reason = p.step(cycle)")
-    w("tcy = task.cycles")
-    w("if issued:")
-    L.indent()
-    w("tcy.busy_cycles += 1")
-    w("last_issue = cycle")
-    L.dedent()
-    w("else:")
-    L.indent()
-    w("tcy.stall_cycles[reason] += 1")
-    L.dedent()
-    w("noted += 1")
-    w("if p._activity:")
-    L.indent()
-    w("m_act = True")
-    L.dedent()
-    w("NCOK[u] = -1")
-    w("if len(ACT) != na:")
-    L.indent()
-    w("# A mispredict squash applied in-step (task_stopped ->")
-    w("# _squash_from discards directly, without a request).")
-    w("drop_stale()")
-    L.dedent()
-    w("if m._squash_request is None and not issued \\")
-    w("        and not p._activity:")
-    L.indent()
-    w("wake = p.wake_cycle(cycle)")
-    w("if wake > cycle + 1:")
-    L.indent()
-    w("task.sleep_until = wake")
-    L.dedent()
-    L.dedent()
-    L.dedent()
-    w("if m._squash_request is not None:")
-    L.indent()
-    w("# Apply at this exact walk position, as the machine loop")
-    w("# does; the walk then continues over the survivors.")
-    w("m._apply_squash_request(cycle)")
-    w("m_act = True")
-    w("drop_stale()")
-    L.dedent()
-    L.dedent()  # end walk
-    w("dist.idle += NU - noted")
-    w("if ACT:")
-    L.indent()
-    w("h = ACT[0]")
-    w("if h.stopped and not h.pending and not h.deferred \\")
-    w("        and not PIPES[h.unit_index].rob:")
-    L.indent()
-    w("# Exact _try_retire gate (its refusal paths have no side")
-    w("# effects). Retirement sets _last_progress itself — the gate")
-    w("# passing is NOT progress (a refused retire must still trip")
-    w("# the livelock watchdog), so last_issue is left alone here.")
-    w("m._try_retire(cycle)")
-    w("drop_stale()")
-    L.dedent()
-    L.dedent()
-    w("lastact = m_act or m._activity")
-    w("cycle += 1")
-    w("if m.halted:")
-    L.indent()
-    w("code = 3  # EV_HALT")
-    w("break")
-    L.dedent()
-    w("if not lastact:")
-    L.indent()
-    w("# Machine-level quiescence skip, bounded by the entry budget")
-    w("# (always <= the live horizon: progress only moves it out).")
-    w("wkc = m._wake_cycle(cycle - 1)")
-    w("if wkc > cycle:")
-    L.indent()
-    w("if wkc > budget:")
-    L.indent()
-    w("wkc = budget")
-    L.dedent()
-    w("if wkc > cycle:")
-    L.indent()
-    w("m._account_skip(cycle, wkc)")
-    w("cycle = wkc")
-    L.dedent()
-    L.dedent()
-    L.dedent()
-    L.dedent()  # end while
-    w("u = 0")
-    w("while u < NU:")
-    L.indent()
-    w("if DIRTY[u]:")
-    L.indent()
-    w("wb(u)")
-    L.dedent()
-    w("u += 1")
-    L.dedent()
-    w("return (cycle, code, last_issue, lastact, nr, ni)")
-    L.dedent()
-    w("return run")
-    L.dedent()
-    return L.source()
-
-
 def compile_body(tables, xdok: list, dok: list, ms: bool, feat: int,
                  inject_taken: bool = False):
     """Compile one unit-window variant and bind it over ``tables``."""
@@ -1208,17 +794,5 @@ def compile_body(tables, xdok: list, dok: list, ms: bool, feat: int,
     exec(compile(src, f"<jit:{label}:trace:feat{feat}>", "exec"),
          namespace)
     return namespace["_make"](tables, xdok, dok, _RS_ENUM, _RS_NAME,
-                              _EMPTY_SRCS, _u32, _arch_next_pc,
-                              _InFlight, _MemRetry)
-
-
-def compile_machine_body(tables, xdok: list, cok: list, traced: bool,
-                         inject_taken: bool = False):
-    """Compile one machine-frame variant and bind it over ``tables``."""
-    src = build_machine_source(traced, inject_taken)
-    namespace: dict = {}
-    exec(compile(src, f"<jit:ms:machine:traced{int(traced)}>", "exec"),
-         namespace)
-    return namespace["_make"](tables, xdok, cok, _RS_ENUM, _RS_NAME,
                               _EMPTY_SRCS, _u32, _arch_next_pc,
                               _InFlight, _MemRetry)

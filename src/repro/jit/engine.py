@@ -21,7 +21,6 @@ from repro.isa import semantics
 from repro.jit import codegen
 from repro.jit.blocks import (
     EV_HALT,
-    EXIT_NAMES,
     EV_RING,
     EV_TRACE,
     K_ALU,
@@ -40,15 +39,6 @@ from repro.jit.blocks import (
 
 #: Minimum window span (in cycles) worth entering a compiled body for.
 MIN_WINDOW = 2
-
-#: Machine-frame budget chunk (cycles): frames return at least this
-#: often so the adaptive residency policy can re-evaluate.
-_MACHINE_CHUNK = 8192
-
-#: Unit-cycles of evidence before the residency policy may disable
-#: machine frames (measured break-even sits near 55% resident: below
-#: that the staging overhead outweighs the compiled-phase savings).
-_MACHINE_PROBE = 8_000
 
 #: Planted guard-miss mode (difftest.inject_jit_guard_miss): None, or
 #: "stop" (commit/dispatch masks ignore stop/forward annotation bits)
@@ -130,27 +120,8 @@ class UnitJIT:
         #: StallReason int value; folded and re-zeroed by the caller.
         self.counts = [0] * (len(codegen._RS_ENUM))
         self._bodies: dict[int, object] = {}
-        self._machine_bodies: dict[bool, object] = {}
         self.entries = 0
         self.declines = 0
-        self.machine_entries = 0
-        self.machine_declines = 0
-        self.machine_cycles = 0
-        self.machine_exits = [0] * len(EXIT_NAMES)
-        # Adaptive residency policy: machine frames only pay off while
-        # most unit-cycles run the compiled phases. Frames report their
-        # resident/interpreter unit-cycle split; once enough evidence
-        # accumulates that the workload streams annotated words faster
-        # than the compiler can keep units resident, frames are
-        # disabled for the rest of the run (a pure perf decision — the
-        # frame and the interpreter are bit-identical either way).
-        self.machine_resident = 0
-        self.machine_interp = 0
-        self.machine_off = False
-        #: Fully disengaged: frames are off and unit windows never
-        #: fired, so the run loop stops paying the per-cycle entry
-        #: gates (a pure perf decision, like machine_off).
-        self.dead = False
 
     # -------------------------------------------------------------- body
 
@@ -173,18 +144,6 @@ class UnitJIT:
             fn = self._bodies[feat] = codegen.compile_body(
                 self.tables, xv, self._dok, not self.suppress,
                 feat, inject_taken=self.inject == "taken-branch")
-        return fn
-
-    def _machine_body(self, traced: bool):
-        fn = self._machine_bodies.get(traced)
-        if fn is None:
-            # Machine frames always compile full feature cover (their
-            # per-unit eligibility check is the COMMIT_OK table), so
-            # one variant per traced-ness serves every mix of unit
-            # states.
-            fn = self._machine_bodies[traced] = codegen.compile_machine_body(
-                self.tables, self._xdok, self._cok, traced,
-                inject_taken=self.inject == "taken-branch")
         return fn
 
     # ------------------------------------------------------------- entry
@@ -261,58 +220,6 @@ class UnitJIT:
         tables.region_exits[rid][result[1]] += 1
         return result
 
-    def try_machine(self, machine, cycle: int, budget: int):
-        """Run the compiled machine frame; ``None`` declines the step.
-
-        The frame transcribes the whole multiscalar machine loop —
-        per-cycle ring delivery, task assignment, the task walk
-        (compiled phases for regular units, ``pipeline.step()`` for
-        irregular ones), squash application, retirement, and the
-        quiescence skip — so unlike :meth:`try_run` it needs no
-        per-unit eligibility here: every unit falls back to its
-        interpreter inside the walk. On success
-        returns ``(next_cycle, exit_code, last_issue_cycle,
-        machine_activity)`` with every executed cycle fully accounted
-        in-frame (stats, task cycles, machine idle).
-        """
-        if budget - cycle < MIN_WINDOW:
-            return None
-        if self.machine_off:
-            self.machine_declines += 1
-            return None
-        if semantics.evaluate_alu is not semantics._GENUINE_EVALUATE_ALU:
-            return None
-        for slot in machine.units:
-            if not slot.pipeline._fast:
-                return None
-        # Chunk the budget so the residency policy gets a say at a
-        # bounded interval (re-entry costs only the frame prologue).
-        # Until the probe has its evidence, use a quarter chunk: a
-        # low-residency workload then pays a quarter of the probe cost
-        # before frames disengage, and a resident one just re-enters.
-        chunk = (_MACHINE_CHUNK
-                 if self.machine_resident + self.machine_interp
-                 > _MACHINE_PROBE else _MACHINE_CHUNK // 4)
-        cap = cycle + chunk
-        if cap < budget:
-            budget = cap
-        fn = self._machine_body(machine.trace is not None)
-        result = fn(machine, cycle, budget)
-        self.machine_entries += 1
-        self.machine_cycles += result[0] - cycle
-        self.machine_exits[result[1]] += 1
-        self.machine_resident += result[4]
-        self.machine_interp += result[5]
-        if (self.machine_resident + self.machine_interp > _MACHINE_PROBE
-                and self.machine_resident * 5 < self.machine_interp * 6):
-            self.machine_off = True
-            if self.entries == 0:
-                # On a multi-unit machine the single-awake gate almost
-                # never opens; if no unit window has fired by the time
-                # the frame probe concludes, none will pay its way.
-                self.dead = True
-        return result
-
     # ------------------------------------------------------------- stats
 
     def stats_dict(self, top: int = 10) -> dict:
@@ -320,13 +227,6 @@ class UnitJIT:
         data = self.tables.stats_dict(top=top)
         data["entries"] = self.entries
         data["declines"] = self.declines
-        data["machine_entries"] = self.machine_entries
-        data["machine_declines"] = self.machine_declines
-        data["machine_cycles"] = self.machine_cycles
-        data["machine_exits"] = dict(zip(EXIT_NAMES, self.machine_exits))
-        data["machine_resident"] = self.machine_resident
-        data["machine_interp"] = self.machine_interp
-        data["machine_off"] = self.machine_off
         data["bodies_compiled"] = sorted(self._bodies)
         if self.inject is not None:
             data["injected_guard_miss"] = self.inject

@@ -50,34 +50,23 @@ class PipelineContext(abc.ABC):
             uop = cache[addr] = MicroOp(instr)
         return uop
 
-    def uop_window(self, addr: int, count: int) -> list:
-        """Micro-ops for up to ``count`` consecutive words at ``addr``,
-        truncated at the first address outside the text.
-
-        The processor contexts shadow this with the program's batched
-        lookup so one call serves a whole fetch group.
-        """
-        out = []
-        for k in range(count):
-            uop = self.uop_at(addr + 4 * k)
-            if uop is None:
-                break
-            out.append(uop)
-        return out
+    @abc.abstractmethod
+    def fetch_groups(self) -> dict:
+        """The program's fetch-group table (``Program.fetch_groups``):
+        fetch address -> ``(((uop, pc), ...), next fetch pc)``."""
 
     # -------------------------------------------------------- registers
 
-    @abc.abstractmethod
-    def reg_ready(self, reg: int) -> bool:
-        """False while ``reg`` awaits a value from a predecessor task."""
-
-    @abc.abstractmethod
-    def read_reg(self, reg: int):
-        """Architectural value of ``reg`` (only called when ready)."""
-
-    @abc.abstractmethod
-    def write_reg(self, reg: int, value) -> None:
-        """Commit a register result."""
+    #: The unit's register file, indexed by unified register number,
+    #: and the registers in it still awaiting a value from a
+    #: predecessor task (only the keys matter here; always empty on a
+    #: scalar core). The pipeline reads and writes both directly — a
+    #: few times per simulated instruction, too often for a method
+    #: call each — so a context keeps the two names bound to the
+    #: current task's containers. A committed result is stored into
+    #: ``regs`` and supersedes any wait recorded in ``pending``.
+    regs: list
+    pending: dict
 
     # ----------------------------------------------------------- memory
 

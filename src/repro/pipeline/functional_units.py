@@ -50,10 +50,6 @@ class FUPool:
                 return True
         return False
 
-    def next_free(self, fu: FUClass) -> int:
-        """Earliest cycle at which any instance can accept an issue."""
-        return min(self._free[fu])
-
     def accept(self, fu: FUClass, cycle: int) -> None:
         """Claim an instance's issue port for this cycle."""
         slots = self._free[fu]

@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 from repro.config import UnitConfig
 from repro.isa import semantics
 from repro.isa.executor import next_pc as arch_next_pc
-from repro.isa.memory_image import u32
-from repro.isa.opcodes import FUClass, Kind, Op, StopKind
+from repro.isa.memory_image import MASK32, u32
+from repro.isa.opcodes import Kind, Op, StopKind
 from repro.isa.uop import MicroOp
 from repro.observability.events import Category as _Cat
 from repro.pipeline.context import PipelineContext, StallReason
@@ -31,6 +31,23 @@ from repro.pipeline.functional_units import FUPool
 
 #: Event-category int, bound once for the stall-transition emission.
 _CAT_PIPE = int(_Cat.PIPE)
+
+#: Enum members the hot loop compares against, bound once (a global
+#: load instead of a global load plus an attribute load per test).
+_ALU = Kind.ALU
+_STORE = Kind.STORE
+_SYSCALL = Kind.SYSCALL
+_HALT = Kind.HALT
+_NO_STOP = StopKind.NONE
+_R_NONE = StallReason.NONE
+_R_INTER = StallReason.INTER_TASK
+_R_INTRA = StallReason.INTRA_TASK
+_R_SYSCALL = StallReason.SYSCALL
+_R_WAIT = StallReason.WAIT_RETIRE
+_R_FETCH = StallReason.FETCH
+
+#: What :meth:`UnitPipeline._commit` reports back to ``step``.
+_BLOCKED, _RETIRED, _RETIRED_LAST = range(3)
 
 #: Sentinel wake-up cycle meaning "no locally known event" — the unit is
 #: waiting on something external (a ring delivery, a predecessor's
@@ -52,9 +69,9 @@ class _InFlight:
     issue/commit loops.
     """
 
-    __slots__ = ("uop", "pc", "idx", "issuable_at", "producers", "issued",
-                 "done_cycle", "result", "ea", "store_value", "taken",
-                 "next_pc", "resolved", "stalled_fetch")
+    __slots__ = ("uop", "pc", "idx", "issuable_at", "producers", "blocker",
+                 "issued", "done_cycle", "result", "ea", "store_value",
+                 "taken", "next_pc", "resolved", "stalled_fetch")
 
     def __init__(self, uop: MicroOp, pc: int, idx: int,
                  issuable_at: int) -> None:
@@ -63,6 +80,10 @@ class _InFlight:
         self.idx = idx                # dispatch order, monotonic
         self.issuable_at = issuable_at
         self.producers: dict[int, _InFlight | None] = {}
+        #: The producer that last refused this record issue. Derived
+        #: (never snapshotted): the out-of-order scan skips the record
+        #: until that producer has delivered.
+        self.blocker: _InFlight | None = None
         self.issued = False
         self.done_cycle = 0
         self.result = None            # destination value (ALU/load/link)
@@ -73,12 +94,10 @@ class _InFlight:
         self.resolved = True          # False for in-flight control instrs
         self.stalled_fetch = False    # this instruction stopped the fetcher
 
-    @property
-    def instr(self):
-        return self.uop.instr
 
-    def completed(self, cycle: int) -> bool:
-        return self.issued and cycle >= self.done_cycle
+#: ``step`` builds records with ``__new__`` and direct slot stores (one
+#: per dispatched instruction): no ``__init__`` frame.
+_new_record = _InFlight.__new__
 
 
 @dataclass
@@ -134,9 +153,12 @@ class UnitPipeline:
         self._window = self.config.window_size
         self._fetchq = self.config.fetch_queue
         self._in_order = not self.config.out_of_order
+        #: The paper's default shape: 1-way, in-order.
+        self._serial = self._width == 1 and self._in_order
         # Constant per context class (True for the scalar baseline,
         # False for a multiscalar unit); cached off the hot paths.
         self._suppress = self.ctx.suppress_annotations()
+        self._fetch_groups = self.ctx.fetch_groups()
         # Pre-decoded closures bypass the patchable module attribute
         # ``semantics.evaluate_alu``; fall back to the generic path
         # whenever fault injection has swapped it (or the escape hatch
@@ -157,44 +179,230 @@ class UnitPipeline:
     # ------------------------------------------------------------- step
 
     def step(self, cycle: int) -> tuple[int, StallReason]:
-        """Advance one cycle; returns (instructions issued, stall reason)."""
+        """Advance one cycle; returns (instructions issued, stall reason).
+
+        The one place a unit-cycle happens, for both issue widths and
+        both issue orders: commit, branch resolution, issue, dispatch,
+        fetch, stall classification and the activity flag run in this
+        frame, in that order. The common arms are written out here —
+        a commit that is only a register write, the 1-way in-order ALU
+        issue, record construction, fetch delivery — and the rest
+        (:meth:`_commit`, :meth:`_try_issue`, :meth:`_apply_resolution`,
+        :meth:`_dispatch_control`) are called per record. Every
+        container named below is mutated in place for the life of a
+        task, so the local aliases stay valid across those calls.
+        """
         fetch_until_before = self.fetch_pending_until
         rob = self.rob
+        ctx = self.ctx
+        regs = ctx.regs
+        pending = ctx.pending
+        stats = self.stats
+        last_writer = self.last_writer
+        fetch_buffer = self.fetch_buffer
+
+        # Commit: in program order, as many as are ready.
         committed = 0
-        if rob:
-            head = rob[0]
-            # Cheap inline preview of _commit's head test: skip the call
-            # (and its loop setup) when the head cannot retire yet.
-            if head.resolved and head.issued and cycle >= head.done_cycle:
-                committed = self._commit(cycle)
-        resolved = self._resolve_branches(cycle) if self.unresolved else 0
-        if not self._unissued:
-            issued = 0
-        elif self._width == 1 and self._in_order:
-            # The paper's default shape; skip the _issue scan entirely.
-            rob = self.rob
-            if self._try_issue(rob[len(rob) - self._unissued], cycle):
-                issued = 1
-                self._unissued -= 1
-                self.stats.issued += 1
+        while rob:
+            rec = rob[0]
+            if not rec.issued or cycle < rec.done_cycle or not rec.resolved:
+                break
+            uop = rec.uop
+            instr = uop.instr
+            if uop.plain and (self._suppress or not (
+                    instr.forward or instr.stop is not _NO_STOP)):
+                del rob[0]
+                committed += 1
+                dsts = uop.dsts
+                if dsts:
+                    dst = uop.dst
+                    if dst and rec.result is not None:
+                        regs[dst] = rec.result
+                        pending.pop(dst, None)
+                    for dst in dsts:
+                        if last_writer.get(dst) is rec:
+                            del last_writer[dst]
+                continue
+            outcome = self._commit(rec, cycle)
+            if outcome != _BLOCKED:
+                committed += 1
+            if outcome != _RETIRED:
+                break
+        if committed:
+            stats.committed += committed
+
+        # Resolve: completed control instructions, oldest ready first.
+        resolved = 0
+        unresolved = self.unresolved
+        while unresolved:
+            for rec in unresolved:
+                if rec.issued and cycle >= rec.done_cycle:
+                    break
             else:
-                issued = 0
-        else:
-            issued = self._issue(cycle)
-        dispatched = self._dispatch(cycle) if self.fetch_buffer else 0
-        # Call _fetch only when it will act: a due delivery, or room to
-        # start a new request (its own guards are a superset of these).
-        fpu = self.fetch_pending_until
-        if fpu is not None:
-            if cycle >= fpu:
-                self._fetch(cycle)
-        elif self.pc is not None \
-                and len(self.fetch_buffer) < self._fetchq:
-            self._fetch(cycle)
+                break
+            unresolved.remove(rec)
+            rec.resolved = True
+            resolved += 1
+            self._apply_resolution(rec)
+
+        # Issue.
+        issued = 0
+        unissued = self._unissued
+        if unissued:
+            if self._serial:
+                rec = rob[-unissued]
+                uop = rec.uop
+                if uop.kind is not _ALU or not self._fast:
+                    if self._try_issue(rec, cycle):
+                        issued = 1
+                elif cycle >= rec.issuable_at:
+                    # _try_issue's ALU arm, in line.
+                    srcs = {}
+                    for reg, producer in rec.producers.items():
+                        if producer is None:
+                            if reg in pending:
+                                break
+                            srcs[reg] = regs[reg]
+                        elif producer.issued \
+                                and cycle >= producer.done_cycle:
+                            srcs[reg] = producer.result
+                        else:
+                            break
+                    else:
+                        fus = self.fus
+                        slots = fus._free_by_val[uop.fui]
+                        for slot, free in enumerate(slots):
+                            if free <= cycle:
+                                if uop.alu is not None:
+                                    rec.result = uop.alu(srcs)
+                                slots[slot] = cycle + 1
+                                rec.issued = True
+                                rec.done_cycle = cycle \
+                                    + fus.latencies[uop.latency_key]
+                                issued = 1
+                                break
+            elif self._in_order:
+                # In-order issue keeps the issued flags a prefix of the
+                # ROB, so the unissued records are its tail; it stops at
+                # the first that cannot go.
+                for rec in rob[-unissued:]:
+                    if not self._try_issue(rec, cycle):
+                        break
+                    issued += 1
+                    if issued == self._width:
+                        break
+            else:
+                for rec in rob:
+                    if rec.issued:
+                        continue
+                    blocker = rec.blocker
+                    if blocker is not None:
+                        # The producer that refused this record last
+                        # time has still not delivered: so would it now.
+                        if not blocker.issued \
+                                or cycle < blocker.done_cycle:
+                            continue
+                        rec.blocker = None
+                    if self._try_issue(rec, cycle):
+                        issued += 1
+                        if issued == self._width:
+                            break
+            if issued:
+                unissued -= issued
+                stats.issued += issued
+
+        # Dispatch: decode up to ``width`` fetched instructions into
+        # the window.
+        dispatched = 0
+        if fetch_buffer:
+            width = self._width
+            window = self._window
+            idx = self._dispatch_idx
+            issuable = cycle + 1
+            while len(rob) < window:
+                uop, pc = fetch_buffer.popleft()
+                rec = _new_record(_InFlight)
+                rec.uop = uop
+                rec.pc = pc
+                rec.idx = idx
+                rec.issuable_at = issuable
+                rec.producers = producers = {}
+                rec.blocker = None
+                rec.issued = False
+                rec.done_cycle = 0
+                rec.result = None
+                rec.ea = 0
+                rec.store_value = None
+                rec.taken = False
+                rec.next_pc = pc + 4  # control overwrites it at issue
+                rec.resolved = True
+                rec.stalled_fetch = False
+                idx += 1
+                for reg in uop.deps:
+                    producers[reg] = last_writer.get(reg)
+                for dst in uop.dsts:
+                    last_writer[dst] = rec
+                if uop.kind is _STORE:
+                    self.pending_stores += 1
+                rob.append(rec)
+                dispatched += 1
+                # Only control instructions and stop-tagged instructions
+                # can redirect or stall fetch (tag bits are read through
+                # the live instruction, never cached on the micro-op).
+                if (uop.ctl or uop.instr.stop is not _NO_STOP) \
+                        and self._dispatch_control(rec):
+                    break
+                if dispatched == width or not fetch_buffer:
+                    break
+            if dispatched:
+                self._dispatch_idx = idx
+                unissued += dispatched
+                stats.dispatched += dispatched
+        self._unissued = unissued
+
+        # Fetch: deliver a due group, then start the next request.
+        pending_until = self.fetch_pending_until
+        if pending_until is None or cycle >= pending_until:
+            if pending_until is not None:
+                start = self.fetch_pending_pc
+                self.fetch_pending_until = None
+                self.fetch_pending_pc = None
+                # (A redirect while the fetch was in flight drops it.)
+                if start is not None and start == self.pc:
+                    group, self.pc = self._fetch_groups[start]
+                    fetch_buffer.extend(group)
+                    stats.fetched += len(group)
+            pc = self.pc
+            if pc is not None and len(fetch_buffer) < self._fetchq:
+                self.fetch_pending_pc = pc
+                self.fetch_pending_until = ctx.fetch_group(pc & ~15, cycle)
+
+        # Classify the cycle.
         if issued:
-            reason = StallReason.NONE
+            reason = _R_NONE
+        elif unissued:
+            reason = _R_INTRA
+            # What holds the oldest unissued instruction back?
+            rec = rob[-unissued] if self._in_order \
+                else next(r for r in rob if not r.issued)
+            for reg, producer in rec.producers.items():
+                if producer is None and reg in pending:
+                    reason = _R_INTER
+                    break
+        elif rob:
+            head = rob[0]
+            if head.uop.kind is _SYSCALL and head.issued \
+                    and cycle >= head.done_cycle \
+                    and not ctx.can_commit_syscall():
+                reason = _R_SYSCALL
+            else:
+                reason = _R_INTRA
+        elif self.stop_committed or (
+                self.pc is None and self.fetch_pending_until is None
+                and not fetch_buffer):
+            reason = _R_WAIT
         else:
-            reason = self._classify_stall(cycle)
+            reason = _R_FETCH
         if reason is not self._last_stall:
             # Stall-reason transition. Emission here (and only here) is
             # what keeps event streams identical under the cycle-skip
@@ -212,9 +420,11 @@ class UnitPipeline:
         # resolved, or dispatched, and the fetch engine neither started
         # nor delivered a request. The cycle-skipping fast path may only
         # engage after quiet steps (see wake_cycle).
-        self._activity = bool(
-            issued or resolved or committed or dispatched
-            or self.fetch_pending_until != fetch_until_before)
+        if issued or committed or dispatched or resolved:
+            self._activity = True
+        else:
+            self._activity = \
+                self.fetch_pending_until != fetch_until_before
         return issued, reason
 
     def wake_cycle(self, cycle: int) -> int:
@@ -237,9 +447,7 @@ class UnitPipeline:
             if fpu <= cycle + 1:
                 return 0
             wake = fpu
-        ctx = self.ctx
-        fus = self.fus
-        in_order = not self.config.out_of_order
+        pending = self.ctx.pending
         for rec in self.rob:
             if rec.issued:
                 dc = rec.done_cycle
@@ -258,7 +466,7 @@ class UnitPipeline:
             external = False
             for reg, producer in rec.producers.items():
                 if producer is None:
-                    if not ctx.reg_ready(reg):
+                    if reg in pending:
                         external = True
                         break
                 elif not producer.issued:
@@ -273,7 +481,7 @@ class UnitPipeline:
                         or self._older_uncommitted_store(rec)):
                     external = True
                 else:
-                    fu_free = fus.next_free(uop.fu)
+                    fu_free = min(self.fus._free_by_val[uop.fui])
                     if fu_free > bound:
                         bound = fu_free
             if not external:
@@ -281,73 +489,68 @@ class UnitPipeline:
                     return 0
                 if bound < wake:
                     wake = bound
-            if in_order:
+            if self._in_order:
                 # Younger instructions cannot issue before this one.
                 break
         return wake
 
     # ------------------------------------------------------------ commit
 
-    def _commit(self, cycle: int) -> int:
+    def _commit(self, rec: _InFlight, cycle: int) -> int:
+        """Retire the ready head ``rec`` when committing it does more
+        than write a register: a store, syscall, halt or release, or a
+        live forward / stop bit. Returns :data:`_BLOCKED` (it stays at
+        the head), :data:`_RETIRED`, or :data:`_RETIRED_LAST` (nothing
+        younger may commit: the task or the program ended here)."""
         ctx = self.ctx
-        committed = 0
-        while self.rob:
-            rec = self.rob[0]
-            if not (rec.issued and cycle >= rec.done_cycle) \
-                    or not rec.resolved:
-                break
-            uop = rec.uop
-            kind = uop.kind
-            if (kind is Kind.SYSCALL or kind is Kind.HALT) \
-                    and not ctx.can_commit_syscall():
-                break
-            instr = uop.instr
-            self.rob.pop(0)
-            committed += 1
-            # Retire the register result.
-            dsts = uop.dsts
-            if dsts and rec.result is not None:
-                ctx.write_reg(uop.dst, rec.result)
-            for dst in dsts:
-                if self.last_writer.get(dst) is rec:
-                    del self.last_writer[dst]
-            if kind is Kind.STORE:
-                ctx.mem_store(instr, rec.ea, rec.store_value, cycle)
-                self.pending_stores -= 1
-                self.stats.stores += 1
-            elif kind is Kind.SYSCALL:
-                ctx.on_syscall()
-                if ctx.machine_halted():
-                    # An exit syscall: instructions past it were fetched
-                    # down a path the program never takes architecturally,
-                    # so (like HALT) nothing younger may commit.
-                    self._flush_younger(rec.idx)
-                    self._stop_fetch()
-                    break
-            elif kind is Kind.HALT:
-                ctx.on_halt()
-                # Nothing younger may commit (it would be text fetched
-                # past the end of the program).
+        uop = rec.uop
+        kind = uop.kind
+        if (kind is _SYSCALL or kind is _HALT) \
+                and not ctx.can_commit_syscall():
+            return _BLOCKED
+        instr = uop.instr
+        del self.rob[0]
+        dsts = uop.dsts
+        if dsts and uop.dst and rec.result is not None:
+            ctx.regs[uop.dst] = rec.result
+            ctx.pending.pop(uop.dst, None)
+        for dst in dsts:
+            if self.last_writer.get(dst) is rec:
+                del self.last_writer[dst]
+        if kind is _STORE:
+            ctx.mem_store(instr, rec.ea, rec.store_value, cycle)
+            self.pending_stores -= 1
+            self.stats.stores += 1
+        elif kind is _SYSCALL:
+            ctx.on_syscall()
+            if ctx.machine_halted():
+                # An exit syscall: instructions past it were fetched
+                # down a path the program never takes architecturally,
+                # so (like HALT) nothing younger may commit.
                 self._flush_younger(rec.idx)
-                self._stop_fetch()
-                break
-            if not self._suppress:
-                if instr.forward and dsts:
-                    ctx.on_forward(dsts[0], rec.result)
-                if kind is Kind.RELEASE:
-                    ctx.on_release(instr.regs)
-                if instr.stop is not StopKind.NONE \
-                        and self._stop_satisfied(rec):
-                    self.stop_committed = True
-                    ctx.on_stop(instr, rec.next_pc)
-                    # Anything younger belongs to the next task and is
-                    # being executed by a successor unit.
-                    self._flush_younger(rec.idx)
-                    self.pc = None
-                    break
-        if committed:
-            self.stats.committed += committed
-        return committed
+                self._redirect_fetch(None)
+                return _RETIRED_LAST
+        elif kind is _HALT:
+            ctx.on_halt()
+            # Nothing younger may commit (it would be text fetched
+            # past the end of the program).
+            self._flush_younger(rec.idx)
+            self._redirect_fetch(None)
+            return _RETIRED_LAST
+        if not self._suppress:
+            if instr.forward and dsts:
+                ctx.on_forward(dsts[0], rec.result)
+            if kind is Kind.RELEASE:
+                ctx.on_release(instr.regs)
+            if self._stop_satisfied(rec):
+                self.stop_committed = True
+                ctx.on_stop(instr, rec.next_pc)
+                # Anything younger belongs to the next task and is
+                # being executed by a successor unit.
+                self._flush_younger(rec.idx)
+                self.pc = None
+                return _RETIRED_LAST
+        return _RETIRED
 
     @staticmethod
     def _stop_satisfied(rec: _InFlight) -> bool:
@@ -362,23 +565,7 @@ class UnitPipeline:
 
     # -------------------------------------------------------- resolution
 
-    def _resolve_branches(self, cycle: int) -> int:
-        resolved = 0
-        while self.unresolved:
-            candidate = None
-            for rec in self.unresolved:
-                if rec.issued and cycle >= rec.done_cycle:
-                    candidate = rec
-                    break
-            if candidate is None:
-                break
-            self.unresolved.remove(candidate)
-            candidate.resolved = True
-            resolved += 1
-            self._apply_resolution(candidate, cycle)
-        return resolved
-
-    def _apply_resolution(self, rec: _InFlight, cycle: int) -> None:
+    def _apply_resolution(self, rec: _InFlight) -> None:
         uop = rec.uop
         instr = uop.instr
         kind = uop.kind
@@ -412,52 +599,6 @@ class UnitPipeline:
 
     # ------------------------------------------------------------- issue
 
-    def _issue(self, cycle: int) -> int:
-        issued = 0
-        width = self.config.issue_width
-        rob = self.rob
-        if self.config.out_of_order:
-            for rec in rob:
-                if issued >= width:
-                    break
-                if rec.issued:
-                    continue
-                if self._try_issue(rec, cycle):
-                    issued += 1
-        else:
-            # In-order issue keeps the issued flags a prefix of the ROB,
-            # so the first unissued record sits at a known index.
-            index = len(rob) - self._unissued
-            end = len(rob)
-            while issued < width and index < end:
-                if self._try_issue(rob[index], cycle):
-                    issued += 1
-                    index += 1
-                else:
-                    break  # in-order: a stalled instruction blocks younger
-        if issued:
-            self._unissued -= issued
-            self.stats.issued += issued
-        return issued
-
-    def _sources_ready(self, rec: _InFlight, cycle: int) -> bool:
-        for reg, producer in rec.producers.items():
-            if producer is None:
-                if not self.ctx.reg_ready(reg):
-                    return False
-            elif not producer.completed(cycle):
-                return False
-        return True
-
-    def _gather_sources(self, rec: _InFlight) -> dict[int, object]:
-        values: dict[int, object] = {}
-        for reg, producer in rec.producers.items():
-            if producer is None:
-                values[reg] = self.ctx.read_reg(reg)
-            else:
-                values[reg] = producer.result
-        return values
-
     def _older_unresolved_branch(self, rec: _InFlight) -> bool:
         return any(b.idx < rec.idx for b in self.unresolved)
 
@@ -481,12 +622,13 @@ class UnitPipeline:
         srcs: dict[int, object] = {}
         for reg, producer in rec.producers.items():
             if producer is None:
-                if not ctx.reg_ready(reg):
+                if reg in ctx.pending:
                     return False
-                srcs[reg] = ctx.read_reg(reg)
+                srcs[reg] = ctx.regs[reg]
             elif producer.issued and cycle >= producer.done_cycle:
                 srcs[reg] = producer.result
             else:
+                rec.blocker = producer
                 return False
         uop = rec.uop
         kind = uop.kind
@@ -516,7 +658,7 @@ class UnitPipeline:
                               else semantics.evaluate_alu(uop.instr, srcs))
         elif kind is Kind.LOAD:
             if fast:
-                rec.ea = ea = u32(srcs[uop.ea_base] + uop.imm)
+                rec.ea = ea = (srcs[uop.ea_base] + uop.imm) & MASK32
             else:
                 rec.ea = ea = semantics.effective_addr(uop.instr, srcs)
             try:
@@ -529,7 +671,7 @@ class UnitPipeline:
             self.stats.loads += 1
         elif kind is Kind.STORE:
             if fast:
-                rec.ea = ea = u32(srcs[uop.ea_base] + uop.imm)
+                rec.ea = ea = (srcs[uop.ea_base] + uop.imm) & MASK32
             else:
                 rec.ea = ea = semantics.effective_addr(uop.instr, srcs)
             try:
@@ -555,48 +697,6 @@ class UnitPipeline:
 
     # ---------------------------------------------------------- dispatch
 
-    def _dispatch(self, cycle: int) -> int:
-        width = self._width
-        window = self._window
-        fetch_buffer = self.fetch_buffer
-        last_writer = self.last_writer
-        rob = self.rob
-        idx = self._dispatch_idx
-        issuable = cycle + 1
-        dispatched = 0
-        while dispatched < width and fetch_buffer and len(rob) < window:
-            uop, pc = fetch_buffer.popleft()
-            rec = _InFlight(uop, pc, idx, issuable)
-            rec.next_pc = pc + 4  # control instructions overwrite at issue
-            idx += 1
-            srcs = uop.srcs
-            if srcs and uop.op is not Op.RELEASE:
-                # A release does not wait for its registers: the commit
-                # handler forwards the current local value, and defers
-                # any register still awaiting a predecessor (the ring
-                # re-forwards it on arrival). Blocking issue here would
-                # serialize tasks on values they merely pass through.
-                producers = rec.producers
-                for reg in srcs:
-                    producers[reg] = last_writer.get(reg)
-            for dst in uop.dsts:
-                last_writer[dst] = rec
-            if uop.kind is Kind.STORE:
-                self.pending_stores += 1
-            rob.append(rec)
-            dispatched += 1
-            # Only control instructions and stop-tagged instructions can
-            # redirect or stall fetch (tag bits are read through the
-            # live instruction, never cached on the micro-op).
-            if (uop.ctl or uop.instr.stop is not StopKind.NONE) \
-                    and self._dispatch_control(rec):
-                break
-        if dispatched:
-            self._dispatch_idx = idx
-            self._unissued += dispatched
-            self.stats.dispatched += dispatched
-        return dispatched
-
     def _dispatch_control(self, rec: _InFlight) -> bool:
         """Handle fetch redirection at decode; True if dispatch must stop."""
         uop = rec.uop
@@ -609,20 +709,20 @@ class UnitPipeline:
             if stop in (StopKind.ALWAYS, StopKind.NOT_TAKEN):
                 # Predicted task end: do not fetch beyond the boundary.
                 rec.stalled_fetch = True
-                self._stop_fetch()
+                self._redirect_fetch(None)
                 return True
             return False
         if kind is Kind.JUMP:
             if stop is StopKind.ALWAYS:
                 rec.stalled_fetch = True
-                self._stop_fetch()
+                self._redirect_fetch(None)
             else:
                 self._redirect_fetch(instr.target)
             return True
         if kind is Kind.CALL and instr.op is Op.JAL:
             if stop is StopKind.ALWAYS:
                 rec.stalled_fetch = True
-                self._stop_fetch()
+                self._redirect_fetch(None)
             else:
                 self._redirect_fetch(instr.target)
             return True
@@ -630,54 +730,20 @@ class UnitPipeline:
             rec.resolved = False
             self.unresolved.append(rec)
             rec.stalled_fetch = True
-            self._stop_fetch()
+            self._redirect_fetch(None)
             return True
         if stop is StopKind.ALWAYS:
             rec.stalled_fetch = True
-            self._stop_fetch()
+            self._redirect_fetch(None)
             return True
         return False
 
     # ------------------------------------------------------------- fetch
 
-    def _fetch(self, cycle: int) -> None:
-        if self.fetch_pending_until is not None:
-            if cycle < self.fetch_pending_until:
-                return
-            self._deliver_fetch_group()
-        if self.pc is None:
-            return
-        if len(self.fetch_buffer) >= self._fetchq:
-            return
-        group = self.pc & ~15
-        self.fetch_pending_pc = self.pc
-        self.fetch_pending_until = self.ctx.fetch_group(group, cycle)
-
-    def _deliver_fetch_group(self) -> None:
-        start = self.fetch_pending_pc
-        self.fetch_pending_until = None
-        self.fetch_pending_pc = None
-        if start is None or start != self.pc:
-            return  # redirected while the fetch was in flight
-        count = ((start & ~15) + 16 - start) >> 2
-        window = self.ctx.uop_window(start, count)
-        fetch_buffer = self.fetch_buffer
-        pc = start
-        for uop in window:
-            fetch_buffer.append((uop, pc))
-            pc += 4
-        self.stats.fetched += len(window)
-        # A short window means the group ran off the end of the text.
-        self.pc = pc if len(window) == count else None
-
-    def _redirect_fetch(self, target: int) -> None:
+    def _redirect_fetch(self, target: int | None) -> None:
+        """Point fetch at ``target`` (None stops it), dropping what was
+        fetched but not dispatched and any request in flight."""
         self.pc = target
-        self.fetch_buffer.clear()
-        self.fetch_pending_until = None
-        self.fetch_pending_pc = None
-
-    def _stop_fetch(self) -> None:
-        self.pc = None
         self.fetch_buffer.clear()
         self.fetch_pending_until = None
         self.fetch_pending_pc = None
@@ -685,48 +751,26 @@ class UnitPipeline:
     # ------------------------------------------------------------- flush
 
     def _flush_younger(self, idx: int) -> None:
-        """Discard every dispatched instruction younger than ``idx``."""
-        keep = [r for r in self.rob if r.idx <= idx]
-        dropped = len(self.rob) - len(keep)
-        if dropped:
-            self.stats.flushed += dropped
-        self.rob = keep
-        self.unresolved = [r for r in self.unresolved if r.idx <= idx]
+        """Discard every dispatched instruction younger than ``idx``.
+
+        In place: ``step`` holds aliases of every container here."""
+        rob = self.rob
+        keep = len(rob)
+        while keep and rob[keep - 1].idx > idx:
+            keep -= 1  # dispatch order: the younger records are a suffix
+        if keep < len(rob):
+            self.stats.flushed += len(rob) - keep
+            del rob[keep:]
+        self.unresolved[:] = [r for r in self.unresolved if r.idx <= idx]
         self.pending_stores = sum(
-            1 for r in self.rob if r.uop.kind is Kind.STORE)
-        self._unissued = sum(1 for r in keep if not r.issued)
-        self.last_writer = {}
-        for rec in self.rob:
+            1 for r in rob if r.uop.kind is Kind.STORE)
+        self._unissued = sum(1 for r in rob if not r.issued)
+        last_writer = self.last_writer
+        last_writer.clear()
+        for rec in rob:
             for dst in rec.uop.dsts:
-                self.last_writer[dst] = rec
-        self.fetch_buffer.clear()
-        self.fetch_pending_until = None
-        self.fetch_pending_pc = None
-
-    # ------------------------------------------------------------- stats
-
-    def _classify_stall(self, cycle: int) -> StallReason:
-        if self._unissued:
-            if self.config.out_of_order:
-                rec = next(r for r in self.rob if not r.issued)
-            else:
-                # In-order: the issued flags are a prefix of the ROB.
-                rec = self.rob[len(self.rob) - self._unissued]
-            for reg, producer in rec.producers.items():
-                if producer is None and not self.ctx.reg_ready(reg):
-                    return StallReason.INTER_TASK
-            return StallReason.INTRA_TASK
-        if self.rob:
-            head = self.rob[0]
-            if head.uop.kind is Kind.SYSCALL and head.completed(cycle) \
-                    and not self.ctx.can_commit_syscall():
-                return StallReason.SYSCALL
-            return StallReason.INTRA_TASK
-        if self.stop_committed or (self.pc is None
-                                   and self.fetch_pending_until is None
-                                   and not self.fetch_buffer):
-            return StallReason.WAIT_RETIRE
-        return StallReason.FETCH
+                last_writer[dst] = rec
+        self._redirect_fetch(self.pc)
 
     # ------------------------------------------------------- persistence
 

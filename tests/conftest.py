@@ -7,9 +7,71 @@ the working tree). The in-process memo caches in
 across tests is what keeps the table suites fast.
 """
 
+import functools
+import hashlib
+import json
 import threading
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
+
+#: The grid whose default-mode runs ``tests/data/grid_digest.json``
+#: pins: every bundled workload on these machines and unit shapes.
+GRID_MACHINES = {"scalar": 1, "ms4": 4, "ms8": 8}
+GRID_SHAPES = {"1w-io": (1, False), "2w-ooo": (2, True)}
+GRID_DIGEST_PATH = Path(__file__).parent / "data" / "grid_digest.json"
+
+
+@dataclass(frozen=True)
+class GridRun:
+    """One finished run of a grid cell, reduced to what tests compare."""
+
+    result: dict
+    metrics: dict
+    #: sha256 over ``result.to_dict()`` and the final ``capture_state``.
+    digest: str
+    #: ``UnitJIT.stats_dict()``, or None when no engine was built.
+    jit_stats: dict | None
+
+
+def simulate_cell(workload: str, machine: str, shape: str = "1w-io",
+                  **mode) -> GridRun:
+    """Run one (workload, machine, shape) cell; ``mode`` is
+    ``fast_path=`` / ``jit=`` (default: both on)."""
+    from repro.config import multiscalar_config, scalar_config
+    from repro.core.processor import MultiscalarProcessor
+    from repro.core.scalar import ScalarProcessor
+    from repro.observability import collect_metrics
+    from repro.resilience import capture_state
+    from repro.workloads import WORKLOADS
+
+    units = GRID_MACHINES[machine]
+    width, ooo = GRID_SHAPES[shape]
+    spec = WORKLOADS[workload]
+    if units == 1:
+        processor = ScalarProcessor(spec.scalar_program(),
+                                    scalar_config(width, ooo, **mode))
+    else:
+        processor = MultiscalarProcessor(
+            spec.multiscalar_program(),
+            multiscalar_config(units, width, ooo, **mode))
+    result = processor.run().to_dict()
+    blob = json.dumps({"result": result, "state": capture_state(processor)},
+                      sort_keys=True)
+    engine = processor._jit
+    return GridRun(result, collect_metrics(processor).to_dict(),
+                   hashlib.sha256(blob.encode()).hexdigest(),
+                   None if engine is None else engine.stats_dict())
+
+
+@pytest.fixture(scope="session")
+def grid_run():
+    """``grid_run(workload, machine, shape="1w-io")``: the default-mode
+    run of a grid cell, simulated once per session and shared by the
+    digest test and both differential files (each of which then only
+    simulates its own other side)."""
+    return functools.lru_cache(maxsize=None)(simulate_cell)
 
 
 @pytest.fixture(autouse=True)

@@ -9,7 +9,10 @@ the stall breakdown, and the full CycleDistribution.
 
 These tests pin that contract three ways:
 
-* every bundled workload, scalar and multiscalar, fast vs reference;
+* every bundled workload, scalar and multiscalar, fast vs reference
+  (the fast side is the session's one default-mode run per cell,
+  ``conftest.grid_run``, shared with ``test_jit_differential`` and
+  pinned by ``test_grid_digest``);
 * a seeded batch of fuzzer-generated programs, plus the difftest
   oracle/campaign plumbing that carries ``fast_path`` as a grid axis;
 * the injection seam: planted semantic bugs force the generic paths so
@@ -34,6 +37,8 @@ from repro.difftest.oracle import ProgramInvalid, compile_backends
 from repro.isa.opcodes import Op
 from repro.workloads import WORKLOADS
 
+from tests.conftest import simulate_cell
+
 WORKLOAD_NAMES = tuple(WORKLOADS)
 
 
@@ -49,23 +54,26 @@ def _multi_dict(program, units: int, fast_path: bool) -> dict:
 
 # ------------------------------------------------------- all workloads
 
-@pytest.mark.parametrize("name", WORKLOAD_NAMES)
-def test_scalar_fast_path_matches_reference(name):
-    program = WORKLOADS[name].scalar_program()
-    assert _scalar_dict(program, True) == _scalar_dict(program, False)
+def _matches_reference(fast, workload: str, machine: str) -> None:
+    reference = simulate_cell(workload, machine, fast_path=False)
+    assert fast.result == reference.result
+    assert fast.digest == reference.digest
 
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
-def test_multiscalar_fast_path_matches_reference(name):
-    program = WORKLOADS[name].multiscalar_program()
-    assert _multi_dict(program, 4, True) == _multi_dict(program, 4, False)
+def test_scalar_fast_path_matches_reference(name, grid_run):
+    _matches_reference(grid_run(name, "scalar"), name, "scalar")
 
 
-def test_fast_path_matches_reference_at_eight_units():
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_multiscalar_fast_path_matches_reference(name, grid_run):
+    _matches_reference(grid_run(name, "ms4"), name, "ms4")
+
+
+def test_fast_path_matches_reference_at_eight_units(grid_run):
     # Wider machines exercise the ring, the ARB, and the per-unit sleep
     # wake events harder; one representative case keeps the suite fast.
-    program = WORKLOADS["cmp"].multiscalar_program()
-    assert _multi_dict(program, 8, True) == _multi_dict(program, 8, False)
+    _matches_reference(grid_run("cmp", "ms8"), "cmp", "ms8")
 
 
 # -------------------------------------------------- generated programs

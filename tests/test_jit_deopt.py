@@ -7,7 +7,10 @@ progress deadline is pinned per mode in ``test_core_runloop``). Each
 test here *forces* one of those events to fire while the JIT is executing
 compiled bodies and demands the machine's observable state — result
 dictionaries, metrics, per-cycle event streams, mid-run snapshots —
-match the fast-path interpreter cycle for cycle.
+match the fast-path interpreter cycle for cycle. Compiled bodies are
+unit windows (one unit awake, the rest asleep), so the squash tests
+run narrow machines where that state is common and assert the event
+really ended a window (its ``squash`` exit count).
 
 The last section validates the seam the fuzz self-test stands on:
 :func:`repro.difftest.inject_jit_guard_miss` plants a real guard bug in
@@ -67,15 +70,19 @@ def _ms(program, jit: bool, units: int = 4, config=None):
     return MultiscalarProcessor(program, config)
 
 
-def _pair(program, units: int = 4, config=None):
+def _pair(program, units: int = 4, config=None, exit_by: str | None = None):
     """Run jit and no-jit; return both (processor, result) pairs and
-    assert the jit run actually executed compiled bodies."""
+    assert the jit run actually executed compiled bodies (and, with
+    ``exit_by``, that some window ended for that reason)."""
     jit_proc = _ms(program, True, units, config)
     jit_result = jit_proc.run()
     engine = jit_proc._jit
     assert engine is not None
     stats = engine.stats_dict()
-    assert stats["entries"] + stats["machine_entries"] > 0
+    assert stats["entries"] > 0
+    if exit_by is not None:
+        assert stats["exits"][exit_by] > 0, \
+            f"no compiled window exited by {exit_by}; test is vacuous"
     int_proc = _ms(program, False, units, config)
     int_result = int_proc.run()
     return (jit_proc, jit_result), (int_proc, int_result)
@@ -91,17 +98,30 @@ def _identical(jit_pair, int_pair):
 # ------------------------------------------------------------- squashes
 
 def test_squash_inside_compiled_block():
-    program = assemble(RECURRENCE)
-    jit_pair, int_pair = _pair(program)
+    program = WORKLOADS["sc"].multiscalar_program()
+    jit_pair, int_pair = _pair(program, units=3, exit_by="squash")
     _identical(jit_pair, int_pair)
-    result = jit_pair[1]
-    assert result.tasks_squashed > 0, \
-        "the recurrence program no longer squashes; test is vacuous"
+    assert jit_pair[1].tasks_squashed > 0
+
+
+def test_squashes_around_compiled_blocks():
+    # The wide-machine form: squashes land between windows (several
+    # units awake), so what is checked is that entering and leaving
+    # compiled bodies around them leaves no trace.
+    program = assemble(RECURRENCE)
+    for units in (4, 8):
+        jit_pair, int_pair = _pair(program, units=units)
+        _identical(jit_pair, int_pair)
+        assert jit_pair[1].tasks_squashed > 0, \
+            "the recurrence program no longer squashes; test is vacuous"
 
 
 def test_arb_violation_inside_compiled_block():
-    program = assemble(RECURRENCE)
-    jit_pair, int_pair = _pair(program, units=8)
+    # xlisp's tasks load what their predecessors store: on two units
+    # the running unit's committed store keeps hitting the sleeping
+    # successor's earlier load.
+    program = WORKLOADS["xlisp"].multiscalar_program()
+    jit_pair, int_pair = _pair(program, units=2, exit_by="squash")
     _identical(jit_pair, int_pair)
     metrics = collect_metrics(jit_pair[0])
     assert metrics.counters["arb.violations"] > 0, \
@@ -112,11 +132,11 @@ def test_arb_violation_inside_compiled_block():
 def test_arb_overflow_squash_inside_compiled_block():
     # Starve the ARB so speculative stores overflow it (the paper's
     # Section 2.3 "squash" full policy) while traces are streaming.
-    config = multiscalar_config(4)
+    config = multiscalar_config(2)
     config = replace(config, memory=replace(config.memory,
                                             arb_entries_per_bank=2))
-    program = WORKLOADS["wc"].multiscalar_program()
-    jit_pair, int_pair = _pair(program, config=config)
+    program = WORKLOADS["sc"].multiscalar_program()
+    jit_pair, int_pair = _pair(program, config=config, exit_by="squash")
     _identical(jit_pair, int_pair)
     assert jit_pair[1].squashes_arb > 0, \
         "no ARB-overflow squash fired; test is vacuous"
@@ -127,7 +147,7 @@ def test_arb_overflow_squash_inside_compiled_block():
 def test_dcache_misses_inside_compiled_block():
     # Shrink the banks until real traffic thrashes them: loads then
     # take the bus path (variable latency, retries) mid-trace.
-    config = multiscalar_config(4)
+    config = multiscalar_config(2)
     config = replace(config, memory=replace(config.memory,
                                             dcache_bank_size=256))
     program = WORKLOADS["tomcatv"].multiscalar_program()

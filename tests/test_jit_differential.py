@@ -1,9 +1,8 @@
 """The trace-JIT must be invisible in the results.
 
 ``repro.jit`` compiles hot straight-line uop sequences into generated
-Python bodies that execute many uops (and, on a multiscalar machine,
-whole machine cycles) per call, deopting back to the interpreter at
-every irregular boundary. Like the fast path underneath it, the JIT is
+Python bodies that execute many cycles of one unit per call, deopting
+back to the interpreter at every irregular boundary. Like the fast path underneath it, the JIT is
 a pure performance optimisation: running any program with ``jit=False``
 — or with ``fast_path=False``, the per-cycle reference interpreter —
 must produce an *identical* result dictionary, including the cycle
@@ -14,7 +13,9 @@ Pinned here:
 
 * every bundled workload × scalar/ms4/ms8 × jit vs no-jit (results,
   stats, and metrics all bit-identical), with a spot check against the
-  ``--no-fast-path`` reference as well;
+  ``--no-fast-path`` reference as well — the jit side is the session's
+  one default-mode run per cell (``conftest.grid_run``), which
+  ``test_grid_digest`` also pins against the committed digests;
 * a seeded batch of fuzzer-generated programs through the difftest
   oracle with the ``jit`` backend axis (labels carry ``-nojit``), which
   also diffs *cycle counts* across same-machine backends;
@@ -43,8 +44,10 @@ from repro.jit import engine_for
 from repro.observability import collect_metrics
 from repro.workloads import WORKLOADS
 
+from tests.conftest import GRID_MACHINES, simulate_cell
+
 WORKLOAD_NAMES = tuple(WORKLOADS)
-MACHINES = ("scalar", "ms4", "ms8")
+MACHINES = tuple(GRID_MACHINES)
 
 
 def _build(machine: str, program, jit: bool, fast_path: bool = True):
@@ -63,40 +66,30 @@ def _run(machine: str, program, jit: bool, fast_path: bool = True):
     return result.to_dict(), collect_metrics(processor).to_dict(), processor
 
 
-def _program(machine: str, name: str):
-    spec = WORKLOADS[name]
-    return spec.scalar_program() if machine == "scalar" \
-        else spec.multiscalar_program()
-
-
 # ---------------------------------------------- the full workload matrix
 
 @pytest.mark.parametrize("machine", MACHINES)
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
-def test_jit_matches_interpreter(name, machine):
-    program = _program(machine, name)
-    jit_result, jit_metrics, processor = _run(machine, program, jit=True)
-    int_result, int_metrics, _ = _run(machine, program, jit=False)
-    assert jit_result == int_result
-    assert jit_metrics == int_metrics
-    engine = processor._jit
-    assert engine is not None, "jit engine never constructed"
-    stats = engine.stats_dict()
-    assert stats["entries"] + stats["machine_entries"] > 0, \
+def test_jit_matches_interpreter(name, machine, grid_run):
+    jit = grid_run(name, machine)
+    interpreted = simulate_cell(name, machine, jit=False)
+    assert jit.result == interpreted.result
+    assert jit.metrics == interpreted.metrics
+    assert jit.digest == interpreted.digest
+    assert jit.jit_stats is not None, "jit engine never constructed"
+    assert jit.jit_stats["entries"] > 0, \
         f"{name}:{machine}: the JIT never ran a compiled body"
 
 
 @pytest.mark.parametrize("machine", MACHINES)
-def test_jit_matches_no_fast_path_reference(machine):
+def test_jit_matches_no_fast_path_reference(machine, grid_run):
     # The stretch form of the identity: compiled bodies against the
     # plain per-cycle reference interpreter. One representative
     # workload per machine keeps the (slow) reference runs bounded.
-    program = _program(machine, "cmp")
-    jit_result, jit_metrics, _ = _run(machine, program, jit=True)
-    ref_result, ref_metrics, _ = _run(machine, program, jit=True,
-                                      fast_path=False)
-    assert jit_result == ref_result
-    assert jit_metrics == ref_metrics
+    jit = grid_run("cmp", machine)
+    reference = simulate_cell("cmp", machine, fast_path=False)
+    assert jit.result == reference.result
+    assert jit.metrics == reference.metrics
 
 
 # -------------------------------------------------- generated programs
@@ -182,6 +175,7 @@ def test_guard_miss_is_caught_by_the_jit_axis():
                               max_cycles=2_000_000)
     assert not buggy.ok, "planted stop-guard miss went undetected"
     with inject_jit_guard_miss("taken-branch"):
-        buggy = check_program(generated, grid=grid,
-                              max_cycles=2_000_000)
+        # The wrong path never halts; 100x the clean run's ~1,000
+        # cycles is plenty to call it.
+        buggy = check_program(generated, grid=grid, max_cycles=100_000)
     assert not buggy.ok, "planted branch-guard miss went undetected"
