@@ -31,8 +31,10 @@ core.scalar_ooo2.us_per_cycle core.ms4.us_per_cycle core.ms8.us_per_cycle
 core.ms8_nojit.us_per_cycle core.ms8_ooo2.us_per_cycle core.ms8_over_ms4_cost
 core.fastpath_speedup_ms4 core.sim_cycles_total jit.scalar_speedup
 jit.ms8_speedup hostshare.pipeline hostshare.core
-engine.scheduler.pool_utilization server.fresh.p50_ms
+engine.scheduler.pool_utilization engine.scheduler.pool_dispatch_ms
+engine.scheduler.daemon_dispatch_ms server.fresh.p50_ms
 server.client_poll_wait_ms server.dispatch_ms server.fresh_scaling
+server.submit_cached_ms server.result_ms server.status_ms server.cached.rps
 harness.pred_mae harness.sign_mismatches compiler.instr_overhead_pct""".split()
 
 

@@ -56,6 +56,7 @@ from typing import Any, Callable
 
 try:
     import multiprocessing as _mp
+    from multiprocessing import connection as _mp_connection
 except ImportError:          # pragma: no cover - CPython always has it
     _mp = None
 
@@ -106,6 +107,41 @@ class _Running:
     process: Any
     conn: Any
     deadline: float
+
+
+class _Wake:
+    """A self-pipe: :meth:`set`, from any thread, makes the read end
+    ready, so a supervisor blocked in :func:`_wait_ready` returns."""
+
+    def __init__(self) -> None:
+        self._recv, self._send = _mp_connection.Pipe(duplex=False)
+        os.set_blocking(self._send.fileno(), False)
+        self.fileno = self._recv.fileno
+
+    def set(self) -> None:
+        try:
+            self._send.send_bytes(b"")
+        except BlockingIOError:      # full: it is already signalled
+            pass
+
+    def clear(self) -> None:
+        while self._recv.poll():
+            self._recv.recv_bytes()
+
+
+def _wait_ready(workers, timeout: float | None,
+                wake: _Wake | None = None) -> None:
+    """The one place either discipline sleeps: block until a worker of
+    ``workers`` (anything with ``.conn`` and ``.process``) has a message
+    or has exited, ``wake`` was set, or ``timeout`` seconds passed
+    (``None``: no deadline is pending, so only an arrival ends it)."""
+    waitables = [end for worker in workers
+                 for end in (worker.conn, worker.process.sentinel)]
+    if wake is not None:
+        waitables.append(wake)
+    _mp_connection.wait(waitables, timeout)     # a past deadline: a poll
+    if wake is not None:
+        wake.clear()
 
 
 def _child_main(conn, fn, payload, attempt, kill_on_attempts) -> None:
@@ -306,7 +342,12 @@ class WorkerPool:
                         self.progress(
                             f"{settled}/{len(pool_jobs)} jobs settled")
                 if (pending or running) and not reaped:
-                    time.sleep(0.005)
+                    # Sleep until a worker reports or dies, its job
+                    # times out, or a free slot's back-off runs out.
+                    wakeups = [entry.deadline for entry in running]
+                    if len(running) < self.jobs:
+                        wakeups += [entry.not_before for entry in pending]
+                    _wait_ready(running, min(wakeups) - time.monotonic())
         except KeyboardInterrupt:
             self._abort(outcomes, pending, running)
         return outcomes
@@ -684,13 +725,19 @@ class WorkerDaemon:
     progress)`` — where ``progress(data)`` both streams a progress
     event to the owner and renews the job's lease (a heartbeat).
 
-    Supervision (one background thread, ~20 ms ticks): grant leases to
-    idle workers, relay progress, renew the lease of every worker that
-    is demonstrably alive, and expire the lease of any worker that
-    died or overran the per-job ``timeout`` — the job re-queues and
-    the next attempt resumes from its last checkpoint (the entrypoint
-    decides what resuming means). Workers that die are respawned, so
-    the fleet stays at strength. In serial mode (no multiprocessing)
+    Supervision (one background thread, one pass per arrival): relay
+    progress, settle finished jobs and grant the freed worker its next
+    lease in the same pass, renew the lease of every worker that is
+    demonstrably alive, and expire the lease of any worker that died or
+    overran the per-job ``timeout`` — the job re-queues and the next
+    attempt resumes from its last checkpoint (the entrypoint decides
+    what resuming means). Between passes the thread blocks in
+    :func:`_wait_ready` on the busy workers' pipes and process
+    sentinels and on the wake-up that :meth:`submit` and
+    :meth:`shutdown` write; the only timeouts are the nearest job
+    deadline and the lease-renewal interval. Workers that die are
+    respawned, so the fleet stays at strength. In serial mode (no
+    multiprocessing)
     a single thread runs jobs in-process; injected worker deaths
     degrade to retryable errors exactly like the pool's serial mode.
     """
@@ -711,6 +758,7 @@ class WorkerDaemon:
                        or os.environ.get("REPRO_FORCE_SERIAL") == "1")
         self._slots: list[_Slot] = []
         self._stop = threading.Event()
+        self._wake = _Wake()
         self._thread: threading.Thread | None = None
         self._idle = threading.Event()
         self._idle.set()
@@ -739,6 +787,7 @@ class WorkerDaemon:
         'no orphan workers, no orphan leases' guarantee behind
         ``repro serve`` exiting 130 on Ctrl-C."""
         self._stop.set()
+        self._wake.set()
         if self._thread is not None:
             self._thread.join(timeout=10)
             self._thread = None
@@ -780,6 +829,7 @@ class WorkerDaemon:
                       {"type": "queued",
                        "priority": PRIORITY_CLASSES[job.priority],
                        "attempt": job.attempts})
+        self._wake.set()
 
     def wait_idle(self, timeout: float | None = None) -> bool:
         """Block until no job is queued or running (tests, clients)."""
@@ -807,9 +857,11 @@ class WorkerDaemon:
             slot.conn.send(("run", job.job_id, job.payload, lease.attempt,
                             job.kill_on_attempts))
         except (BrokenPipeError, OSError):
-            # Worker vanished between ticks; give the lease back.
+            # Worker vanished while idle; give the lease back and come
+            # straight round again for the fresh worker to take it.
             self.queue.expire(job.job_id, "worker-died")
             self._spawn(slot)
+            self._wake.set()
             return False
         slot.job = job
         slot.deadline = now + self.timeout
@@ -906,23 +958,23 @@ class WorkerDaemon:
                 event = {"type": "requeue" if expiry.requeued
                          else "failed", "reason": expiry.reason}
                 self.on_event(expiry.job_id, event)
-            busy = False
             for slot in self._slots:
-                if slot.job is None:
-                    if not slot.process.is_alive():
-                        self._spawn(slot)
-                    if self._grant(slot, now):
-                        busy = True
                 if slot.job is not None:
                     self._poll_slot(slot, now)
-                    busy = busy or slot.job is not None
-            if not busy and self.queue.depth() == 0 \
-                    and self.queue.in_flight() == 0:
-                self._idle.set()
-                self._stop.wait(0.02)
-            else:
+                if slot.job is None:    # idle, or settled just now
+                    if not slot.process.is_alive():
+                        self._spawn(slot)
+                    self._grant(slot, now)
+            busy = [slot for slot in self._slots if slot.job is not None]
+            if busy or self.queue.in_flight():
                 self._idle.clear()
-                time.sleep(0.005)
+            else:
+                self._idle.set()
+            # A live worker renews its lease each pass, so passes may be
+            # no further apart than a fraction of the lease's life.
+            timeout = min([self.queue.lease_ttl / 3]
+                          + [slot.deadline - now for slot in busy])
+            _wait_ready(busy, timeout if busy else None, self._wake)
 
     # ------------------------------------------------------------ serial
 
@@ -937,7 +989,7 @@ class WorkerDaemon:
             leased = self.queue.lease(0, now)
             if leased is None:
                 self._idle.set()
-                self._stop.wait(0.02)
+                _wait_ready((), None, self._wake)
                 continue
             self._idle.clear()
             job, lease = leased

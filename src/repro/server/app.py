@@ -1,8 +1,8 @@
 """``python -m repro serve`` — the asyncio simulation-as-a-service app.
 
-A stdlib-only HTTP/1.1 server (``asyncio.start_server``; one request
-per connection) in front of the long-lived
-:class:`~repro.engine.scheduler.WorkerDaemon`:
+A stdlib-only HTTP/1.1 server (``asyncio.start_server``; persistent
+connections, requests answered in order on each) in front of the
+long-lived :class:`~repro.engine.scheduler.WorkerDaemon`:
 
 =======================  ==============================================
 ``POST /v1/jobs``        submit ``{"type","spec"[,"priority","client",
@@ -10,7 +10,10 @@ per connection) in front of the long-lived
                          instantly without touching a worker; a full
                          queue or exhausted client quota answers
                          ``429`` with a ``Retry-After`` header
-``GET /v1/jobs/K``       status record (state, attempts, lease, counts)
+``GET /v1/jobs/K``       status record (state, attempts, lease, counts,
+                         latencies); with ``?wait=SECONDS`` the answer
+                         is held until the record is terminal or
+                         SECONDS have passed (a long-poll)
 ``GET /v1/jobs/K/result``  the stored payload (``202`` while running,
                          ``409`` for failed jobs, ``404`` unknown)
 ``GET /v1/jobs/K/stream``  Server-Sent Events: the job's full event
@@ -35,6 +38,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
 from dataclasses import dataclass, field
 
 from repro.engine.job import import_execution_modules, metrics_from_payload
@@ -58,6 +62,19 @@ MAX_BODY_BYTES = 8 << 20
 
 #: Job states a record can be in.
 TERMINAL = ("done", "failed")
+
+
+def _seconds(query: str, name: str) -> float:
+    """The plain non-negative decimal ``name=`` carries in a URL query
+    string (0 when absent, 400 for anything else)."""
+    for part in query.split("&"):
+        key, _, value = part.partition("=")
+        if key == name:
+            digits = value.replace(".", "", 1)
+            if digits.isascii() and digits.isdigit():
+                return float(value)
+            raise _HttpError(400, f"bad {name}= value {value!r}")
+    return 0.0
 
 
 class _HttpError(Exception):
@@ -87,6 +104,22 @@ class JobRecord:
     timeouts: int = 0
     error: str = ""
     events: list[dict] = field(default_factory=list)
+    #: ``time.monotonic()`` at submit / latest lease / the worker's
+    #: answer / the status turning terminal; None until it happened.
+    stamps: dict[str, float] = field(default_factory=dict)
+    #: Futures of the handlers parked on this record (loop thread only).
+    waiters: set = field(default_factory=set)
+
+    def latencies(self) -> dict[str, float | None]:
+        """Where the job's wall went, in ms: waiting for a worker
+        (re-queued attempts included), the attempt that finished, and
+        storing its payload. The three sum to submit → terminal."""
+        at = self.stamps
+        return {name: (at[end] - at[start]) * 1e3
+                if start in at and end in at else None
+                for name, start, end in (("queue_wait_ms", "submit", "lease"),
+                                         ("run_ms", "lease", "done"),
+                                         ("settle_ms", "done", "settled"))}
 
     def to_dict(self, lease=None) -> dict:
         """JSON status record for the ``/v1/jobs/<key>`` endpoint."""
@@ -99,7 +132,7 @@ class JobRecord:
             "timeouts": self.timeouts, "error": self.error,
             "events": len(self.events),
             "lease": lease.to_dict() if lease is not None else None,
-        }
+        } | self.latencies()
 
 
 class ReproServer:
@@ -133,6 +166,7 @@ class ReproServer:
         self.port: int | None = None
         self._stopped: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
+        self._connections: set[asyncio.Task] = set()
 
     # -------------------------------------------------- daemon callbacks
 
@@ -140,12 +174,33 @@ class ReproServer:
         self._seq += 1
         record.events.append({"seq": self._seq, **event})
 
+    def _notify(self, record: JobRecord) -> None:
+        """Tell the loop ``record`` changed: the one completion signal
+        that ``/stream`` and ``?wait=`` park on. Called from the daemon
+        thread; without a running loop nobody is parked."""
+        loop = self._loop
+        if loop is not None:
+            try:
+                loop.call_soon_threadsafe(self._release, record)
+            except RuntimeError:        # the loop closed under us
+                pass
+
+    @staticmethod
+    def _release(record: JobRecord) -> None:
+        while record.waiters:
+            waiter = record.waiters.pop()
+            if not waiter.done():       # timed out a moment ago
+                waiter.set_result(None)
+
     def _on_event(self, job_id: str, event: dict) -> None:
         with self._lock:
             record = self.jobs.get(job_id)
             if record is None:
                 return
             kind = event.get("type")
+            if kind in ("lease", "done", "failed"):
+                record.stamps[kind if kind == "lease" else "done"] = \
+                    time.monotonic()
             if kind == "lease":
                 record.status = "running"
                 record.attempts = event.get("attempt", 0) + 1
@@ -169,12 +224,14 @@ class ReproServer:
             # in _on_settled, after the payload is stored, so a client
             # that polls "done" can always fetch the result.
             self._append_event(record, event)
+        self._notify(record)
 
     def _on_settled(self, job_id: str, outcome) -> None:
         with self._lock:
             record = self.jobs.get(job_id)
         if record is None:
             return
+        registry = None
         if outcome.ok:
             if self.store is not None:
                 job = ServerJob.from_envelope(record.envelope)
@@ -182,19 +239,24 @@ class ReproServer:
             else:
                 with self._lock:
                     self._results[job_id] = outcome.value
-            registry = metrics_from_payload(outcome.value) \
-                if isinstance(outcome.value, dict) else None
-            with self._lock:
+            if isinstance(outcome.value, dict):
+                registry = metrics_from_payload(outcome.value)
+        with self._lock:
+            if outcome.ok:
                 record.status = "done"
                 record.error = ""
                 self.metrics.count("server.jobs_completed")
                 if registry is not None:
                     self.job_metrics.merge(registry)
-        else:
-            with self._lock:
+            else:
                 record.status = "failed"
                 record.error = record.error or outcome.error
                 self.metrics.count("server.jobs_failed")
+            record.stamps["settled"] = time.monotonic()
+            for name, value in record.latencies().items():
+                if value is not None:
+                    self.metrics.observe(f"server.latency.{name}", value)
+        self._notify(record)
 
     # ------------------------------------------------------------ routes
 
@@ -260,7 +322,8 @@ class ReproServer:
             record = JobRecord(key=key, envelope=self._core(body),
                                label=job.label(), status="queued",
                                priority=PRIORITY_CLASSES[priority],
-                               client=client)
+                               client=client,
+                               stamps={"submit": time.monotonic()})
             self.jobs[key] = record
         try:
             self.daemon.submit(queued)
@@ -280,20 +343,21 @@ class ReproServer:
         """The part of a submission that defines the work itself."""
         return {"type": body.get("type"), "spec": body.get("spec")}
 
-    def status(self, key: str) -> dict:
-        """The status record for one key (raises 404 when unknown)."""
+    def _record(self, key: str) -> JobRecord:
+        """The record of one key (raises 404 when unknown); a key only
+        a previous server life stored reads as a cache hit."""
         with self._lock:
             record = self.jobs.get(key)
         if record is None:
-            # A previous server life may have cached it.
-            if self._payload_for(key) is not None:
-                return {"key": key, "status": "done", "cached": True,
-                        "attempts": 0, "requeues": 0,
-                        "worker_deaths": 0, "timeouts": 0, "error": "",
-                        "events": 0,
-                        "lease": None}
-            raise _HttpError(404, f"unknown job {key}")
-        return record.to_dict(lease=self.queue.lease_of(key))
+            if self._payload_for(key) is None:
+                raise _HttpError(404, f"unknown job {key}")
+            record = JobRecord(key, {}, "", "done", "", "", cached=True,
+                               events=[{"seq": 0, "type": "cached"}])
+        return record
+
+    def status(self, key: str) -> dict:
+        """The status record for one key (raises 404 when unknown)."""
+        return self._record(key).to_dict(lease=self.queue.lease_of(key))
 
     def result(self, key: str) -> tuple[int, dict]:
         """The result payload, or the right not-yet/never answer."""
@@ -322,30 +386,40 @@ class ReproServer:
     # ------------------------------------------------------- HTTP server
 
     async def _read_request(self, reader):
-        line = await reader.readline()
-        if not line:
-            return None
+        """The next request on a connection, or ``None`` at a clean end
+        of stream. A framing error raises :class:`_HttpError`; what
+        follows it on the socket cannot be trusted, so the caller
+        answers and closes."""
         try:
-            method, target, _ = line.decode("latin-1").split(" ", 2)
-        except ValueError:
-            return None
-        headers = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
-        if length > MAX_BODY_BYTES:
+            line = await reader.readline()
+            if not line:
+                return None
+            self.metrics.count("server.http_requests")
+            method, target, version = line.decode("latin-1").split()
+            headers = {}
+            while True:
+                raw = await reader.readline()
+                if raw in (b"\r\n", b"\n", b""):
+                    break
+                name, value = raw.decode("latin-1").split(":", 1)
+                headers[name.strip().lower()] = value.strip()
+        except ValueError:  # not three fields, no colon, or a line over limit
+            raise _HttpError(400, "malformed request line or header") \
+                from None
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            raise _HttpError(400, f"bad Content-Length {length!r}")
+        if int(length) > MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
-        body = await reader.readexactly(length) if length else b""
+        body = await reader.readexactly(int(length))
+        connection = headers.get("connection", "").lower()
+        keep_alive = version.upper() == "HTTP/1.1" and connection != "close"
         path, _, query = target.partition("?")
-        return method.upper(), path, query, headers, body
+        return method.upper(), path, query, body, keep_alive
 
     @staticmethod
     def _respond(writer, status: int, body: dict | str,
-                 headers: dict | None = None) -> None:
+                 headers: dict | None = None, close: bool = False) -> None:
         reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
                    403: "Forbidden", 404: "Not Found", 405: "Method Not "
                    "Allowed", 409: "Conflict", 413: "Payload Too Large",
@@ -358,8 +432,9 @@ class ReproServer:
             ctype = "application/json"
         head = [f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}",
                 f"Content-Type: {ctype}",
-                f"Content-Length: {len(blob)}",
-                "Connection: close"]
+                f"Content-Length: {len(blob)}"]
+        if close:
+            head.append("Connection: close")
         for name, value in (headers or {}).items():
             head.append(f"{name}: {value}")
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + blob)
@@ -401,75 +476,105 @@ class ReproServer:
             raise _HttpError(404, f"unknown endpoint {path!r}")
         raise _HttpError(404, f"unknown endpoint {path!r}")
 
+    def _watch(self, record: JobRecord) -> asyncio.Future:
+        """A future :meth:`_release` resolves at ``record``'s next
+        change. Take it *before* reading the record: a change between
+        the read and the wait then still ends the wait."""
+        waiter = asyncio.get_running_loop().create_future()
+        record.waiters.add(waiter)
+        return waiter
+
     async def _stream(self, writer, key: str) -> None:
-        """Serve one ``/stream`` connection: replay, then follow."""
+        """Serve one ``/stream`` connection: replay, then follow until
+        the record's status — not an event — says the job is over."""
+        record = self._record(key)
         writer.write(b"HTTP/1.1 200 OK\r\n"
                      b"Content-Type: text/event-stream\r\n"
                      b"Cache-Control: no-store\r\n"
                      b"Connection: close\r\n\r\n")
         sent = 0
         while True:
-            terminal = False
-            chunk = []
-            with self._lock:
-                record = self.jobs.get(key)
-                events = list(record.events[sent:]) if record else []
-                status = record.status if record else None
-            if record is None:
-                if self._payload_for(key) is not None:
-                    events = [{"seq": 0, "type": "cached"}]
-                    terminal = True
-                else:
-                    self._respond(writer, 404, {"error": "unknown job"})
+            waiter = self._watch(record)
+            try:
+                with self._lock:
+                    events = record.events[sent:]
+                    status = record.status
+                sent += len(events)
+                if events:
+                    writer.write("".join(
+                        f"event: {event.get('type', 'event')}\n"
+                        f"data: {json.dumps(event)}\n\n"
+                        for event in events).encode())
+                    await writer.drain()
+                if status in TERMINAL:
                     return
-            sent += len(events)
-            for event in events:
-                kind = event.get("type", "event")
-                chunk.append(f"event: {kind}\n"
-                             f"data: {json.dumps(event)}\n\n")
-                if kind in ("done", "failed", "cached", "interrupted"):
-                    terminal = True
-            if not events and status in TERMINAL:
-                terminal = True
-            if chunk:
-                writer.write("".join(chunk).encode())
-                await writer.drain()
-            if terminal:
+                await waiter
+            finally:
+                record.waiters.discard(waiter)
+
+    async def _parked(self, record: JobRecord, seconds: float) -> None:
+        """Hold a ``?wait=`` status read until ``record`` is terminal
+        or ``seconds`` have passed."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + seconds
+        while True:
+            waiter = self._watch(record)
+            try:
+                if record.status in TERMINAL:
+                    return
+                await asyncio.wait_for(waiter, deadline - loop.time())
+            except asyncio.TimeoutError:
                 return
-            await asyncio.sleep(0.05)
+            finally:
+                record.waiters.discard(waiter)
 
     async def _handle(self, reader, writer) -> None:
-        self.metrics.count("server.http_requests")
+        """Serve one connection: requests in order until either side
+        asks to close, a framing error, or :meth:`stop`."""
+        self.metrics.count("server.http_connections")
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
-            request = await self._read_request(reader)
-            if request is None:
-                return
-            method, path, query, _, body = request
-            if method == "GET" and path.startswith("/v1/jobs/") \
-                    and path.endswith("/stream"):
-                key = path[len("/v1/jobs/"):-len("/stream")]
-                await self._stream(writer, key)
-                return
-            try:
-                status, answer, headers = self._route(method, path,
-                                                      query, body)
-                self._respond(writer, status, answer, headers)
-            except _HttpError as exc:
-                self._respond(writer, exc.status, {"error": str(exc)},
-                              exc.headers)
-            except Exception as exc:   # route bug: report, keep serving
-                self._respond(writer, 500,
-                              {"error": f"{type(exc).__name__}: {exc}"})
-        except (_HttpError, asyncio.IncompleteReadError,
-                ConnectionError):
+            keep_alive = True
+            while keep_alive:
+                # Until a request is read whole, what follows on the
+                # socket cannot be trusted: answer the error and close.
+                keep_alive = False
+                try:
+                    request = await self._read_request(reader)
+                    if request is None:
+                        return
+                    method, path, query, body, keep_alive = request
+                    key = path[len("/v1/jobs/"):] if method == "GET" \
+                        and path.startswith("/v1/jobs/") else ""
+                    if key.endswith("/stream"):
+                        keep_alive = False          # close-delimited
+                        await self._stream(writer, key[:-len("/stream")])
+                        return
+                    record = self.jobs.get(key) if "wait=" in query else None
+                    if record is not None:
+                        await self._parked(record, _seconds(query, "wait"))
+                    status, answer, headers = self._route(method, path,
+                                                          query, body)
+                except _HttpError as exc:
+                    status, answer, headers = \
+                        exc.status, {"error": str(exc)}, exc.headers
+                except (asyncio.IncompleteReadError, ConnectionError):
+                    return
+                except Exception as exc:   # route bug: report, keep serving
+                    status, answer, headers = \
+                        500, {"error": f"{type(exc).__name__}: {exc}"}, {}
+                self._respond(writer, status, answer, headers,
+                              close=not keep_alive)
+                await writer.drain()
+        except (ConnectionError, asyncio.CancelledError):
+            # Cancelled means stop(), and ending quietly is the point:
+            # before 3.12 the stream protocol logs a handler that ends
+            # cancelled as an error.
             pass
         finally:
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            self._connections.discard(task)
+            writer.close()
 
     # --------------------------------------------------------- lifecycle
 
@@ -484,8 +589,17 @@ class ReproServer:
         self._stopped = asyncio.Event()
         if ready is not None:
             ready(self.port)
-        async with server:
+        try:
             await self._stopped.wait()
+        finally:
+            # Idle keep-alive connections and parked long-polls end only
+            # when told to, and Server.wait_closed() (3.12) waits for
+            # every connection: Ctrl-C must not hang on a quiet client.
+            self._loop = None
+            server.close()
+            for task in list(self._connections):
+                task.cancel()
+            await server.wait_closed()
 
     def run(self, host: str = "127.0.0.1", port: int = 0,
             ready=None) -> None:

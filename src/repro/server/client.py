@@ -1,21 +1,30 @@
 """Stdlib-only HTTP client for a running ``repro serve`` instance.
 
-The same :class:`ServerClient` backs both CLI client modes
-(``repro sweep --server URL`` and ``repro fuzz --server URL``) and the
-tests. It speaks plain ``urllib`` — one request per call, no
-connection reuse — which is exactly right for a job API where every
-interesting wait happens server-side. Backpressure (HTTP 429) is
-retried with the server's own ``Retry-After`` hint, bounded, so a
-client pointed at a saturated server degrades to patience instead of
-an error.
+The same :class:`ServerClient` backs the CLI client modes (``repro
+sweep --server URL``, ``explore --server``, ``fuzz --server``) and the
+tests. A grid is thousands of small exchanges with one server, so each
+client keeps one persistent ``http.client`` connection per thread
+(``TCP_NODELAY``, which ``http.client`` sets itself) instead of paying
+a TCP set-up and tear-down per request, and :meth:`ServerClient.wait`
+long-polls — the server answers when the job settles — instead of
+sleeping between status reads. A connection the server closed in the
+meantime (a restart, a server that answers ``Connection: close``) is
+reopened and the request sent once more, which is safe because
+submissions dedupe by key and everything else is a read. Backpressure
+(HTTP 429) is retried with the server's own ``Retry-After`` hint,
+bounded, so a client pointed at a saturated server degrades to
+patience instead of an error.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+
+#: Job states after which a record no longer changes.
+TERMINAL = ("done", "failed")
 
 
 class ServerError(RuntimeError):
@@ -34,30 +43,51 @@ class ServerClient:
         self.base_url = base_url.rstrip("/")
         self.client_id = client_id
         self.timeout = timeout
+        scheme, _, rest = self.base_url.rpartition("://")
+        self._netloc, slash, prefix = rest.partition("/")
+        self._prefix = slash + prefix
+        self._factory = http.client.HTTPSConnection if scheme == "https" \
+            else http.client.HTTPConnection
+        self._local = threading.local()
+        self._connections: list[http.client.HTTPConnection] = []
+
+    def __del__(self) -> None:
+        for conn in self._connections:      # every thread's
+            conn.close()
 
     # ------------------------------------------------------------- plumbing
 
-    def _request(self, method: str, path: str,
-                 body: dict | None = None) -> tuple[int, dict, dict]:
-        """One HTTP exchange; returns (status, headers, decoded body)."""
+    def _request(self, method: str, path: str, body: dict | None = None,
+                 patience: float = 0.0) -> tuple[int, dict, dict]:
+        """One HTTP exchange on this thread's connection; returns
+        (status, headers, decoded body). ``patience`` is how long the
+        server was asked to hold its answer, on top of ``timeout``."""
         data = json.dumps(body).encode() if body is not None else None
-        request = urllib.request.Request(
-            self.base_url + path, data=data, method=method,
-            headers={"Content-Type": "application/json"} if data else {})
-        try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as answer:
-                status = answer.status
-                headers = dict(answer.headers)
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._factory(self._netloc,
+                                                    timeout=self.timeout)
+            self._connections.append(conn)
+        while True:
+            reused = conn.sock is not None
+            try:
+                conn.request(
+                    method, self._prefix + path, body=data,
+                    headers={"Content-Type": "application/json"}
+                    if data else {})
+                conn.sock.settimeout(self.timeout + patience)
+                answer = conn.getresponse()
+                status, headers = answer.status, dict(answer.getheaders())
                 blob = answer.read()
-        except urllib.error.HTTPError as exc:
-            status = exc.code
-            headers = dict(exc.headers or {})
-            blob = exc.read()
-        except (urllib.error.URLError, OSError) as exc:
-            reason = getattr(exc, "reason", None) or exc
-            raise ServerError(
-                0, f"cannot reach {self.base_url}: {reason}") from exc
+                break
+            except (http.client.HTTPException, OSError) as exc:
+                conn.close()
+                # A kept-alive socket the server has since closed fails
+                # on first use; anything else is the server's answer.
+                if reused and not isinstance(exc, TimeoutError):
+                    continue
+                raise ServerError(
+                    0, f"cannot reach {self.base_url}: {exc}") from exc
         try:
             decoded = json.loads(blob.decode() or "null")
         except ValueError:
@@ -92,9 +122,13 @@ class ServerClient:
             raise ServerError(status, answer.get("error", "submit failed"))
         return answer
 
-    def status(self, key: str) -> dict:
-        """The job's status record (raises :class:`ServerError` on 404)."""
-        status, _, answer = self._request("GET", f"/v1/jobs/{key}")
+    def status(self, key: str, wait: float = 0.0) -> dict:
+        """The job's status record (raises :class:`ServerError` on 404).
+        With ``wait``, the server holds the answer until the record is
+        terminal or that many seconds have passed."""
+        status, _, answer = self._request(
+            "GET", f"/v1/jobs/{key}" + (f"?wait={wait:.3f}" if wait else ""),
+            patience=wait)
         if status != 200:
             raise ServerError(status, answer.get("error", "no status"))
         return answer
@@ -111,27 +145,28 @@ class ServerClient:
 
     def wait(self, keys, poll: float = 0.2, timeout: float = 600.0,
              progress=None) -> dict[str, dict]:
-        """Poll until every key is terminal; returns key → status
-        record. ``progress(done, total)`` fires whenever the done
-        count advances."""
+        """Block until every key is terminal; returns key → status
+        record. Each key is one long-poll, bounded by what is left of
+        ``timeout``; ``poll`` only spaces two reads of one key when a
+        server answers before it asked to. ``progress(done, total)``
+        fires whenever the done count advances."""
         pending = list(dict.fromkeys(keys))
         records: dict[str, dict] = {}
         deadline = time.monotonic() + timeout
         reported = -1
         while pending:
-            for key in list(pending):
-                record = self.status(key)
-                if record["status"] in ("done", "failed"):
-                    records[key] = record
-                    pending.remove(key)
+            asked = time.monotonic()
+            record = self.status(pending[0], wait=max(0.0, deadline - asked))
+            if record["status"] in TERMINAL:
+                records[pending.pop(0)] = record
             if progress is not None and len(records) != reported:
                 reported = len(records)
                 progress(reported, reported + len(pending))
-            if pending:
+            if record["status"] not in TERMINAL:
                 if time.monotonic() > deadline:
                     raise ServerError(
                         504, f"timed out waiting on {len(pending)} jobs")
-                time.sleep(poll)
+                time.sleep(max(0.0, asked + poll - time.monotonic()))
         return records
 
     def metrics(self) -> dict:

@@ -81,17 +81,35 @@ def _isolated_result_store(tmp_path, monkeypatch):
 
 
 @pytest.fixture
+def passes(monkeypatch):
+    """Either scheduling discipline sleeps only in
+    ``scheduler._wait_ready``; the list collects one
+    ``(busy workers, timeout)`` pair per supervision pass."""
+    from repro.engine import scheduler
+
+    seen = []
+    wait_ready = scheduler._wait_ready
+
+    def counted(workers, timeout, wake=None):
+        seen.append((len(workers), timeout))
+        return wait_ready(workers, timeout, wake)
+
+    monkeypatch.setattr(scheduler, "_wait_ready", counted)
+    return seen
+
+
+@pytest.fixture
 def serve():
     """``serve(srv)`` runs a :class:`~repro.server.ReproServer` on a
-    free port in a background thread for the rest of the test and
-    returns its base URL."""
+    free port (or ``port=``) in a background thread for the rest of the
+    test and returns its base URL."""
     started = []
 
-    def start(srv) -> str:
+    def start(srv, port: int = 0) -> str:
         ready = threading.Event()
         thread = threading.Thread(
             target=srv.run,
-            kwargs={"port": 0, "ready": lambda port: ready.set()},
+            kwargs={"port": port, "ready": lambda port: ready.set()},
             daemon=True)
         thread.start()
         assert ready.wait(15), "server never bound its port"
@@ -103,3 +121,4 @@ def serve():
         srv.shutdown()
         srv.stop()
         thread.join(10)
+        assert not thread.is_alive(), "server did not stop"

@@ -163,5 +163,29 @@ def test_parallel_always_dying_job_gets_final_inprocess_rescue():
     assert outcome.worker_deaths == 2
 
 
+def test_parallel_pool_sleeps_until_a_worker_reports(passes):
+    # Six 0.2 s jobs on two workers: the old loop ticked every 5 ms
+    # (~120 passes); blocking on the pipes takes one or two per job.
+    pool = WorkerPool(sleepy, jobs=2, timeout=60)
+    outcomes = pool.run(jobs_for([0.2] * 6))
+    assert all(outcome.value == "woke" for outcome in outcomes.values())
+    assert 3 <= len(passes) <= 18
+    assert all(50 < timeout <= 60 for _, timeout in passes)
+
+
+def test_parallel_pool_wakes_for_a_retry_backoff(passes):
+    # Nothing is running while the retry backs off: the wait must end
+    # by its timeout, taken from the pending attempt's not_before.
+    pool = WorkerPool(flaky_until_attempt, jobs=2, timeout=60, retries=2,
+                      backoff=0.2)
+    start = time.monotonic()
+    outcome = pool.run(jobs_for([1]))["0"]
+    assert outcome.ok and outcome.attempts == 2
+    assert 0.2 <= time.monotonic() - start < 5
+    backoffs = [timeout for workers, timeout in passes if not workers]
+    assert backoffs and all(0 < timeout <= 0.2 for timeout in backoffs)
+    assert len(passes) <= 8
+
+
 def test_empty_job_list_is_fine():
     assert WorkerPool(square, jobs=4).run([]) == {}

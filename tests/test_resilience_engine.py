@@ -10,7 +10,6 @@ drains pools without orphans while keeping every finished result.
 import json
 import logging
 import multiprocessing
-import os
 import time
 
 import pytest
@@ -131,16 +130,13 @@ def test_serial_pool_drains_keyboard_interrupt():
 
 
 def test_parallel_pool_drains_keyboard_interrupt(monkeypatch):
-    parent = os.getpid()
-    real_sleep = time.sleep
+    # Ctrl-C lands where the pool spends its time: blocked on its
+    # workers' pipes. (Only the parent supervises; workers never wait.)
+    def interrupted_wait(workers, timeout, wake=None):
+        raise KeyboardInterrupt
 
-    def interrupting_sleep(seconds):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        real_sleep(seconds)
-
-    monkeypatch.setattr("repro.engine.scheduler.time.sleep",
-                        interrupting_sleep)
+    monkeypatch.setattr("repro.engine.scheduler._wait_ready",
+                        interrupted_wait)
     pool = WorkerPool(_sleep_forever, jobs=2)
     assert not pool.serial
     outcomes = pool.run([PoolJob(job_id=str(n), payload=n)

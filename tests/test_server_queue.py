@@ -283,6 +283,77 @@ def sleep3(payload, attempt, progress):
     return "woke"
 
 
+# ------------------------------- supervision blocks on what it waits for
+
+@pytest.mark.parametrize("force_serial", [False, True])
+def test_idle_daemon_does_not_tick(passes, force_serial):
+    daemon = WorkerDaemon(noop3, workers=2, force_serial=force_serial)
+    daemon.start()
+    try:
+        time.sleep(0.5)
+        assert daemon.wait_idle(0)
+        assert len(passes) <= 3         # the old loop: ~25 ticks
+        assert passes[-1] == (0, None)  # nothing can time out
+    finally:
+        daemon.shutdown()
+    assert len(passes) <= 4             # shutdown is one more wake-up
+
+
+@pytest.mark.parametrize("force_serial", [False, True])
+def test_burst_costs_passes_in_proportion_to_messages(passes, force_serial):
+    # 20 submissions and 20 answers are 40 arrivals; a pass may also
+    # find its wake-up already consumed by the one before.
+    rec = run_daemon(noop3, [qjob(str(i), i) for i in range(20)],
+                     force_serial=force_serial)
+    assert {k: o.value for k, o in rec.outcomes.items()} \
+        == {str(i): i for i in range(20)}
+    assert len(passes) <= 2 * 40 + 5
+
+
+def test_settled_slot_is_granted_its_next_job_in_the_same_pass(passes):
+    # One worker, three jobs queued before it starts: each answer must
+    # lead straight to the next lease, with no pass that finds the
+    # worker idle while jobs are pending.
+    rec = Recorder()
+    daemon = WorkerDaemon(noop3, workers=1, on_event=rec.on_event,
+                          on_settled=rec.on_settled)
+    for i in range(3):
+        daemon.submit(qjob(str(i), i))
+    daemon.start()
+    try:
+        assert daemon.wait_idle(30)
+    finally:
+        daemon.shutdown()
+    assert len(rec.outcomes) == 3
+    busy = [workers for workers, _ in passes]
+    assert 0 not in busy[:busy.index(0)] and busy.count(1) <= 4
+
+
+def test_busy_daemon_wakes_to_renew_the_lease(passes):
+    # A quiet worker must still be seen alive well inside the lease's
+    # life: passes are at most lease_ttl / 3 apart.
+    queue = LeaseQueue(lease_ttl=0.6)
+    rec = run_daemon(sleep3, [qjob("long", 1.0)], queue=queue, workers=1)
+    assert rec.outcomes["long"].ok and rec.outcomes["long"].attempts == 1
+    assert "requeue" not in rec.kinds("long")
+    timeouts = [timeout for workers, timeout in passes if workers]
+    assert timeouts and all(0 < timeout <= 0.2 for timeout in timeouts)
+    assert 4 <= len(timeouts) <= 12
+
+
+def test_job_timeout_bounds_the_wait(passes):
+    rec = run_daemon(sleep3, [qjob("slow", 30.0)], timeout=0.3, workers=1,
+                     queue=LeaseQueue(retries=0, lease_ttl=30.0))
+    assert not rec.outcomes["slow"].ok and rec.outcomes["slow"].timeouts == 1
+    timeouts = [timeout for workers, timeout in passes if workers]
+    assert all(timeout <= 0.3 for timeout in timeouts)
+    assert len(passes) <= 8
+
+
+def noop3(payload, attempt, progress):
+    return payload
+
+
 # ------------------------------------- checkpoint-resume through the daemon
 
 def test_killed_sim_job_resumes_from_checkpoint():
