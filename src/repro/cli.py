@@ -66,6 +66,30 @@ from pathlib import Path
 # "import layering").
 
 
+class _InputError(Exception):
+    """A user's program file that cannot be read, assembled, compiled
+    or annotated; ``main`` prints it as ``repro CMD: error: ...`` and
+    exits 2."""
+
+
+def _checked(build):
+    """``build()``, with a missing or unreadable file and every typed
+    toolchain error re-raised as :class:`_InputError`."""
+    from repro.compiler.annotate import AnnotationError
+    from repro.compiler.regions import RegionError
+    from repro.isa.assembler import AssemblerError
+    from repro.minic.codegen import CodegenError
+    from repro.minic.lexer import LexError
+    from repro.minic.parser import ParseError
+
+    try:
+        return build()
+    except (OSError, UnicodeDecodeError, AssemblerError, LexError,
+            ParseError, CodegenError, AnnotationError,
+            RegionError) as error:
+        raise _InputError(error) from None
+
+
 def _load_program(path: str, multiscalar: bool,
                   entries: list[str], auto_loops: bool):
     """Compile/assemble ``path`` (.mc/.minc or assembly) into a
@@ -74,17 +98,21 @@ def _load_program(path: str, multiscalar: bool,
     from repro.isa.assembler import assemble
     from repro.minic.driver import compile_and_annotate, compile_scalar
 
-    text = Path(path).read_text()
-    if path.endswith(".mc") or path.endswith(".minc"):
+    def build():
+        text = Path(path).read_text()
+        if path.endswith(".mc") or path.endswith(".minc"):
+            if multiscalar:
+                return compile_and_annotate(
+                    text, path, extra_entries=entries,
+                    auto_loops=auto_loops)
+            return compile_scalar(text, path)
+        program = assemble(text, path)
         if multiscalar:
-            return compile_and_annotate(text, path, extra_entries=entries,
-                                        auto_loops=auto_loops)
-        return compile_scalar(text, path)
-    program = assemble(text, path)
-    if multiscalar:
-        return annotate_program(program, task_entries=entries,
-                                auto_loops=auto_loops)
-    return program
+            return annotate_program(program, task_entries=entries,
+                                    auto_loops=auto_loops)
+        return program
+
+    return _checked(build)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -142,7 +170,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
     """Entry point for ``repro compile``: MinC to assembly text."""
     from repro.minic.codegen import compile_minic
 
-    unit = compile_minic(Path(args.file).read_text(), args.file)
+    unit = _checked(
+        lambda: compile_minic(Path(args.file).read_text(), args.file))
     output = unit.asm
     if unit.task_labels:
         output += "\n# parallel task entries: " \
@@ -266,8 +295,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.difftest.generator import generator_for
     from repro.isa.opcodes import Op
 
-    jit_guard_modes = {"jit-stop": "stop",
-                       "jit-taken-branch": "taken-branch"}
+    jit_guard_miss = args.self_test == "jit-taken-branch"
     try:
         for language in args.languages:
             generator_for(language)
@@ -278,11 +306,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             orders=(False, True) if args.ooo == "both"
             else (args.ooo == "ooo",),
             fast_paths=(True, False) if args.no_fast_path else (True,),
-            # A JIT guard-miss self-test needs the no-jit axis in the
-            # grid: the same-machine interpreter is the reference the
-            # buggy compiled code diverges from.
-            jits=(True, False)
-            if args.no_jit or args.self_test in jit_guard_modes
+            # A JIT guard-miss self-test needs the scalar core's no-jit
+            # twin in the grid: the same-machine interpreter is the
+            # reference the buggy compiled code diverges from.
+            jits=(True, False) if args.no_jit or jit_guard_miss
             else (True,),
             max_shrink_checks=args.max_shrink_checks,
             jobs=args.jobs,
@@ -293,23 +320,21 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             # The injected bug lives in this process; server workers
             # would run the un-sabotaged simulator and "miss" it.
             raise ValueError("--self-test cannot run against --server")
-        if args.self_test \
-                and args.self_test not in jit_guard_modes \
+        if args.self_test and not jit_guard_miss \
                 and args.self_test.upper() not in Op.__members__:
             raise ValueError(
                 f"unknown opcode {args.self_test!r} for --self-test "
-                f"(or one of: {', '.join(sorted(jit_guard_modes))})")
+                "(or: jit-taken-branch)")
     except ValueError as error:
         print(f"repro fuzz: error: {error}", file=sys.stderr)
         return 2
     if args.self_test:
         # Plant a bug — a semantics bug in the multiscalar backend, or
-        # a guard miss in the JIT's compiled bodies — and demand the
-        # campaign catches it: a check that the oracle itself still has
-        # teeth.
-        if args.self_test in jit_guard_modes:
-            injector = inject_jit_guard_miss(
-                jit_guard_modes[args.self_test])
+        # a guard miss in the scalar core's compiled bodies — and
+        # demand the campaign catches it: a check that the oracle
+        # itself still has teeth.
+        if jit_guard_miss:
+            injector = inject_jit_guard_miss("taken-branch")
         else:
             injector = inject_opcode_bug(Op[args.self_test.upper()])
         with injector:
@@ -782,6 +807,27 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive(text: str) -> int:
+    """argparse type for unit counts and cycle budgets: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1, not {value}")
+    return value
+
+
+def _positive_list(text: str) -> list[int]:
+    return [_positive(item) for item in text.split(",")]
+
+
+def _issue_widths(text: str) -> list[int]:
+    widths = [int(item) for item in text.split(",")]
+    if not set(widths) <= {1, 2}:
+        raise argparse.ArgumentTypeError(
+            f"issue widths are 1 or 2, not {text}")
+    return widths
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the full ``repro`` argparse tree (all subcommands)."""
     parser = argparse.ArgumentParser(
@@ -791,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_machine_flags(p, with_units=True):
         if with_units:
-            p.add_argument("--units", type=int, default=1,
+            p.add_argument("--units", type=_positive, default=1,
                            help="processing units (>1 implies multiscalar)")
         p.add_argument("--issue", type=int, default=1, choices=(1, 2))
         p.add_argument("--ooo", action="store_true",
@@ -806,8 +852,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="force the reference per-cycle simulator "
                             "(results are identical, just slower)")
         p.add_argument("--no-jit", action="store_true",
-                       help="disable the trace-JIT and run the fast-path "
-                            "interpreter (results are identical)")
+                       help="disable the scalar core's trace-JIT and run "
+                            "the fast-path interpreter (results are "
+                            "identical; a multiscalar machine never "
+                            "uses the JIT)")
 
     run = sub.add_parser("run", help="run a .mc or .s program")
     run.add_argument("file")
@@ -831,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     wl = sub.add_parser("workloads", help="list or run benchmark kernels")
     wl.add_argument("--run", help="workload name to run")
-    wl.add_argument("--units", type=int, default=8)
+    wl.add_argument("--units", type=_positive, default=8)
     wl.set_defaults(fn=cmd_workloads)
 
     def add_cache_flags(p):
@@ -865,12 +913,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workloads", type=lambda s: s.split(","),
                        default=None,
                        help="comma-separated workloads (default: all)")
-    sweep.add_argument("--units", type=lambda s: [int(u) for u in
-                                                  s.split(",")],
+    sweep.add_argument("--units", type=_positive_list,
                        default=[4, 8],
                        help="multiscalar unit counts (default 4,8)")
-    sweep.add_argument("--widths", type=lambda s: [int(w) for w in
-                                                   s.split(",")],
+    sweep.add_argument("--widths", type=_issue_widths,
                        default=[1], help="issue widths (default 1)")
     sweep.add_argument("--ooo", choices=("io", "ooo", "both"),
                        default="io", help="issue orders to sweep")
@@ -880,7 +926,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-job wall-clock budget in seconds")
     sweep.add_argument("--retries", type=int, default=2,
                        help="retry budget per job for crashes/timeouts")
-    sweep.add_argument("--max-cycles", type=int, default=20_000_000)
+    sweep.add_argument("--max-cycles", type=_positive,
+                       default=20_000_000)
     sweep.add_argument("--timeline", action="store_true",
                        help="render per-unit task timelines afterwards")
     sweep.add_argument("--require-hit-rate", type=float, default=None,
@@ -897,8 +944,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the reference per-cycle simulator "
                             "(cached separately from fast-path results)")
     sweep.add_argument("--no-jit", action="store_true",
-                       help="disable the trace-JIT (cached separately "
-                            "from jit results)")
+                       help="disable the scalar core's trace-JIT (cached "
+                            "separately from jit results)")
     sweep.add_argument("--server", default=None, metavar="URL",
                        help="run as a thin client of a `repro serve` "
                             "instance instead of a local worker pool "
@@ -923,7 +970,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-job wall-clock budget in seconds")
     explore.add_argument("--retries", type=int, default=2,
                          help="retry budget per job for crashes/timeouts")
-    explore.add_argument("--max-cycles", type=int, default=20_000_000)
+    explore.add_argument("--max-cycles", type=_positive,
+                         default=20_000_000)
     explore.add_argument("--out", default=None, metavar="DIR",
                          help="write explore.json + explore.md reports "
                               "under this directory")
@@ -968,8 +1016,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--no-fast-path", action="store_true",
                        help="benchmark the reference per-cycle path")
     bench.add_argument("--no-jit", action="store_true",
-                       help="benchmark the fast-path interpreter "
-                            "without the trace-JIT")
+                       help="benchmark the scalar core's fast-path "
+                            "interpreter without its trace-JIT")
     bench.add_argument("--no-profile", action="store_true",
                        help="skip the cProfile pass")
     bench.set_defaults(fn=cmd_bench)
@@ -983,8 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--workloads", type=lambda s: s.split(","),
                        default=["wc", "cmp"],
                        help="workloads to sweep under sabotage")
-    chaos.add_argument("--units", type=lambda s: [int(u) for u in
-                                                  s.split(",")],
+    chaos.add_argument("--units", type=_positive_list,
                        default=[2],
                        help="multiscalar unit counts (default 2)")
     chaos.add_argument("--jobs", type=int, default=2,
@@ -1001,7 +1048,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("target",
                        help="a workload name (see `repro workloads`) or "
                             "a .mc/.s program file")
-    trace.add_argument("--units", type=int, default=4,
+    trace.add_argument("--units", type=_positive, default=4,
                        help="processing units (>1 implies multiscalar; "
                             "default 4)")
     add_machine_flags(trace, with_units=False)
@@ -1079,12 +1126,10 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--languages", type=lambda s: s.split(","),
                       default=["asm", "minic"],
                       help="program generators to use (asm,minic)")
-    fuzz.add_argument("--units", type=lambda s: [int(u) for u in
-                                                 s.split(",")],
+    fuzz.add_argument("--units", type=_positive_list,
                       default=[1, 2, 4, 8],
                       help="multiscalar unit counts to cover")
-    fuzz.add_argument("--widths", type=lambda s: [int(w) for w in
-                                                  s.split(",")],
+    fuzz.add_argument("--widths", type=_issue_widths,
                       default=[1, 2], help="issue widths to cover")
     fuzz.add_argument("--ooo", choices=("io", "ooo", "both"),
                       default="both", help="issue orders to cover")
@@ -1095,16 +1140,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also rotate reference (per-cycle) simulator "
                            "configs into the oracle grid")
     fuzz.add_argument("--no-jit", action="store_true",
-                      help="also rotate no-jit (fast-path interpreter) "
-                           "configs into the oracle grid")
+                      help="also run the scalar core's no-jit (fast-path "
+                           "interpreter) twin in the oracle grid")
     fuzz.add_argument("--max-shrink-checks", type=int, default=400,
                       help="delta-debugging budget per divergence")
     fuzz.add_argument("--self-test", metavar="OP", default=None,
                       help="inject a semantics bug for this opcode into "
                            "the multiscalar backend (e.g. --self-test "
-                           "xor), or a JIT guard miss (--self-test "
-                           "jit-stop / jit-taken-branch), and require "
-                           "the campaign to catch it")
+                           "xor), or a guard miss into the scalar "
+                           "core's JIT (--self-test jit-taken-branch), "
+                           "and require the campaign to catch it")
     fuzz.add_argument("--server", default=None, metavar="URL",
                       help="ship program checks to a `repro serve` "
                            "instance instead of forking a local pool")
@@ -1118,6 +1163,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except _InputError as error:
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # Commands with worker pools drain them internally; anything
         # that still reaches here just ends quietly, no traceback.

@@ -88,7 +88,11 @@ def annotate_program(program: Program,
     else:
         entries = set(program.tasks)
         for label in task_entries or []:
-            entries.add(program.label_addr(label))
+            try:
+                entries.add(program.label_addr(label))
+            except KeyError:
+                raise AnnotationError(
+                    f"unknown task-entry label {label!r}") from None
     # Entry labels need not be branch targets; hand them to the CFG
     # builder so blocks split at every requested entry.
     cfg = build_cfg(program, extra_leaders=entries)

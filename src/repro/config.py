@@ -115,12 +115,13 @@ class MachineConfig:
     #: either way; False forces the reference per-cycle path (the
     #: ``--no-fast-path`` escape hatch, used by the differential tests).
     fast_path: bool = True
-    #: Simulator knob: compile hot straight-line uop regions into
-    #: generated per-cycle executors (repro.jit) that deopt back to the
-    #: interpreter at every irregular boundary. Results are cycle-exact
-    #: either way; requires ``fast_path`` (the JIT builds on the
-    #: pre-decoded closures) and only engages for in-order 1-wide units
-    #: (the paper's default shape). ``--no-jit`` is the escape hatch.
+    #: Simulator knob, scalar core only: compile hot straight-line uop
+    #: regions into generated per-cycle executors (repro.jit) that deopt
+    #: back to the interpreter at every irregular boundary. Results are
+    #: cycle-exact either way; requires ``fast_path`` (the JIT builds on
+    #: the pre-decoded closures) and only engages for an in-order 1-wide
+    #: unit (the paper's default shape). ``--no-jit`` is the escape
+    #: hatch. The multiscalar machine is interpreter-only and ignores it.
     jit: bool = True
 
     @property

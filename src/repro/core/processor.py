@@ -25,12 +25,10 @@ from repro.isa import semantics
 from repro.isa.executor import _fresh_regs, service_syscall
 from repro.isa.instruction import Instruction
 from repro.isa.program import Program, TargetKind, TaskDescriptor
-from repro.jit.blocks import EV_SQUASH
 from repro.memory import BankedDataCache, InstructionCache, SplitTransactionBus
 from repro.isa.opcodes import FUClass
 from repro.observability.events import Category as _Cat
 from repro.pipeline import PipelineContext, UnitPipeline
-from repro.pipeline.context import StallReason
 from repro.pipeline.functional_units import FUPool
 from repro.pipeline.unit import MemRetry
 from repro.pipeline.unit import NEVER as PIPELINE_NEVER
@@ -211,10 +209,6 @@ class _UnitContext(PipelineContext):
 class MultiscalarProcessor:
     """Cycle-level simulator of a multiscalar processor."""
 
-    #: Tag bits are live here, so the run loop builds a trace-JIT
-    #: engine that honours them.
-    SUPPRESS_ANNOTATIONS = False
-
     def __init__(self, program: Program,
                  config: MachineConfig | None = None) -> None:
         if not program.is_multiscalar():
@@ -304,9 +298,6 @@ class MultiscalarProcessor:
         #: emission site guards on ``is not None``, so tracing is
         #: zero-cost when disabled.
         self.trace = None
-        #: Lazily built trace-JIT engine (repro.jit), shared by all
-        #: units; None until run() first needs it.
-        self._jit = None
 
     # ================================================== public interface
 
@@ -331,16 +322,14 @@ class MultiscalarProcessor:
 
     def step(self) -> None:
         """Advance under no harness limit (tests single-step the
-        machine; a skip or window then runs to its own next event)."""
+        machine; a skip then runs to its own next event)."""
         self.advance(PIPELINE_NEVER)
 
     def advance(self, limit: int) -> None:
         """Execute at least one cycle, stopping at or before ``limit``
-        (see :mod:`repro.core.runloop`): a compiled unit window, or
-        one interpreted cycle plus its quiescence skip."""
+        (see :mod:`repro.core.runloop`): one interpreted cycle plus
+        its quiescence skip."""
         cycle = self.cycle
-        if self._jit is not None and self._jit_step(cycle, limit):
-            return
         self._activity = False
         self._deliver_ring(cycle)
         active = self.active
@@ -408,128 +397,6 @@ class MultiscalarProcessor:
                 self._account_skip(next_cycle, wake)
                 next_cycle = wake
         self.cycle = next_cycle
-
-    def _jit_step(self, cycle: int, limit: int) -> bool:
-        """Run one compiled multi-cycle window; False declines the step.
-
-        A window is sound only while the machine-level events the
-        per-cycle loop interleaves — ring deliveries, task assignment,
-        retirement, squash application — provably cannot occur, so this
-        entry check refuses whenever one could act inside the window and
-        otherwise bounds the window at the first cycle one could. The
-        window only runs with exactly one unit awake (every other active
-        task asleep past the window end — the scalar-like steady
-        state); with several awake the interpreter steps them. Every
-        refusal below is free of side effects, so the cheapest and most
-        frequent one on a wide machine — a second unit awake — is
-        tested first.
-        """
-        if self.halted or self._squash_request is not None:
-            return False
-        active = self.active
-        if not active or active[0].stopped:
-            # An empty machine has nothing to run; a stopped head can
-            # retire mid-window (which reshapes every gate below).
-            return False
-        end = limit
-        units = self.units
-        running = None
-        for task in active:
-            if task.squashed or units[task.unit_index].task is not task:
-                return False  # inconsistent mid-squash state
-            if task.sleep_until > cycle:
-                if task.sleep_until < end:
-                    end = task.sleep_until
-            elif running is not None:
-                return False  # two units awake: not a unit window
-            else:
-                running = task
-        if running is None:
-            return False
-        # Ring: no message may arrive inside the window (and none can be
-        # sent: forwards/releases/stops are ring events and all deopt).
-        ring_next = self.ring.next_arrival()
-        if ring_next is not None:
-            if ring_next <= cycle:
-                return False
-            if ring_next < end:
-                end = ring_next
-        # Sequencer: an assignment (or descriptor fetch) must not
-        # happen mid-window. Blocked on an occupied unit slot is a
-        # stable refusal — no task can retire while the head is not
-        # stopped, and stops never commit inside a window.
-        if self.next_pc is not None:
-            if len(active) >= self.num_units \
-                    or units[self._next_unit].task is not None:
-                pass
-            elif cycle < self.seq_busy_until:
-                if self.seq_busy_until < end:
-                    end = self.seq_busy_until
-            else:
-                return False
-        if end - cycle < 2:
-            return False
-        slot = units[running.unit_index]
-        window = self._jit.try_run(slot.pipeline, slot.context, cycle, end)
-        if window is None:
-            return False
-        next_cycle, code, last_issue, busy = window
-        squashing = code == EV_SQUASH
-        executed = next_cycle - cycle
-        record = running.cycles
-        record.busy_cycles += busy
-        counts = self._jit.counts
-        for reason in StallReason:
-            stalled = counts[reason]
-            if stalled:
-                record.stall_cycles[reason] += stalled
-                counts[reason] = 0
-        if last_issue >= 0:
-            self._last_progress = last_issue
-        # Sleeping tasks are charged exactly as per-cycle stepping
-        # would: their (stable) last stall reason each full cycle. On a
-        # squash cycle the interpreter's walk charges a sleeper only if
-        # it is walked before the squashing unit or survives the squash.
-        span = executed - 1 if squashing else executed
-        upos = active.index(running)
-        cut = len(active)
-        if squashing:
-            kind, seq = self._squash_request
-            if kind == "memory":
-                cut = next((i for i, t in enumerate(active)
-                            if t.seq == seq), len(active))
-            elif len(active) > 1:
-                cut = len(active) - 1
-        noted = 1
-        for index, task in enumerate(active):
-            if task is running:
-                continue
-            charged = span
-            if squashing and (index < upos or index < cut):
-                charged += 1
-                noted += 1
-            if charged:
-                record = task.cycles
-                record.stall_cycles[
-                    units[task.unit_index].pipeline._last_stall] += charged
-        self.distribution.idle += span * (self.num_units - len(active))
-        if squashing:
-            self.distribution.idle += self.num_units - noted
-            self._apply_squash_request(next_cycle - 1)
-            self._activity = True
-        else:
-            pipeline = slot.pipeline
-            self._activity = pipeline._activity
-            if not pipeline._activity:
-                # Mirror the post-step sleep decision for the final
-                # executed cycle (the window already consumed the skip).
-                wake = pipeline.wake_cycle(next_cycle - 1)
-                if wake > next_cycle:
-                    running.sleep_until = wake
-        # _try_retire is skipped: it requires a stopped head, and the
-        # head neither starts nor becomes stopped inside a window.
-        self.cycle = next_cycle
-        return True
 
     def _wake_cycle(self, cycle: int) -> int:
         """Earliest cycle at which any machine component could act.

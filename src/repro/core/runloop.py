@@ -38,7 +38,6 @@ def drive(machine, budget: int, checkpointer=None, watchdog=None) -> None:
     """
     if watchdog is not None:
         watchdog.bind(machine)
-    _refresh_jit(machine)
     advance = machine.advance
     while not machine.halted:
         cycle = machine.cycle
@@ -66,14 +65,3 @@ def drive(machine, budget: int, checkpointer=None, watchdog=None) -> None:
         if watchdog is not None:
             watchdog.check(machine)
 
-
-def _refresh_jit(machine) -> None:
-    """(Re)build the machine's trace-JIT engine if one is wanted and
-    the cached one is missing or stale (annotation passes replace the
-    program's uop list via ``Program.invalidate_uops``)."""
-    jit = machine._jit
-    if machine.config.jit and (jit is None or not jit.fresh()):
-        from repro.jit.engine import engine_for
-
-        machine._jit = engine_for(machine.program, machine.config,
-                                  suppress=machine.SUPPRESS_ANNOTATIONS)

@@ -72,10 +72,6 @@ class _ScalarContext(PipelineContext):
 class ScalarProcessor:
     """Runs a program on one pipelined processing unit."""
 
-    #: The scalar core ignores multiscalar tag bits, and so does the
-    #: trace-JIT engine the run loop builds for it.
-    SUPPRESS_ANNOTATIONS = True
-
     def __init__(self, program: Program,
                  config: MachineConfig | None = None) -> None:
         self.program = program
@@ -102,9 +98,8 @@ class ScalarProcessor:
         self.pipeline = UnitPipeline(self.config.unit, ctx,
                                      fast_path=self.config.fast_path)
         self.pipeline.reset(pc=program.entry)
-        #: Lazily built trace-JIT engine (repro.jit); None until run()
-        #: first needs it, and rebuilt if the program's uop list is
-        #: replaced (annotation passes call Program.invalidate_uops).
+        #: Trace-JIT engine (repro.jit), built by run(); None before the
+        #: first run and for configurations the JIT does not serve.
         self._jit = None
 
     def syscall(self) -> None:
@@ -114,6 +109,13 @@ class ScalarProcessor:
 
     def run(self, max_cycles: int = 20_000_000, checkpointer=None,
             watchdog=None) -> ScalarResult:
+        jit = self._jit
+        if self.config.jit and (jit is None or not jit.fresh()):
+            # Annotation passes replace the program's uop list
+            # (Program.invalidate_uops), which stales a cached engine.
+            from repro.jit.engine import engine_for
+
+            self._jit = engine_for(self.program, self.config)
         # The scalar budget is inclusive: the run may *reach* cycle
         # max_cycles, so the first forbidden cycle is one past it.
         drive(self, max_cycles + 1, checkpointer, watchdog)

@@ -142,8 +142,13 @@ class FuzzCampaign:
         self.seed = seed
         self.budget = budget
         self.languages = tuple(languages)
-        self.ms_grid = full_grid(units, widths, orders, fast_paths, jits)
-        self.scalar_baseline = BackendSpec("scalar", 1, 1, False)
+        self.ms_grid = full_grid(units, widths, orders, fast_paths)
+        #: The scalar baseline, plus its ``-nojit`` twin when ``jits``
+        #: asks for one: the JIT serves the scalar core only, so that
+        #: is the one machine the axis can select anything on.
+        self.scalar_backends = tuple(
+            BackendSpec("scalar", 1, 1, False, jit=jit)
+            for jit in jits)
         self.max_shrink_checks = max_shrink_checks
         self.max_cycles = max_cycles
         self.jobs = max(1, jobs)
@@ -155,10 +160,10 @@ class FuzzCampaign:
     # ------------------------------------------------------------- parts
 
     def grid_for(self, index: int) -> tuple[BackendSpec, ...]:
-        """Scalar baseline + a rotating window of multiscalar configs."""
+        """Scalar backends + a rotating window of multiscalar configs."""
         window = [self.ms_grid[(index * WINDOW + k) % len(self.ms_grid)]
                   for k in range(min(WINDOW, len(self.ms_grid)))]
-        return (self.scalar_baseline, *dict.fromkeys(window))
+        return (*self.scalar_backends, *dict.fromkeys(window))
 
     def generate(self, index: int) -> GeneratedProgram:
         language = self.languages[index % len(self.languages)]

@@ -77,19 +77,19 @@ def inject_opcode_bug(op: Op, backends: frozenset[str] | set[str] =
 
 
 @contextmanager
-def inject_jit_guard_miss(mode: str = "stop"):
+def inject_jit_guard_miss(mode: str = "taken-branch"):
     """Plant a guard bug in the trace-JIT's generated executors.
 
-    ``mode`` selects which guard family goes blind (see
-    :func:`repro.jit.engine.set_injection`): ``"stop"`` makes compiled
-    bodies ignore task-stop annotation bits, ``"taken-branch"`` makes
-    them dispatch past a taken branch. Either way the JIT silently
-    diverges from the interpreter while the reference backends stay
-    honest — the JIT analogue of :func:`inject_opcode_bug`, used by the
-    fuzz self-test to prove the ``-nojit`` differential axis actually
-    catches compiled-code bugs. Compiled bodies are cached per
-    injection mode, so entering and leaving the context cannot leak
-    buggy code into clean runs.
+    ``mode`` names the guard family that goes blind (see
+    :func:`repro.jit.engine.set_injection`): ``"taken-branch"`` makes
+    compiled bodies dispatch past a taken branch. The JIT — and so the
+    scalar core, the only machine it serves — silently diverges from
+    the interpreter while the reference backends stay honest: the JIT
+    analogue of :func:`inject_opcode_bug`, used by the fuzz self-test
+    to prove the ``-nojit`` differential axis actually catches
+    compiled-code bugs. Compiled bodies are cached per engine and
+    engines are built per run, so entering and leaving the context
+    cannot leak buggy code into clean runs.
     """
     from repro.jit import engine as jit_engine
 

@@ -66,7 +66,9 @@ class BackendSpec:
     fast_path: bool = True
     #: False disables the trace-JIT (``--no-jit``) so the fast-path
     #: interpreter runs every cycle itself; yet another same-machine
-    #: backend axis that must be bit-identical.
+    #: backend axis that must be bit-identical. Scalar backends only:
+    #: the multiscalar machine is interpreter-only, so the field
+    #: selects nothing there and earns no label.
     jit: bool = True
 
     @property
@@ -74,21 +76,20 @@ class BackendSpec:
         issue = f"{self.issue_width}w-" \
             + ("ooo" if self.out_of_order else "io")
         suffix = "" if self.fast_path else "-ref"
-        if self.fast_path and not self.jit:
-            suffix = "-nojit"
         if self.kind == "scalar":
+            if self.fast_path and not self.jit:
+                suffix = "-nojit"
             return f"scalar:{issue}{suffix}"
         return f"ms:{self.units}u-{issue}{suffix}"
 
 
 def full_grid(units=(1, 2, 4, 8), widths=(1, 2),
               orders=(False, True),
-              fast_paths=(True,),
-              jits=(True,)) -> list[BackendSpec]:
+              fast_paths=(True,)) -> list[BackendSpec]:
     """Every multiscalar configuration of the paper's evaluation grid."""
-    return [BackendSpec("multiscalar", u, w, o, fp, j)
+    return [BackendSpec("multiscalar", u, w, o, fp)
             for u in units for w in widths for o in orders
-            for fp in fast_paths for j in jits]
+            for fp in fast_paths]
 
 
 #: Default per-program grid: the scalar baseline plus three multiscalar
@@ -297,8 +298,7 @@ def run_multiscalar_backend(program: Program, spec: BackendSpec,
         processor = MultiscalarProcessor(
             program, multiscalar_config(spec.units, spec.issue_width,
                                         spec.out_of_order,
-                                        fast_path=spec.fast_path,
-                                        jit=spec.jit))
+                                        fast_path=spec.fast_path))
         observer = _InvariantObserver()
         processor.observer = observer
         try:

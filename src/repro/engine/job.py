@@ -96,9 +96,10 @@ class SimJob:
     #: still separates the two so ``--no-fast-path`` runs never serve
     #: (or pollute) fast-path cache entries.
     fast_path: bool = True
-    #: Simulator knob: False disables the trace-JIT (``--no-jit``).
-    #: Cycle-exact either way, but keyed separately for the same
-    #: reason as ``fast_path``.
+    #: Simulator knob: False disables the scalar core's trace-JIT
+    #: (``--no-jit``). Cycle-exact either way, but keyed separately
+    #: for the same reason as ``fast_path`` — on every kind, though a
+    #: multiscalar machine is interpreter-only and ignores it.
     jit: bool = True
     # -------- hardware axes beyond the paper's Section-5.1 defaults
     #: Cycles per ring hop (paper default 1).
@@ -124,6 +125,17 @@ class SimJob:
             raise ValueError(f"unknown job kind {self.kind!r}")
         if (self.workload is None) == (self.source is None):
             raise ValueError("exactly one of workload/source required")
+        # A machine that cannot exist must not reach a worker: zero
+        # units spin to the livelock deadline, a zero budget times out
+        # at once, and Table 1 defines 1- and 2-way units only.
+        if self.units < 1:
+            raise ValueError(f"units must be at least 1, not {self.units}")
+        if self.issue_width not in (1, 2):
+            raise ValueError(
+                f"issue_width must be 1 or 2, not {self.issue_width}")
+        if self.max_cycles < 1:
+            raise ValueError(
+                f"max_cycles must be at least 1, not {self.max_cycles}")
         # Raises ValueError on a bad knob combination.
         knobs = CompilerKnobs(task_size=self.task_size,
                               loop_cut=self.loop_cut,
@@ -339,10 +351,11 @@ def import_execution_modules() -> None:
     loads the toolchain or the simulator. The price: ``WorkerPool``
     forks one child *per job* and children inherit the parent's
     ``sys.modules``, so a parent that forks before loading the
-    simulator makes every child import it again. :func:`execute` calls
-    this itself; whoever is about to fork workers that will run
-    :func:`execute` calls it first (docs/INTERNALS.md, "import
-    layering").
+    simulator makes every child import it again. Whoever is about to
+    fork workers that will run :func:`execute` calls this first
+    (docs/INTERNALS.md, "import layering"); :func:`execute` itself
+    imports only what its job runs — a multiscalar job never loads
+    ``repro.jit``, which serves the scalar core alone.
     """
     import repro.compiler.annotate
     import repro.core.processor
@@ -382,7 +395,6 @@ def execute(job: SimJob, checkpoints=None, attempt: int = 0,
     whenever a checkpoint lands; the server daemon uses it as both a
     lease heartbeat and a client-visible progress event.
     """
-    import_execution_modules()
     from repro.core.processor import MultiscalarProcessor
     from repro.core.scalar import ScalarProcessor
     from repro.isa.executor import FunctionalCPU

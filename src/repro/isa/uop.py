@@ -30,7 +30,7 @@ from __future__ import annotations
 from repro.isa import semantics
 from repro.isa.instruction import Instruction
 from repro.isa.memory_image import s32, u32
-from repro.isa.opcodes import Kind, Op, StopKind
+from repro.isa.opcodes import Kind, Op
 from repro.isa.registers import FPCOND_REG
 
 
@@ -160,39 +160,23 @@ class MicroOp:
         return f"MicroOp({self.instr!r})"
 
 
-def _region_ends_after(uop: MicroOp, suppress: bool) -> bool:
-    """True when the straight-line dispatch run cannot continue past
-    ``uop``: fetch is redirected at decode (jump/call), stalled for an
-    indirect target (jr/jalr), or stopped at a (predicted) task
-    boundary. Conditional branches without a fetch-stalling stop bit do
-    *not* end a run — predict-not-taken keeps dispatching the fall
-    -through path, which is exactly the trace the JIT compiles."""
-    stop = StopKind.NONE if suppress else uop.instr.stop
-    kind = uop.kind
-    if kind is Kind.BRANCH:
-        return stop is StopKind.ALWAYS or stop is StopKind.NOT_TAKEN
-    if kind is Kind.JUMP or kind is Kind.CALL or kind is Kind.JUMP_REG:
-        return True
-    return stop is StopKind.ALWAYS
-
-
-def trace_regions(uops: list[MicroOp],
-                  suppress: bool) -> list[tuple[int, int]]:
+def trace_regions(uops: list[MicroOp]) -> list[tuple[int, int]]:
     """Maximal straight-line dispatch runs, as [start, end) word spans.
 
     A region is the unit the trace JIT compiles: the not-taken path the
-    fetch/dispatch engine follows from a region entry until something
-    statically redirects or stops fetch. The spans partition the text;
-    control may *enter* a region at any interior word (a branch target),
-    in which case execution simply runs from there to the region end.
-    ``suppress`` mirrors the pipeline's annotation suppression (scalar
-    mode ignores stop bits), so the partition matches what the machine
-    being simulated actually does.
+    fetch/dispatch engine follows from a region entry until fetch is
+    redirected at decode (jump/call) or stalled for an indirect target
+    (jr/jalr). Conditional branches do *not* end a run — predict-not
+    -taken keeps dispatching the fall-through path. Tag bits are
+    ignored: the JIT serves the scalar core, which ignores them too.
+    The spans partition the text; control may *enter* a region at any
+    interior word (a branch target), in which case execution simply
+    runs from there to the region end.
     """
     regions: list[tuple[int, int]] = []
     start = 0
     for w, uop in enumerate(uops):
-        if _region_ends_after(uop, suppress):
+        if uop.ctl and uop.kind is not Kind.BRANCH:
             regions.append((start, w + 1))
             start = w + 1
     if start < len(uops):
@@ -200,7 +184,7 @@ def trace_regions(uops: list[MicroOp],
     return regions
 
 
-def basic_blocks(uops: list[MicroOp], suppress: bool,
+def basic_blocks(uops: list[MicroOp],
                  text_base: int) -> list[tuple[int, int]]:
     """Classic basic blocks, as [start, end) word spans.
 
@@ -214,14 +198,13 @@ def basic_blocks(uops: list[MicroOp], suppress: bool,
         return []
     leaders = {0, n}
     for w, uop in enumerate(uops):
-        stop = StopKind.NONE if suppress else uop.instr.stop
-        if uop.ctl or stop is not StopKind.NONE:
+        if uop.ctl:
             leaders.add(w + 1)
-        target = uop.target
-        if uop.ctl and target is not None:
-            tw = (target - text_base) >> 2
-            if 0 <= tw < n:
-                leaders.add(tw)
+            target = uop.target
+            if target is not None:
+                tw = (target - text_base) >> 2
+                if 0 <= tw < n:
+                    leaders.add(tw)
     ordered = sorted(leaders)
     return [(a, b) for a, b in zip(ordered, ordered[1:]) if b > a]
 

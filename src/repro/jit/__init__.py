@@ -2,11 +2,12 @@
 
 The interpreter executes one unit-cycle per ``UnitPipeline.step``
 call; this package compiles hot straight-line uop regions into
-generated Python functions that run many cycles of one unit per call
-in one flat loop, deopting back to the interpreter at every irregular
-boundary (annotation side effects, syscalls/halt, squash requests).
-Results are bit-identical to the interpreter by construction — see
-docs/INTERNALS.md §12 for the discovery/guard/deopt protocol.
+generated Python functions that run many cycles of the scalar core's
+unit per call in one flat loop, deopting back to the interpreter at
+every irregular boundary (syscalls/halt, run-loop limits). The
+multiscalar machine is interpreter-only. Results are bit-identical to
+the interpreter by construction — see docs/INTERNALS.md §12 for the
+discovery/guard/deopt protocol and the measurement behind the split.
 
 Layout:
 
@@ -15,7 +16,7 @@ Layout:
 * :mod:`repro.jit.codegen` — source generation for the specialized
   per-cycle executors;
 * :mod:`repro.jit.engine` — window eligibility, the body cache, and
-  the ``engine_for`` factory the run loop calls.
+  the ``engine_for`` factory ``ScalarProcessor.run`` calls.
 """
 
 from repro._lazy import lazy_exports

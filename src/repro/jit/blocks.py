@@ -12,8 +12,9 @@ also carry the two static partitions of the text:
   used only for the per-block entry counters reported by
   ``jit_stats()`` and the bench harness.
 
-Tables are built per (program uop list, annotation suppression,
-latency table) and cached on the consumer. The uop list's *identity*
+Tables are built per (program uop list, latency table) and cached on
+the consumer. Multiscalar tag bits are not decoded: the JIT serves the
+scalar core, which ignores them. The uop list's *identity*
 is the staleness key: annotation passes that mutate instructions must
 call ``Program.invalidate_uops()``, which rebuilds the list and thus
 invalidates any tables built against the old one (checked by
@@ -22,14 +23,13 @@ invalidates any tables built against the old one (checked by
 
 from __future__ import annotations
 
-from repro.isa.opcodes import Kind, Op, StopKind
+from repro.isa.opcodes import Kind, Op
 from repro.isa.uop import basic_blocks, trace_regions
 
 #: Stable small-int encodings of the enums the executor compares
 #: against, derived from the enums at import so a reordering upstream
 #: cannot silently desynchronize the tables.
 KIND_ID = {kind: index for index, kind in enumerate(Kind)}
-STOP_ID = {stop: index for index, stop in enumerate(StopKind)}
 
 K_ALU = KIND_ID[Kind.ALU]
 K_LOAD = KIND_ID[Kind.LOAD]
@@ -38,42 +38,32 @@ K_BRANCH = KIND_ID[Kind.BRANCH]
 K_JUMP = KIND_ID[Kind.JUMP]
 K_CALL = KIND_ID[Kind.CALL]
 K_JUMP_REG = KIND_ID[Kind.JUMP_REG]
-K_SYSCALL = KIND_ID[Kind.SYSCALL]
-K_HALT = KIND_ID[Kind.HALT]
 K_RELEASE = KIND_ID[Kind.RELEASE]
-
-S_NONE = STOP_ID[StopKind.NONE]
-S_ALWAYS = STOP_ID[StopKind.ALWAYS]
-S_TAKEN = STOP_ID[StopKind.TAKEN]
-S_NOT_TAKEN = STOP_ID[StopKind.NOT_TAKEN]
 
 #: Executor exit events (why a compiled trace returned control).
 EV_LIMIT = 0     # reached the cycle limit / a checkpoint or watchdog bound
-EV_TRACE = 1     # dispatch crossed into another trace region
-EV_RING = 2      # a forward/release/stop committed (ring state changed)
-EV_HALT = 3      # the machine halted (HALT or exit syscall committed)
-EV_SQUASH = 4    # a squash request is pending (ARB violation/overflow)
+EV_TRACE = 1     # dispatch reached a word this body did not compile
+EV_HALT = 2      # the next word to dispatch is a syscall or a halt
 
-EXIT_NAMES = ("limit", "trace", "ring", "halt", "squash")
+EXIT_NAMES = ("limit", "trace", "halt")
 
 
 class TraceTables:
-    """Flat decode of one program text for one suppression mode."""
+    """Flat decode of one program text."""
 
     __slots__ = (
-        "uops", "suppress", "text_base", "nwords",
+        "uops", "text_base", "nwords",
         "kind", "fui", "lat", "srcs", "dsts", "dst1", "imm", "target",
-        "alu", "branch", "ea_base", "store_reg", "stop", "fwd", "ctl",
+        "alu", "branch", "ea_base", "store_reg",
         "is_jal", "is_release", "instrs",
         "regions", "region_of", "blocks", "block_of",
         "block_entries", "region_calls", "region_cycles", "region_uops",
         "region_exits",
     )
 
-    def __init__(self, uops: list, suppress: bool, text_base: int,
+    def __init__(self, uops: list, text_base: int,
                  latencies: dict) -> None:
         self.uops = uops
-        self.suppress = suppress
         self.text_base = text_base
         n = self.nwords = len(uops)
         self.kind = [KIND_ID[u.kind] for u in uops]
@@ -88,23 +78,17 @@ class TraceTables:
         self.branch = [u.branch for u in uops]
         self.ea_base = [u.ea_base for u in uops]
         self.store_reg = [u.store_reg for u in uops]
-        # Annotation bits are snapshotted here; the uop-list identity
-        # check below is what keeps them honest (in-place annotation
-        # requires invalidate_uops(), which replaces the list).
-        self.stop = [STOP_ID[u.instr.stop] for u in uops]
-        self.fwd = [bool(u.instr.forward) for u in uops]
-        self.ctl = [u.ctl for u in uops]
         self.is_jal = [u.kind is Kind.CALL and u.op is Op.JAL
                        for u in uops]
         self.is_release = [u.op is Op.RELEASE for u in uops]
         self.instrs = [u.instr for u in uops]
 
-        self.regions = trace_regions(uops, suppress)
+        self.regions = trace_regions(uops)
         self.region_of = [0] * n
         for rid, (start, end) in enumerate(self.regions):
             for w in range(start, end):
                 self.region_of[w] = rid
-        self.blocks = basic_blocks(uops, suppress, text_base)
+        self.blocks = basic_blocks(uops, text_base)
         self.block_of = [0] * n
         for bid, (start, end) in enumerate(self.blocks):
             for w in range(start, end):
@@ -162,7 +146,6 @@ class TraceTables:
         }
 
 
-def tables_for(program, suppress: bool, latencies: dict) -> TraceTables:
+def tables_for(program, latencies: dict) -> TraceTables:
     """Build the flat tables for ``program`` (one-shot, caller caches)."""
-    return TraceTables(program.uops(), suppress, program.text_base,
-                       latencies)
+    return TraceTables(program.uops(), program.text_base, latencies)

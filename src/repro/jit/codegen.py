@@ -8,15 +8,11 @@ specialized, flattened transcription of ``UnitPipeline.step()`` — same
 phase order (commit, resolve, issue, dispatch, fetch, stall
 classification, activity), same side effects, driven by the flat
 per-word tables of :mod:`repro.jit.blocks` instead of per-uop attribute
-chains. Windows serve the scalar run loop, and the multiscalar steady
-state where every other unit sleeps past the window end (the 1-2-unit
-machines ``explore`` visits; a few percent of cycles at 4-8 units).
-
-A second tier used to sit here: a *machine frame* transcribing the
-whole multiscalar machine loop, with these phases for units in a
-regular state and ``pipeline.step()`` for the rest. It was deleted when
-the interpreter's single-frame ``step`` overtook it (frames bought
-0.89-1.10x at 4 and 8 units; docs/INTERNALS.md §12 has the numbers).
+chains. Windows serve the scalar core only: a multiscalar unit is
+interrupted by ring forwards, stops and squashes too often for a
+window to pay (docs/INTERNALS.md §12 has the numbers), so that machine
+is interpreter-only and every multiscalar tag bit is ignored here, as
+the scalar core ignores it.
 
 Correctness rests on two structural invariants rather than per-effect
 guards:
@@ -27,18 +23,16 @@ guards:
   returns with the flagged cycle completely unexecuted and the
   interpreter simply runs that exact cycle — there is no partial-cycle
   state to repair.
-* **No annotations in compiled state.** Compiled phases only ever run
-  over ROBs whose every record decodes to a COMMIT_OK word (plain
-  commits: no syscalls, halts, forwards, releases, or stop bits), and
-  the dispatch table admits only such words. Compiled control flow is
-  therefore *regular*: branch resolution is either a no-op or the
-  plain mispredict flush, jumps redirect fetch, and jr/jalr stall it —
-  all transcribed here — while every annotated form (task stops,
-  forwards, releases) and syscall/halt runs interpreted.
+* **Only plain commits in compiled state.** Compiled phases only ever
+  run over ROBs whose every record decodes to a window word (no
+  syscalls or halts), and the dispatch table admits only such words.
+  Compiled control flow is therefore *regular*: branch resolution is
+  either a no-op or the plain mispredict flush, jumps redirect fetch,
+  and jr/jalr stall it — all transcribed here — while syscall/halt
+  runs interpreted.
 
-Executors are specialized per machine variant (scalar vs multiscalar
-annotation suppression), per feature set of the live window (memory
-ops present, control flow present), and on whether an event bus is
+Executors are specialized per feature set of the live window (memory
+ops present, control flow present) and on whether an event bus is
 attached — a handful of compiled bodies per engine, cached by key. A
 body's dispatch table maps any word whose features it did not compile
 to an ``EV_TRACE`` deopt, so a window that branches into a region
@@ -61,7 +55,6 @@ from repro.jit.blocks import (
 )
 from repro.observability.events import Category as _Cat
 from repro.pipeline.context import StallReason
-from repro.pipeline.unit import MemRetry as _MemRetry
 from repro.pipeline.unit import _InFlight
 
 #: Body-feature bits. F_MEM / F_BRANCH prune the issue arms and the
@@ -80,7 +73,6 @@ _RS_ENUM = (None,) + tuple(StallReason)
 _RS_NAME = (None,) + tuple(reason.name for reason in StallReason)
 
 _R_NONE = int(StallReason.NONE)
-_R_INTER = int(StallReason.INTER_TASK)
 _R_INTRA = int(StallReason.INTRA_TASK)
 _R_WAIT = int(StallReason.WAIT_RETIRE)
 _R_FETCH = int(StallReason.FETCH)
@@ -128,7 +120,7 @@ def _emit_tables(L: _Lines) -> None:
     w("IFNEW = _InFlight.__new__")
 
 
-def _emit_phases(L: _Lines, ms: bool, mem: bool, br: bool, traced: bool,
+def _emit_phases(L: _Lines, mem: bool, br: bool, traced: bool,
                  inject_taken: bool) -> None:
     """Emit one unit-cycle of phases (commit through activity).
 
@@ -141,15 +133,15 @@ def _emit_phases(L: _Lines, ms: bool, mem: bool, br: bool, traced: bool,
                      busy last_issue committed_t dispatched_t fetched_t
                      loads_t stores_t
     out scalars      issued rid act (plus scratch)
-    aliased state    rob fb lw unres fbv stats counts regs pending
-    bound callables  fetch_group mem_load mem_store store_prep
+    aliased state    rob fb lw unres fbv stats counts regs
+    bound callables  fetch_group mem_load mem_store
     constants        window fetchq stopc cycle trace tid
     """
     w = L.w
 
     # ------------------------------------------------------------ commit
-    w("# Commit (unguarded: COMMIT_OK entry scan + DISPATCH_OK-only")
-    w("# dispatch means only regular commits can reach the head).")
+    w("# Commit (unguarded: the entry scan and the dispatch table")
+    w("# admit only words whose commit is regular).")
     w("committed = 0")
     w("while rob:")
     L.indent()
@@ -171,8 +163,6 @@ def _emit_phases(L: _Lines, ms: bool, mem: bool, br: bool, traced: bool,
     w("if d1:")
     L.indent()
     w("regs[d1] = res")
-    if ms:
-        w("pending.pop(d1, None)")
     L.dedent()
     L.dedent()
     w("for d in ds:")
@@ -196,7 +186,7 @@ def _emit_phases(L: _Lines, ms: bool, mem: bool, br: bool, traced: bool,
     # ----------------------------------------------------------- resolve
     if br:
         w("# Resolve ready control (exact _resolve_branches +")
-        w("# _apply_resolution for unannotated records: a not-taken")
+        w("# _apply_resolution with tag bits ignored: a not-taken")
         w("# branch is a no-op, a taken branch is the mispredict flush,")
         w("# and jr/jalr always flush-and-redirect to the target).")
         w("resolved = 0")
@@ -234,7 +224,7 @@ def _emit_phases(L: _Lines, ms: bool, mem: bool, br: bool, traced: bool,
         w("cut = cand.idx")
         L.dedent()
         L.dedent()
-        w("else:  # jr / jalr (stop bits never reach a window)")
+        w("else:  # jr / jalr")
         L.indent()
         w("cut = cand.idx")
         L.dedent()
@@ -296,12 +286,6 @@ def _emit_phases(L: _Lines, ms: bool, mem: bool, br: bool, traced: bool,
     L.indent()
     w("if pr is None:")
     L.indent()
-    if ms:
-        w("if reg in pending:")
-        L.indent()
-        w("ok = False")
-        w("break")
-        L.dedent()
     w("srcs[reg] = regs[reg]")
     L.dedent()
     w("elif pr.issued and cycle >= pr.done_cycle:")
@@ -376,43 +360,14 @@ def _emit_phases(L: _Lines, ms: bool, mem: bool, br: bool, traced: bool,
         w(f"elif k == {K_LOAD}:")
         L.indent()
         w("rec.ea = ea = u32(srcs[EA[wq]] + IMM[wq])")
-        if ms:
-            w("try:")
-            L.indent()
-            w("v, done = mem_load(INSTR[wq], ea, cycle + 1)")
-            L.dedent()
-            w("except MemRetry:")
-            L.indent()
-            w("fail = True")
-            L.dedent()
-            w("else:")
-            L.indent()
-            w("rec.result = v")
-            w("loads_t += 1")
-            L.dedent()
-        else:
-            w("v, done = mem_load(INSTR[wq], ea, cycle + 1)")
-            w("rec.result = v")
-            w("loads_t += 1")
+        w("v, done = mem_load(INSTR[wq], ea, cycle + 1)")
+        w("rec.result = v")
+        w("loads_t += 1")
         L.dedent()
         w(f"elif k == {K_STORE}:")
         L.indent()
         w("rec.ea = ea = u32(srcs[EA[wq]] + IMM[wq])")
-        if ms:
-            w("try:")
-            L.indent()
-            w("store_prep(INSTR[wq], ea)")
-            L.dedent()
-            w("except MemRetry:")
-            L.indent()
-            w("fail = True")
-            L.dedent()
-            w("else:")
-            L.indent()
-            w("rec.store_value = srcs[SREG[wq]]")
-            L.dedent()
-        else:
-            w("rec.store_value = srcs[SREG[wq]]")
+        w("rec.store_value = srcs[SREG[wq]]")
         L.dedent()
     if br:
         w(f"elif k == {K_BRANCH}:")
@@ -421,9 +376,8 @@ def _emit_phases(L: _Lines, ms: bool, mem: bool, br: bool, traced: bool,
         w("rec.taken = t")
         w("rec.next_pc = TGT[wq] if t else rec.pc + 4")
         L.dedent()
-    # Jumps/calls/jr are COMMIT_OK (their commits are regular) and may
-    # sit in the ROB at window entry, so their issue arms are always
-    # compiled even though the JIT never dispatches them.
+    # Jump/call/jr issue is emitted in every body; one compiled
+    # without F_BRANCH never holds such a record.
     w(f"elif k == {K_JUMP} or k == {K_CALL} or k == {K_JUMP_REG}:")
     L.indent()
     w("rec.next_pc = arch_next_pc(INSTR[wq], srcs, rec.pc)")
@@ -450,7 +404,7 @@ def _emit_phases(L: _Lines, ms: bool, mem: bool, br: bool, traced: bool,
     L.dedent()
 
     # ---------------------------------------------------------- dispatch
-    w("# Dispatch (width 1): the head word is DISPATCH_OK by guard.")
+    w("# Dispatch (width 1): the head word passed the guard.")
     w("dispatched = 0")
     w("if fb and len(rob) < window:")
     L.indent()
@@ -500,8 +454,7 @@ def _emit_phases(L: _Lines, ms: bool, mem: bool, br: bool, traced: bool,
     w("unissued += 1")
     if br:
         w("# Decode-time fetch redirection (exact _dispatch_control")
-        w("# with stop = NONE: the dispatch table admits no annotated")
-        w("# control words).")
+        w("# with stop = NONE: tag bits are ignored).")
         w("kd = KIND[wd]")
         w(f"if kd == {K_BRANCH}:")
         L.indent()
@@ -606,22 +559,7 @@ def _emit_phases(L: _Lines, ms: bool, mem: bool, br: bool, traced: bool,
     L.indent()
     w(f"rid = {_R_NONE}")
     L.dedent()
-    w("elif unissued:")
-    L.indent()
-    if ms:
-        w(f"rid = {_R_INTRA}")
-        w("for reg, pr in rob[-unissued].producers.items():")
-        L.indent()
-        w("if pr is None and reg in pending:")
-        L.indent()
-        w(f"rid = {_R_INTER}")
-        w("break")
-        L.dedent()
-        L.dedent()
-    else:
-        w(f"rid = {_R_INTRA}")
-    L.dedent()
-    w("elif rob:")
+    w("elif unissued or rob:")
     L.indent()
     w(f"rid = {_R_INTRA}  # a syscall head cannot occur in-window")
     L.dedent()
@@ -650,7 +588,7 @@ def _emit_phases(L: _Lines, ms: bool, mem: bool, br: bool, traced: bool,
       "or fpu != fpu_b")
 
 
-def build_source(ms: bool, feat: int, inject_taken: bool = False) -> str:
+def build_source(feat: int, inject_taken: bool = False) -> str:
     """Emit the ``_make(...)`` factory source for one unit-window body.
 
     The executor advances one unit for many cycles in one flat loop,
@@ -663,8 +601,7 @@ def build_source(ms: bool, feat: int, inject_taken: bool = False) -> str:
     L = _Lines()
     w = L.w
 
-    w("def _make(T, XV, DOK, RSE, RSN, EMPTY, u32, arch_next_pc,")
-    w("          _InFlight, MemRetry):")
+    w("def _make(T, XV, RSE, RSN, EMPTY, u32, arch_next_pc, _InFlight):")
     L.indent()
     _emit_tables(L)
     w("def run(p, ctx, cycle, budget, counts):")
@@ -692,18 +629,13 @@ def build_source(ms: bool, feat: int, inject_taken: bool = False) -> str:
     if mem:
         w("mem_load = ctx.mem_load")
         w("mem_store = ctx.mem_store")
-        if ms:
-            w("store_prep = ctx.mem_store_prepare")
     w("regs = ctx.regs")
-    if ms:
-        w("machine = ctx.p")
-        w("pending = ctx.pending")
     w("cur_bid = -1")
     w("busy = 0")
     w("last_issue = -1")
     w("committed_t = 0; dispatched_t = 0; fetched_t = 0")
     w("loads_t = 0; stores_t = 0")
-    w("code = 0  # EV_LIMIT unless a guard or squash exits first")
+    w("code = 0  # EV_LIMIT unless a guard exits first")
     w("act = True")
     w("while cycle < budget:")
     L.indent()
@@ -712,8 +644,8 @@ def build_source(ms: bool, feat: int, inject_taken: bool = False) -> str:
     # The guard runs before any of the cycle's effects, so a deopt
     # returns with `cycle` unexecuted and the interpreter replays it.
     w("# Guard: the next word to dispatch must be admitted by this")
-    w("# body's dispatch table; annotated words, syscalls/halts, and")
-    w("# words needing uncompiled arms deopt by exit kind.")
+    w("# body's dispatch table; syscalls/halts and words needing")
+    w("# uncompiled arms deopt by exit kind.")
     w("if fb:")
     L.indent()
     w("x = XV[(fb[0][1] - TB) >> 2]")
@@ -724,25 +656,13 @@ def build_source(ms: bool, feat: int, inject_taken: bool = False) -> str:
     L.dedent()
     L.dedent()
 
-    _emit_phases(L, ms, mem, br, traced, inject_taken)
+    _emit_phases(L, mem, br, traced, inject_taken)
 
-    if ms:
-        w("# A committed store may have requested a squash (ARB")
-        w("# memory violation) or an issue-time ARB overflow may")
-        w("# have; the machine applies it at end of cycle, so exit")
-        w("# with the cycle fully executed.")
-        w("if machine._squash_request is not None:")
-        L.indent()
-        w("cycle += 1")
-        w("code = 4  # EV_SQUASH")
-        w("break")
-        L.dedent()
     w("nxt = cycle + 1")
     w("if not act:")
     L.indent()
-    w("# In-frame quiescence skip: identical to the run loops'")
-    w("# wake_cycle skip (budget already encodes every external")
-    w("# bound: horizon, ring, sequencer, sleeping units).")
+    w("# In-frame quiescence skip: identical to the run loop's")
+    w("# wake_cycle skip (budget is the run loop's limit).")
     w("p._activity = False")
     w("p.fetch_pending_until = fpu")
     w("p.pending_stores = pstores")
@@ -785,14 +705,12 @@ def build_source(ms: bool, feat: int, inject_taken: bool = False) -> str:
     return L.source()
 
 
-def compile_body(tables, xdok: list, dok: list, ms: bool, feat: int,
+def compile_body(tables, xdok: list, feat: int,
                  inject_taken: bool = False):
     """Compile one unit-window variant and bind it over ``tables``."""
-    label = "ms" if ms else "scalar"
-    src = build_source(ms, feat, inject_taken)
+    src = build_source(feat, inject_taken)
     namespace: dict = {}
-    exec(compile(src, f"<jit:{label}:trace:feat{feat}>", "exec"),
+    exec(compile(src, f"<jit:scalar:trace:feat{feat}>", "exec"),
          namespace)
-    return namespace["_make"](tables, xdok, dok, _RS_ENUM, _RS_NAME,
-                              _EMPTY_SRCS, _u32, _arch_next_pc,
-                              _InFlight, _MemRetry)
+    return namespace["_make"](tables, xdok, _RS_ENUM, _RS_NAME,
+                              _EMPTY_SRCS, _u32, _arch_next_pc, _InFlight)

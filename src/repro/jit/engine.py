@@ -1,18 +1,18 @@
 """Trace-JIT engine: window eligibility, the compiled-body cache, and
 per-region statistics.
 
-One :class:`UnitJIT` serves one processor (all units of a multiscalar
-machine share it — the generated executors read every mutable input
-from the pipeline they are handed). ``try_run`` is the single entry
-point: it decides whether the unit's *live* state is JIT-eligible
-(every ROB record decodes to a COMMIT_OK word), picks the compiled
-body variant for the window's feature set, runs it, and attributes the
+One :class:`UnitJIT` serves one :class:`~repro.core.scalar.
+ScalarProcessor` — the multiscalar machine is interpreter-only
+(docs/INTERNALS.md §12 has the measurement). ``try_run`` is the single
+entry point: it decides whether the unit's *live* state is JIT-eligible
+(every ROB record decodes to a window word), picks the compiled body
+variant for the window's feature set, runs it, and attributes the
 executed cycles to the trace region being streamed.
 
 Eligibility is deliberately re-checked on every entry rather than
 cached: fault injection can swap ``semantics.evaluate_alu`` mid-run,
 and annotation passes can replace the program's uop list (checked via
-``TraceTables.fresh_for`` by the run-loop integrations).
+``TraceTables.fresh_for`` by ``ScalarProcessor.run``).
 """
 
 from __future__ import annotations
@@ -21,19 +21,15 @@ from repro.isa import semantics
 from repro.jit import codegen
 from repro.jit.blocks import (
     EV_HALT,
-    EV_RING,
     EV_TRACE,
     K_ALU,
     K_BRANCH,
     K_CALL,
-    K_HALT,
     K_JUMP,
     K_JUMP_REG,
     K_LOAD,
     K_RELEASE,
     K_STORE,
-    K_SYSCALL,
-    S_NONE,
     tables_for,
 )
 
@@ -41,14 +37,15 @@ from repro.jit.blocks import (
 MIN_WINDOW = 2
 
 #: Planted guard-miss mode (difftest.inject_jit_guard_miss): None, or
-#: "stop" (commit/dispatch masks ignore stop/forward annotation bits)
-#: or "taken-branch" (the resolve guard lets taken branches resolve as
+#: "taken-branch" (the resolve guard lets taken branches resolve as
 #: no-ops). Read at engine construction; engines are built per run.
 _INJECT: str | None = None
 
 
 def set_injection(mode: str | None) -> None:
     global _INJECT
+    if mode not in (None, "taken-branch"):
+        raise ValueError(f"unknown JIT guard-miss mode {mode!r}")
     _INJECT = mode
 
 
@@ -56,60 +53,32 @@ def current_injection() -> str | None:
     return _INJECT
 
 
-#: Kinds whose commit is a plain register write/store with no machine
-#: side effects (given no annotation bits): safe at the ROB head inside
-#: a compiled window.
-_REGULAR_KINDS = frozenset((K_ALU, K_LOAD, K_STORE, K_BRANCH, K_JUMP,
-                            K_CALL, K_JUMP_REG))
-#: Kinds the JIT dispatches. All regular control flow is handled
+#: Kinds that stream through a compiled window: their commit is a
+#: plain register write/store and all their control flow is handled
 #: in-frame (taken-branch flushes, jump redirects, jr/jalr fetch
-#: stalls); only syscalls, halts, and annotated words deopt.
-_DISPATCH_KINDS = _REGULAR_KINDS
+#: stalls); a release is a no-op on the scalar core. Only syscalls and
+#: halts deopt.
+_WINDOW_KINDS = frozenset((K_ALU, K_LOAD, K_STORE, K_BRANCH, K_JUMP,
+                           K_CALL, K_JUMP_REG, K_RELEASE))
 
 
 class UnitJIT:
-    """Compiled-trace execution for the units of one processor."""
+    """Compiled-trace execution for the scalar core's unit."""
 
-    def __init__(self, program, config, suppress: bool) -> None:
+    def __init__(self, program, config) -> None:
         self.program = program
-        self.suppress = suppress
         self.inject = _INJECT
-        tables = self.tables = tables_for(program, suppress,
-                                          config.unit.latencies)
-        n = tables.nwords
+        tables = self.tables = tables_for(program, config.unit.latencies)
         kind = tables.kind
-        # "stop" guard-miss: pretend the annotation bits do not exist
-        # when computing the masks, so annotated instructions stream
-        # through compiled windows without their ring side effects.
-        ignore_bits = suppress or self.inject == "stop"
-        cok = [False] * n
-        dok = [False] * n
-        xdok = [-1] * n
-        feat = [0] * n
-        for w in range(n):
-            k = kind[w]
-            regular = k in _REGULAR_KINDS or (suppress and k == K_RELEASE)
-            annotated = not ignore_bits and (
-                tables.fwd[w] or tables.stop[w] != S_NONE
-                or k == K_RELEASE)
-            cok[w] = regular and not annotated
-            dok[w] = cok[w] and (k in _DISPATCH_KINDS
-                                 or (suppress and k == K_RELEASE))
-            if not dok[w]:
-                if k == K_SYSCALL or k == K_HALT:
-                    xdok[w] = EV_HALT
-                elif tables.ctl[w]:
-                    xdok[w] = EV_TRACE
-                else:
-                    xdok[w] = EV_RING
+        #: Per word: -1 if it may sit in a window's ROB and be
+        #: dispatched by it, else the exit code to deopt by.
+        self._xdok = [-1 if k in _WINDOW_KINDS else EV_HALT for k in kind]
+        feat = self._feat = [0] * tables.nwords
+        for w, k in enumerate(kind):
             if k == K_LOAD or k == K_STORE:
                 feat[w] = codegen.F_MEM
             elif k in (K_BRANCH, K_JUMP, K_CALL, K_JUMP_REG):
                 feat[w] = codegen.F_BRANCH
-        self._cok = cok
-        self._dok = dok
-        self._xdok = xdok
-        self._feat = feat
         self._region_feat = [0] * len(tables.regions)
         for rid, (start, end) in enumerate(tables.regions):
             rf = 0
@@ -142,8 +111,8 @@ class UnitJIT:
                     if xv[w] < 0 and feats[w] & ~cover:
                         xv[w] = EV_TRACE
             fn = self._bodies[feat] = codegen.compile_body(
-                self.tables, xv, self._dok, not self.suppress,
-                feat, inject_taken=self.inject == "taken-branch")
+                self.tables, xv, feat,
+                inject_taken=self.inject == "taken-branch")
         return fn
 
     # ------------------------------------------------------------- entry
@@ -156,9 +125,7 @@ class UnitJIT:
         """Run compiled cycles for one unit; ``None`` declines the window.
 
         On success returns ``(next_cycle, exit_code, last_issue_cycle,
-        busy_cycles)`` with ``next_cycle`` the first *unexecuted* cycle
-        (for ``EV_SQUASH`` the squash cycle itself *is* executed and the
-        pending request must then be applied at ``next_cycle - 1``).
+        busy_cycles)`` with ``next_cycle`` the first *unexecuted* cycle.
         Per-reason stall counts for the executed span accumulate into
         ``self.counts`` and must be folded and zeroed by the caller.
         """
@@ -173,21 +140,21 @@ class UnitJIT:
         tables = self.tables
         tb = tables.text_base
         n = tables.nwords
-        cok = self._cok
+        xdok = self._xdok
         feats = self._feat
         feat = 0
         for rec in pipeline.rob:
             w = (rec.pc - tb) >> 2
-            if w < 0 or w >= n or not cok[w]:
+            if w < 0 or w >= n or xdok[w] >= 0:
                 self.declines += 1
                 return None
             feat |= feats[w]
         fb = pipeline.fetch_buffer
         for _uop, dpc in fb:
             feat |= feats[(dpc - tb) >> 2]
-        # The dispatch stream can reach at most the end of the current
-        # trace region (its terminator word is never DISPATCH_OK), so
-        # the region's features bound what the window can execute.
+        # Seed the body variant with the features of the region the
+        # dispatch stream is in; a word past it that needs more deopts
+        # as EV_TRACE (see _body).
         if fb:
             w0 = (fb[0][1] - tb) >> 2
         elif pipeline.fetch_pending_pc is not None:
@@ -233,8 +200,8 @@ class UnitJIT:
         return data
 
 
-def engine_for(program, config, suppress: bool) -> UnitJIT | None:
-    """Build a JIT engine if the configured shape supports one.
+def engine_for(program, config) -> UnitJIT | None:
+    """Build a JIT engine if the scalar core's shape supports one.
 
     The compiled bodies transcribe the width-1 in-order issue path (the
     paper's default unit shape); any other shape — and any run with the
@@ -244,4 +211,4 @@ def engine_for(program, config, suppress: bool) -> UnitJIT | None:
         return None
     if config.unit.issue_width != 1 or config.unit.out_of_order:
         return None
-    return UnitJIT(program, config, suppress)
+    return UnitJIT(program, config)

@@ -12,7 +12,6 @@ driver existed. Last, the shared syscall service on all three machines.
 from __future__ import annotations
 
 from contextlib import ExitStack
-from types import SimpleNamespace
 
 import pytest
 
@@ -48,8 +47,6 @@ class FakeMachine:
         self.halted = False
         self._last_progress = 0
         self._progress_window = window
-        self._jit = None
-        self.config = SimpleNamespace(jit=False)
         self.strides = strides
         self.halt_at = halt_at
         self.journal = []
@@ -92,9 +89,9 @@ class Every:
 
 
 #: What a machine can do with a limit: tick, skip a little, or run as
-#: far as it is allowed (a long quiescence skip, a compiled window, a
-#: machine frame). The last two rows are the old resume-matrix and
-#: jit-deopt clamping scenarios, reduced to their run-loop content.
+#: far as it is allowed (a long quiescence skip, a compiled window).
+#: The last two rows are the old resume-matrix and jit-deopt clamping
+#: scenarios, reduced to their run-loop content.
 STRIDES = {
     "ticks": (1,),
     "short skips": (1, 7, 1, 3),
@@ -211,7 +208,9 @@ done:   lw $t2, 0($t9)
         .entry init
 """
 
-#: (fast_path, jit)
+#: (fast_path, jit). The JIT serves the scalar core only: on ms4 the
+#: "jit" and "no-jit" rows run the same interpreter, and pin that the
+#: config field is inert there.
 MODES = {"reference": (False, False), "no-jit": (True, False),
          "jit": (True, True)}
 
@@ -249,9 +248,9 @@ def test_timeout_raises_at_the_pinned_cycle(machine, raises_at, message,
 def test_livelock_raises_at_the_pinned_cycle(machine, raises_at,
                                              last_progress, stuck, mode):
     """Also the jit-vs-interpreter identity ``test_jit_deopt`` used to
-    check on its own: compiled windows and frames may not coast past
-    the progress deadline, so every mode dies on the same cycle with
-    the same diagnosis."""
+    check on its own: compiled windows may not coast past the progress
+    deadline, so every mode dies on the same cycle with the same
+    diagnosis."""
     processor = build(machine, assemble(LOOP), mode)
     with ExitStack() as wedge:
         if machine == "ms4":

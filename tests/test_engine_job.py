@@ -65,6 +65,14 @@ def test_job_validation():
         SimJob(kind="scalar")                        # no program at all
     with pytest.raises(ValueError):
         SimJob(kind="scalar", workload=NAME, source="x")   # both
+    # Machines that cannot exist: a worker would spin to the livelock
+    # deadline (no units) or time out at once (no budget).
+    for axes, message in (({"units": 0}, "units must be at least 1"),
+                          ({"units": -1}, "units must be at least 1"),
+                          ({"issue_width": 3}, "issue_width must be 1 or 2"),
+                          ({"max_cycles": 0}, "max_cycles must be at least")):
+        with pytest.raises(ValueError, match=message):
+            SimJob(kind="multiscalar", workload=NAME, **axes)
 
 
 def test_execute_scalar_and_roundtrip():

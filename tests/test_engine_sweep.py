@@ -149,6 +149,16 @@ def test_cli_sweep_rejects_unknown_workload(capsys):
     assert "unknown workloads" in capsys.readouterr().err
 
 
+def test_cli_sweep_rejects_impossible_machines(capsys):
+    # Exit 2 from the parser: before a grid is built or a worker forked.
+    for flag, value in (("--units", "0"), ("--units", "4,-1"),
+                        ("--widths", "3"), ("--max-cycles", "0")):
+        with pytest.raises(SystemExit) as exit:
+            main(["sweep", "--workloads", "wc", flag, value])
+        assert exit.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+
 def test_cli_cache_status_and_purge(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-cache"))
     store = ResultStore()

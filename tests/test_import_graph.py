@@ -178,8 +178,8 @@ def test_resolver_module_imports_only_leaves():
 def test_runloop_module_imports_nothing_from_the_simulator():
     # The driver is policy over a seam: it must be loadable (and
     # testable against a fake machine) without either core, the
-    # pipeline or the jit. It reaches for the jit engine only inside
-    # drive(), and only for a machine whose config asks for one.
+    # pipeline or the jit — which it never reaches for: the scalar
+    # core builds its own engine.
     done = subprocess.run(
         [sys.executable, "-c",
          "import json, sys\n"
@@ -190,6 +190,31 @@ def test_runloop_module_imports_nothing_from_the_simulator():
         text=True, check=True)
     assert json.loads(done.stdout) == [
         "repro", "repro._lazy", "repro.core", "repro.core.runloop"]
+
+
+def test_multiscalar_machine_never_loads_the_jit():
+    # The JIT belongs to the scalar core: neither importing the
+    # multiscalar processor nor executing a multiscalar job may load
+    # it, while a scalar job (so the probe is not vacuous) does.
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "def jit():\n"
+         "    return sorted(m for m in sys.modules"
+         " if m.startswith('repro.jit'))\n"
+         "import repro.core.processor\n"
+         "imported = jit()\n"
+         "from repro.engine.job import execute, multiscalar_job, scalar_job\n"
+         "payload = execute(multiscalar_job('wc', 4))\n"
+         "executed = jit()\n"
+         "execute(scalar_job('wc'))\n"
+         "print(json.dumps([imported, executed, jit(), payload['type']]))"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+        text=True, check=True)
+    imported, executed, after_scalar, kind = json.loads(done.stdout)
+    assert kind == "multiscalar"
+    assert imported == [] and executed == []
+    assert "repro.jit.engine" in after_scalar
 
 
 def _packages() -> list[str]:

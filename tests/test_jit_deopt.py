@@ -1,16 +1,15 @@
 """Deopt correctness: every irregular event inside a compiled block.
 
-The trace-JIT's guards exist for exactly four reasons: squashes, ARB
-activity (violations and overflow), cache misses, and the
-watchdog/checkpoint boundaries the resilience layer needs (the
-progress deadline is pinned per mode in ``test_core_runloop``). Each
-test here *forces* one of those events to fire while the JIT is executing
-compiled bodies and demands the machine's observable state — result
-dictionaries, metrics, per-cycle event streams, mid-run snapshots —
-match the fast-path interpreter cycle for cycle. Compiled bodies are
-unit windows (one unit awake, the rest asleep), so the squash tests
-run narrow machines where that state is common and assert the event
-really ended a window (its ``squash`` exit count).
+The trace-JIT serves the scalar core only (the multiscalar machine is
+interpreter-only; docs/INTERNALS.md §12), so what can interrupt a
+compiled window is what interrupts the scalar pipeline: cache misses,
+taken branches, syscalls, and the watchdog/checkpoint boundaries the
+resilience layer needs (the progress deadline is pinned per mode in
+``test_core_runloop``). Each test here *forces* one of those events to
+fire while the JIT is executing compiled bodies and demands the
+machine's observable state — result dictionaries, metrics, per-cycle
+event streams, mid-run snapshots — match the fast-path interpreter
+cycle for cycle.
 
 The last section validates the seam the fuzz self-test stands on:
 :func:`repro.difftest.inject_jit_guard_miss` plants a real guard bug in
@@ -25,8 +24,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import multiscalar_config, scalar_config
-from repro.core.processor import MultiscalarProcessor
+from repro.config import scalar_config
 from repro.core.scalar import ScalarProcessor
 from repro.difftest import inject_jit_guard_miss
 from repro.isa import assemble
@@ -35,9 +33,9 @@ from repro.resilience import capture_state
 from repro.resilience.failures import SimulationFailure
 from repro.workloads import WORKLOADS
 
-# A loop with a memory recurrence through one location: later tasks
-# load what earlier tasks store, so timing-dependent memory-order
-# (ARB) violations and their squashes fire mid-trace.
+# A loop with a memory recurrence through one location and a taken
+# back-edge per iteration; the task annotations are tag bits the scalar
+# core (and so the JIT) ignores.
 RECURRENCE = """
         .data
 cell:   .word 1
@@ -63,115 +61,37 @@ done:   lw $t2, 0($t9)
 """
 
 
-def _ms(program, jit: bool, units: int = 4, config=None):
-    config = config or multiscalar_config(units, jit=jit)
-    if config.jit != jit:
-        config = replace(config, jit=jit)
-    return MultiscalarProcessor(program, config)
+def _scalar(program, jit: bool, config=None):
+    return ScalarProcessor(program,
+                           replace(config or scalar_config(), jit=jit))
 
 
-def _pair(program, units: int = 4, config=None, exit_by: str | None = None):
-    """Run jit and no-jit; return both (processor, result) pairs and
-    assert the jit run actually executed compiled bodies (and, with
-    ``exit_by``, that some window ended for that reason)."""
-    jit_proc = _ms(program, True, units, config)
-    jit_result = jit_proc.run()
-    engine = jit_proc._jit
-    assert engine is not None
-    stats = engine.stats_dict()
+def _engaged(processor) -> dict:
+    """The finished run's engine statistics; fails if no compiled body
+    ever ran (the identity checks would be vacuous)."""
+    assert processor._jit is not None
+    stats = processor._jit.stats_dict()
     assert stats["entries"] > 0
-    if exit_by is not None:
-        assert stats["exits"][exit_by] > 0, \
-            f"no compiled window exited by {exit_by}; test is vacuous"
-    int_proc = _ms(program, False, units, config)
-    int_result = int_proc.run()
-    return (jit_proc, jit_result), (int_proc, int_result)
-
-
-def _identical(jit_pair, int_pair):
-    (jit_proc, jit_result), (int_proc, int_result) = jit_pair, int_pair
-    assert jit_result.to_dict() == int_result.to_dict()
-    assert collect_metrics(jit_proc).to_dict() \
-        == collect_metrics(int_proc).to_dict()
-
-
-# ------------------------------------------------------------- squashes
-
-def test_squash_inside_compiled_block():
-    program = WORKLOADS["sc"].multiscalar_program()
-    jit_pair, int_pair = _pair(program, units=3, exit_by="squash")
-    _identical(jit_pair, int_pair)
-    assert jit_pair[1].tasks_squashed > 0
-
-
-def test_squashes_around_compiled_blocks():
-    # The wide-machine form: squashes land between windows (several
-    # units awake), so what is checked is that entering and leaving
-    # compiled bodies around them leaves no trace.
-    program = assemble(RECURRENCE)
-    for units in (4, 8):
-        jit_pair, int_pair = _pair(program, units=units)
-        _identical(jit_pair, int_pair)
-        assert jit_pair[1].tasks_squashed > 0, \
-            "the recurrence program no longer squashes; test is vacuous"
-
-
-def test_arb_violation_inside_compiled_block():
-    # xlisp's tasks load what their predecessors store: on two units
-    # the running unit's committed store keeps hitting the sleeping
-    # successor's earlier load.
-    program = WORKLOADS["xlisp"].multiscalar_program()
-    jit_pair, int_pair = _pair(program, units=2, exit_by="squash")
-    _identical(jit_pair, int_pair)
-    metrics = collect_metrics(jit_pair[0])
-    assert metrics.counters["arb.violations"] > 0, \
-        "no ARB memory-order violation fired; test is vacuous"
-    assert jit_pair[1].squashes_memory > 0
-
-
-def test_arb_overflow_squash_inside_compiled_block():
-    # Starve the ARB so speculative stores overflow it (the paper's
-    # Section 2.3 "squash" full policy) while traces are streaming.
-    config = multiscalar_config(2)
-    config = replace(config, memory=replace(config.memory,
-                                            arb_entries_per_bank=2))
-    program = WORKLOADS["sc"].multiscalar_program()
-    jit_pair, int_pair = _pair(program, config=config, exit_by="squash")
-    _identical(jit_pair, int_pair)
-    assert jit_pair[1].squashes_arb > 0, \
-        "no ARB-overflow squash fired; test is vacuous"
+    return stats
 
 
 # ---------------------------------------------------------- cache misses
 
-def test_dcache_misses_inside_compiled_block():
-    # Shrink the banks until real traffic thrashes them: loads then
-    # take the bus path (variable latency, retries) mid-trace.
-    config = multiscalar_config(2)
-    config = replace(config, memory=replace(config.memory,
-                                            dcache_bank_size=256))
-    program = WORKLOADS["tomcatv"].multiscalar_program()
-    jit_pair, int_pair = _pair(program, config=config)
-    _identical(jit_pair, int_pair)
-    metrics = collect_metrics(jit_pair[0])
-    assert metrics.counters["dcache.misses"] > 0, \
-        "no data-cache miss fired; test is vacuous"
-
-
 def test_scalar_dcache_misses():
+    # Shrink the cache until real traffic thrashes it: loads then take
+    # the bus path (variable latency) mid-trace.
     config = scalar_config()
     config = replace(config, memory=replace(config.memory,
                                             scalar_dcache_size=256))
     program = WORKLOADS["tomcatv"].scalar_program()
     runs = {}
     for jit in (True, False):
-        processor = ScalarProcessor(program, replace(config, jit=jit))
+        processor = _scalar(program, jit, config)
         result = processor.run()
         runs[jit] = (result.to_dict(),
                      collect_metrics(processor).to_dict())
         if jit:
-            assert processor._jit is not None
-            assert processor._jit.stats_dict()["entries"] > 0
+            _engaged(processor)
     assert runs[True] == runs[False]
     assert runs[True][1]["counters"]["dcache.misses"] > 0
 
@@ -184,9 +104,11 @@ def test_event_stream_identical_under_jit():
     program = assemble(RECURRENCE)
     streams = []
     for jit in (True, False):
-        processor = _ms(program, jit)
+        processor = _scalar(program, jit)
         bus = EventBus(Category.ALL).attach(processor)
         processor.run()
+        if jit:
+            _engaged(processor)
         streams.append([event.key() for event in bus])
     assert streams[0] == streams[1] and streams[0]
 
@@ -195,8 +117,8 @@ def test_mid_run_snapshot_identical_under_jit():
     # A checkpoint probe lands on a deopt-safe boundary: the snapshot
     # a jit run captures at cycle K must be byte-identical to the one
     # the interpreter captures at the same cycle.
-    program = WORKLOADS["wc"].multiscalar_program()
-    total = _ms(program, True).run().cycles
+    program = WORKLOADS["wc"].scalar_program()
+    total = _scalar(program, True).run().cycles
 
     class Probe:
         def __init__(self, at):
@@ -213,10 +135,14 @@ def test_mid_run_snapshot_identical_under_jit():
     probes = {}
     for jit in (True, False):
         probe = Probe(total // 2)
-        _ms(program, jit).run(checkpointer=probe)
+        processor = _scalar(program, jit)
+        processor.run(checkpointer=probe)
         assert probe.snapshot is not None
+        if jit:
+            # The window the probe cut short ended at its limit.
+            assert _engaged(processor)["exits"]["limit"] > 0
         probes[jit] = probe
-    assert probes[True].cycle == probes[False].cycle
+    assert probes[True].cycle == probes[False].cycle == total // 2
     assert probes[True].snapshot == probes[False].snapshot
 
 
@@ -224,30 +150,32 @@ def test_mid_run_snapshot_identical_under_jit():
 
 def test_injected_guard_miss_diverges_from_interpreter():
     program = assemble(RECURRENCE)
-    clean = _ms(program, True).run()
-    with inject_jit_guard_miss("stop"):
-        buggy_proc = _ms(program, True)
-        # Blind stop guards wedge or corrupt the machine: either the
+    clean = _scalar(program, True).run()
+    with inject_jit_guard_miss("taken-branch"):
+        buggy_proc = _scalar(program, True)
+        # A blind branch guard runs the fall-through path: either the
         # run completes with different results, or it trips a failure
         # (livelock/timeout). Both are visible divergence.
         try:
-            buggy = buggy_proc.run(max_cycles=2_000_000).to_dict()
+            buggy = buggy_proc.run(max_cycles=100_000).to_dict()
         except SimulationFailure as exc:
             buggy = {"error": type(exc).__name__}
-        assert buggy_proc._jit is not None
-        assert buggy_proc._jit.stats_dict()["injected_guard_miss"] \
-            == "stop"
+        assert _engaged(buggy_proc)["injected_guard_miss"] \
+            == "taken-branch"
         # The interpreter is immune: only compiled bodies go blind.
-        immune = _ms(program, False).run()
+        immune = _scalar(program, False).run()
     assert immune.to_dict() == clean.to_dict()
     assert buggy != clean.to_dict(), \
-        "planted stop-guard miss changed nothing; seam is dead"
+        "planted branch-guard miss changed nothing; seam is dead"
 
 
 def test_injection_is_scoped_to_the_context():
     program = assemble(RECURRENCE)
-    clean = _ms(program, True).run()
-    with inject_jit_guard_miss("stop"):
+    clean = _scalar(program, True).run()
+    with inject_jit_guard_miss("taken-branch"):
         pass
-    after = _ms(program, True).run()
+    after = _scalar(program, True).run()
     assert after.to_dict() == clean.to_dict()
+    with pytest.raises(ValueError, match="unknown JIT guard-miss mode"):
+        with inject_jit_guard_miss("stop"):
+            pass

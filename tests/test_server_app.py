@@ -161,6 +161,8 @@ def test_malformed_submissions_are_400(client):
     for envelope in ({"type": "nope", "spec": {}},
                      {"type": "sim", "spec": {"bogus": 1}},
                      {"type": "sim", "spec": "not-a-dict"},
+                     {"type": "sim",
+                      "spec": {**multiscalar_job("wc", 4).spec(), "units": 0}},
                      {"type": "fuzz", "spec": {"seed": 1}},
                      {"type": "trace", "spec": {"workload": "zzz"}}):
         with pytest.raises(ServerError) as err:

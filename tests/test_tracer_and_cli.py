@@ -121,6 +121,35 @@ def test_cli_run_ooo_two_way(minc_file, capsys):
     assert capsys.readouterr().out.strip() == "240"
 
 
+@pytest.mark.parametrize("command, source, message", [
+    (["run"], None, "No such file"),
+    (["compile"], None, "No such file"),
+    (["disasm"], None, "No such file"),
+    (["run"], ("prose.s", "# A title\n\nHello, world.\n"), "unknown mnemonic"),
+    (["run"], ("lex.mc", "void main() { int x = 1 @ 2; }"),
+     "unexpected character"),
+    (["compile"], ("parse.mc", "int main( {"), "expected"),
+    (["run"], ("codegen.mc", "void main() { int x = y; }"),
+     "undefined variable"),
+    (["run", "--units", "4", "--entries", "nowhere"],
+     ("entries.s", "main: li $t0, 1\n halt\n"),
+     "unknown task-entry label 'nowhere'"),
+    (["trace"], None, "neither a workload"),
+], ids=("run-missing", "compile-missing", "disasm-missing", "assembler",
+        "minc-lex", "minc-parse", "minc-codegen", "annotation",
+        "trace-missing"))
+def test_cli_bad_program_is_one_line_and_exit_2(command, source, message,
+                                                tmp_path, capsys):
+    name, text = source or ("nosuch.s", None)
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    assert main([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro {command[0]}: error: ") and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_cli_compile(minc_file, capsys, tmp_path):
     assert main(["compile", minc_file]) == 0
     out = capsys.readouterr().out
