@@ -16,9 +16,6 @@ Subcommands:
   hardware axes and compiler knobs that renders per-workload Pareto
   frontiers (cycles vs hardware cost) and writes deterministic
   Markdown/JSON reports;
-* ``bench``          — measure simulator throughput (simulated cycles
-  per wall-clock second), write ``BENCH_simulator.json``, and
-  optionally gate against the committed baseline;
 * ``chaos``          — fault-injection harness: SIGKILL workers, plant
   truncated checkpoints, corrupt cache files, and plant a livelock,
   then require bit-identical results (exit 1 on any surprise);
@@ -43,7 +40,6 @@ Examples::
     python -m repro sweep --workloads wc,cmp --units 1,4 --jobs 4
     python -m repro explore gcc --budget 30 --seed 7 --out reports/
     python -m repro explore all --budget 40 --jobs 4
-    python -m repro bench --quick --check
     python -m repro chaos --self-test
     python -m repro trace wc --units 8 --out trace.json
     python -m repro trace wc --categories task,ring,arb --window 0:5000
@@ -66,15 +62,21 @@ from pathlib import Path
 # "import layering").
 
 
-class _InputError(Exception):
-    """A user's program file that cannot be read, assembled, compiled
-    or annotated; ``main`` prints it as ``repro CMD: error: ...`` and
-    exits 2."""
+class _CommandError(Exception):
+    """What ``main`` prints as one line, ``repro CMD: error: ...``, and
+    exits with ``code``: 2 for input the command cannot use (a program
+    file that cannot be read, assembled, compiled or annotated; an
+    unknown workload), 1 for a run that ended in a typed simulation
+    failure."""
+
+    def __init__(self, message, code: int = 2) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 def _checked(build):
     """``build()``, with a missing or unreadable file and every typed
-    toolchain error re-raised as :class:`_InputError`."""
+    toolchain error re-raised as :class:`_CommandError`."""
     from repro.compiler.annotate import AnnotationError
     from repro.compiler.regions import RegionError
     from repro.isa.assembler import AssemblerError
@@ -87,7 +89,30 @@ def _checked(build):
     except (OSError, UnicodeDecodeError, AssemblerError, LexError,
             ParseError, CodegenError, AnnotationError,
             RegionError) as error:
-        raise _InputError(error) from None
+        raise _CommandError(error) from None
+
+
+def _simulate(processor, max_cycles: int):
+    """``processor.run(max_cycles=...)``, with a typed simulation
+    failure (exhausted budget, livelock) re-raised as a
+    :class:`_CommandError` that exits 1."""
+    from repro.resilience.failures import SimulationFailure
+
+    try:
+        return processor.run(max_cycles=max_cycles)
+    except SimulationFailure as error:
+        raise _CommandError(error, code=1) from None
+
+
+def _known_workloads(names) -> tuple[str, ...]:
+    """``names`` as a tuple, or a :class:`_CommandError` listing those
+    that are not bundled workloads."""
+    from repro.workloads import WORKLOADS
+
+    unknown = [name for name in names if name not in WORKLOADS]
+    if unknown:
+        raise _CommandError(f"unknown workloads {unknown}")
+    return tuple(names)
 
 
 def _load_program(path: str, multiscalar: bool,
@@ -133,7 +158,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                                     fast_path=fast_path, jit=jit)
         processor = MultiscalarProcessor(program, config)
         tracer = TaskTracer().attach(processor) if args.timeline else None
-        result = processor.run(max_cycles=args.max_cycles)
+        result = _simulate(processor, args.max_cycles)
         print(result.output, end="")
         if result.output and not result.output.endswith("\n"):
             print()
@@ -156,8 +181,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         config = scalar_config(args.issue, args.ooo, fast_path=fast_path,
                                jit=jit)
-        result = ScalarProcessor(program, config).run(
-            max_cycles=args.max_cycles)
+        result = _simulate(ScalarProcessor(program, config),
+                           args.max_cycles)
         print(result.output, end="")
         if result.output and not result.output.endswith("\n"):
             print()
@@ -202,6 +227,7 @@ def cmd_workloads(args: argparse.Namespace) -> int:
             print(f"{name:10} {spec.paper_benchmark:28} "
                   f"{spec.description}")
         return 0
+    _known_workloads([args.run])
     from repro.config import multiscalar_config, scalar_config
     from repro.core.processor import MultiscalarProcessor
     from repro.core.scalar import ScalarProcessor
@@ -256,6 +282,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
         table4_rows,
     )
 
+    if args.names:
+        _known_workloads(args.names)
     _apply_cache_flags(args)
     if args.number == 1:
         print(format_table1())
@@ -375,15 +403,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         run_sweep_via_server,
     )
     from repro.harness.paper_data import ROW_ORDER
-    from repro.workloads import WORKLOADS
 
     _apply_cache_flags(args)
-    workloads = tuple(args.workloads) if args.workloads else tuple(ROW_ORDER)
-    unknown = [name for name in workloads if name not in WORKLOADS]
-    if unknown:
-        print(f"repro sweep: error: unknown workloads {unknown}",
-              file=sys.stderr)
-        return 2
+    workloads = _known_workloads(args.workloads or ROW_ORDER)
     request = SweepRequest(
         workloads=workloads,
         units=tuple(args.units),
@@ -507,21 +529,12 @@ def cmd_explore(args: argparse.Namespace) -> int:
     from repro.workloads import WORKLOADS
 
     _apply_cache_flags(args)
-    if args.budget < 1:
-        print(f"repro explore: error: --budget must be >= 1, "
-              f"got {args.budget}", file=sys.stderr)
-        return 2
     if args.self_test:
         return _explore_self_test(args)
     if args.target == "all":
         workloads = tuple(sorted(WORKLOADS))
     else:
-        workloads = tuple(args.target.split(","))
-        unknown = [name for name in workloads if name not in WORKLOADS]
-        if unknown:
-            print(f"repro explore: error: unknown workloads {unknown}",
-                  file=sys.stderr)
-            return 2
+        workloads = _known_workloads(args.target.split(","))
     request = ExploreRequest(
         workloads=workloads, budget=args.budget, seed=args.seed,
         max_cycles=args.max_cycles, jobs=args.jobs,
@@ -567,59 +580,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
     return 0 if summary.ok else 1
 
 
-def _bench_mode(payload: dict) -> str:
-    if not payload.get("fast_path", True):
-        return "reference path"
-    return "jit" if payload.get("jit") else "fast path, no jit"
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Entry point for ``repro bench``: measure simulator
-    throughput and optionally gate against the committed baseline."""
-    from repro.harness import bench
-
-    progress = (lambda message: print(f"bench: {message}",
-                                      file=sys.stderr))
-    payload = bench.run_bench(quick=args.quick,
-                              fast_path=not args.no_fast_path,
-                              jit=not args.no_jit,
-                              profile=not args.no_profile,
-                              progress=progress)
-    bench.write_payload(payload, args.output)
-    total = payload["total"]
-    print(f"bench: {total['cycles']} simulated cycles in "
-          f"{total['wall_seconds']:.2f}s -- "
-          f"{total['cycles_per_second']:,.0f} cycles/sec "
-          f"({_bench_mode(payload)})")
-    print(f"bench: wrote {args.output}", file=sys.stderr)
-    overhead = payload.get("trace_overhead")
-    if args.check and overhead is not None and (
-            overhead["overhead"] > args.max_trace_overhead
-            or overhead["events_constructed"]):
-        print(f"bench: tracing-disabled overhead "
-              f"{overhead['overhead']:+.3%} calls "
-              f"({overhead['events_constructed']} events built) on "
-              f"{overhead['case']} exceeds the "
-              f"{args.max_trace_overhead:.1%} budget",
-              file=sys.stderr)
-        return 1
-    baseline = bench.load_baseline(args.baseline)
-    if baseline is None:
-        if args.check:
-            print(f"bench: no baseline at {args.baseline}; nothing to "
-                  "gate against", file=sys.stderr)
-        return 0
-    ok, lines = bench.compare_to_baseline(payload, baseline,
-                                          args.max_regression)
-    for line in lines:
-        print(f"bench: {line}")
-    if args.check and not ok:
-        print("bench: throughput regression exceeds "
-              f"{args.max_regression:.0%}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Entry point for ``repro chaos``: sabotage a sweep (killed
     workers, corrupt state) and require bit-identical results."""
@@ -629,18 +589,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         self_test_request,
     )
 
-    from repro.workloads import WORKLOADS
-
     if args.self_test:
         request = self_test_request()
     else:
-        unknown = [name for name in args.workloads
-                   if name not in WORKLOADS]
-        if unknown:
-            print(f"repro chaos: error: unknown workloads {unknown}",
-                  file=sys.stderr)
-            return 2
-        request = ChaosRequest(workloads=tuple(args.workloads),
+        request = ChaosRequest(workloads=_known_workloads(args.workloads),
                                units=tuple(args.units),
                                jobs=args.jobs,
                                checkpoint_every=args.checkpoint_every)
@@ -679,9 +631,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 raise ValueError
             window = (int(start_text) if start_text else 0,
                       int(end_text) if end_text else 1 << 62)
+            if window[1] <= window[0]:
+                raise ValueError
         except ValueError:
             print("repro trace: error: --window takes START:END cycle "
-                  "bounds (either side may be empty)", file=sys.stderr)
+                  "bounds with END after START (either side may be "
+                  "empty)", file=sys.stderr)
             return 2
     multiscalar = args.units > 1 or args.multiscalar
     from repro.config import multiscalar_config, scalar_config
@@ -715,7 +670,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             program, scalar_config(args.issue, args.ooo,
                                    fast_path=fast_path, jit=jit))
     bus = EventBus(categories, window=window).attach(processor)
-    result = processor.run(max_cycles=args.max_cycles)
+    result = _simulate(processor, args.max_cycles)
     trace = chrome_trace(bus, num_units=args.units if multiscalar else 1,
                          total_cycles=result.cycles, label=label)
     problems = validate_chrome_trace(trace)
@@ -808,11 +763,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _positive(text: str) -> int:
-    """argparse type for unit counts and cycle budgets: an int >= 1."""
+    """argparse type for counts, cycle budgets and checkpoint
+    intervals: an int >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"must be at least 1, not {value}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    """argparse type for wall-clock budgets: a number of seconds > 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"must be more than 0 seconds, not {text}")
     return value
 
 
@@ -828,9 +793,18 @@ def _issue_widths(text: str) -> list[int]:
     return widths
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose rejections are one line, ``repro CMD: error:
+    ...`` and exit 2, like every other error the CLI prints (``-h``
+    still shows the usage); subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the full ``repro`` argparse tree (all subcommands)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Multiscalar Processors (ISCA 1995) reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -864,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the per-unit task timeline")
     run.add_argument("--stats", action="store_true",
                      help="print the cycle-distribution taxonomy")
-    run.add_argument("--max-cycles", type=int, default=20_000_000)
+    run.add_argument("--max-cycles", type=_positive, default=20_000_000)
     run.set_defaults(fn=cmd_run)
 
     comp = sub.add_parser("compile", help="compile MinC to assembly")
@@ -922,7 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="io", help="issue orders to sweep")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes (1 = serial in-process)")
-    sweep.add_argument("--timeout", type=float, default=600.0,
+    sweep.add_argument("--timeout", type=_seconds, default=600.0,
                        help="per-job wall-clock budget in seconds")
     sweep.add_argument("--retries", type=int, default=2,
                        help="retry budget per job for crashes/timeouts")
@@ -958,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "compiler knobs, report Pareto frontiers")
     explore.add_argument("target", nargs="?", default="all",
                          help="comma-separated workloads, or 'all'")
-    explore.add_argument("--budget", type=int, default=40,
+    explore.add_argument("--budget", type=_positive, default=40,
                          help="design points evaluated per workload "
                               "(default 40)")
     explore.add_argument("--seed", type=int, default=0,
@@ -966,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "byte-identical report")
     explore.add_argument("--jobs", type=int, default=1,
                          help="worker processes (1 = serial in-process)")
-    explore.add_argument("--timeout", type=float, default=600.0,
+    explore.add_argument("--timeout", type=_seconds, default=600.0,
                          help="per-job wall-clock budget in seconds")
     explore.add_argument("--retries", type=int, default=2,
                          help="retry budget per job for crashes/timeouts")
@@ -990,38 +964,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_cache_flags(explore)
     explore.set_defaults(fn=cmd_explore)
 
-    bench = sub.add_parser(
-        "bench", help="measure simulator throughput and gate against "
-                      "the committed baseline")
-    bench.add_argument("--quick", action="store_true",
-                       help="small representative subset (CI perf smoke)")
-    bench.add_argument("-o", "--output", default="BENCH_simulator.json",
-                       help="where to write the measurements "
-                            "(default BENCH_simulator.json)")
-    bench.add_argument("--baseline",
-                       default="benchmarks/bench_baseline.json",
-                       help="committed baseline to compare against")
-    bench.add_argument("--check", action="store_true",
-                       help="exit 1 on a calibrated throughput "
-                            "regression beyond --max-regression")
-    bench.add_argument("--max-regression", type=float, default=0.30,
-                       metavar="FRACTION",
-                       help="tolerated total-throughput regression "
-                            "(default 0.30)")
-    bench.add_argument("--max-trace-overhead", type=float, default=0.002,
-                       metavar="FRACTION",
-                       help="tolerated extra calls with a masked-out "
-                            "event bus attached, under --check "
-                            "(default 0.002)")
-    bench.add_argument("--no-fast-path", action="store_true",
-                       help="benchmark the reference per-cycle path")
-    bench.add_argument("--no-jit", action="store_true",
-                       help="benchmark the scalar core's fast-path "
-                            "interpreter without its trace-JIT")
-    bench.add_argument("--no-profile", action="store_true",
-                       help="skip the cProfile pass")
-    bench.set_defaults(fn=cmd_bench)
-
     chaos = sub.add_parser(
         "chaos", help="fault-injection harness: kill workers, corrupt "
                       "checkpoints and caches, plant a livelock, and "
@@ -1036,7 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="multiscalar unit counts (default 2)")
     chaos.add_argument("--jobs", type=int, default=2,
                        help="worker processes for the sabotaged sweep")
-    chaos.add_argument("--checkpoint-every", type=int, default=2_000,
+    chaos.add_argument("--checkpoint-every", type=_positive, default=2_000,
                        help="cycles between checkpoints (small, so the "
                             "kill-after-checkpoint fault resumes mid-run)")
     chaos.set_defaults(fn=cmd_chaos)
@@ -1064,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default trace.json)")
     trace.add_argument("--metrics", action="store_true",
                        help="print the full metrics registry afterwards")
-    trace.add_argument("--max-cycles", type=int, default=20_000_000)
+    trace.add_argument("--max-cycles", type=_positive, default=20_000_000)
     trace.set_defaults(fn=cmd_trace)
 
     cache = sub.add_parser(
@@ -1088,10 +1030,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (default 8642; 0 = ephemeral)")
     serve.add_argument("--jobs", type=int, default=2,
                        help="persistent worker processes (default 2)")
-    serve.add_argument("--lease-ttl", type=float, default=30.0,
+    serve.add_argument("--lease-ttl", type=_seconds, default=30.0,
                        help="seconds before an unheartbeated lease "
                             "expires and its job is re-queued")
-    serve.add_argument("--timeout", type=float, default=600.0,
+    serve.add_argument("--timeout", type=_seconds, default=600.0,
                        help="per-attempt wall-clock budget in seconds")
     serve.add_argument("--retries", type=int, default=2,
                        help="re-queue budget per job for worker deaths "
@@ -1102,7 +1044,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--quota", type=int, default=None,
                        help="max in-flight jobs per client id "
                             "(default unlimited)")
-    serve.add_argument("--checkpoint-every", type=int,
+    serve.add_argument("--checkpoint-every", type=_positive,
                        default=2_000_000,
                        help="simulated cycles between worker "
                             "checkpoints for sim jobs")
@@ -1163,9 +1105,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _InputError as error:
+    except _CommandError as error:
         print(f"repro {args.command}: error: {error}", file=sys.stderr)
-        return 2
+        return error.code
     except KeyboardInterrupt:
         # Commands with worker pools drain them internally; anything
         # that still reaches here just ends quietly, no traceback.

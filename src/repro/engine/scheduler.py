@@ -144,18 +144,74 @@ def _wait_ready(workers, timeout: float | None,
         wake.clear()
 
 
+def _attempt(call: Callable[[], Any],
+             catch: type[BaseException] = Exception) -> tuple[str, Any, str]:
+    """Run one attempt, ``call()``, and classify it once for both
+    disciplines as ``(status, value, error)``:
+
+    * ``"ok"`` — it returned ``value``;
+    * ``"died"`` — :class:`InjectedWorkerDeath`, the in-process stand-in
+      for a killed worker, counted like one;
+    * ``"retry"`` — any other :class:`RetryableJobError` (transient);
+    * ``"fatal"`` — anything else ``catch`` covers: deterministic, not
+      retried. In-process attempts leave ``KeyboardInterrupt`` to the
+      Ctrl-C drain; a child reports every exception.
+    """
+    try:
+        return "ok", call(), ""
+    except catch as exc:
+        status = ("died" if isinstance(exc, InjectedWorkerDeath)
+                  else "retry" if isinstance(exc, RetryableJobError)
+                  else "fatal")
+        return status, None, f"{type(exc).__name__}: {exc}"
+
+
+def _in_process(fn, job, attempt: int, *extra) -> Any:
+    """``fn(job.payload, attempt, *extra)`` in this process, where an
+    injected death is raised as :class:`InjectedWorkerDeath`: killing
+    the only process would take the harness down with it."""
+    if attempt in job.kill_on_attempts:
+        raise InjectedWorkerDeath(
+            f"injected worker death on attempt {attempt}")
+    return fn(job.payload, attempt, *extra)
+
+
+def _fold(outcome: JobOutcome, status: str, value: Any, error: str) -> bool:
+    """Count one pool attempt into ``outcome``; True when it settled
+    the job (``ok`` or ``fatal``). A ``retry`` is transient but neither
+    a worker death nor a timeout: it just burns an attempt."""
+    if status == "ok":
+        outcome.ok, outcome.value = True, value
+        return True
+    outcome.error = error
+    if status == "died":
+        outcome.worker_deaths += 1
+    elif status == "timeout":
+        outcome.timeouts += 1
+    return status == "fatal"
+
+
+def _stop(worker) -> None:
+    """Kill, reap and disconnect a worker (anything with ``.process``
+    and ``.conn``); a worker that already exited is only reaped."""
+    try:
+        worker.process.kill()
+        worker.process.join(timeout=5)
+        worker.conn.close()
+    except (OSError, ValueError):
+        pass
+
+
 def _child_main(conn, fn, payload, attempt, kill_on_attempts) -> None:
     if attempt in kill_on_attempts:
         os.kill(os.getpid(), signal.SIGKILL)
-    try:
-        value = fn(payload, attempt)
-        conn.send(("ok", value, ""))
-    except RetryableJobError as exc:
-        conn.send(("retry", None, f"{type(exc).__name__}: {exc}"))
-    except BaseException as exc:   # deterministic failure: do not retry
-        conn.send(("fatal", None, f"{type(exc).__name__}: {exc}"))
-    finally:
-        conn.close()
+    # Sending is part of the attempt: a value that cannot be pickled
+    # fails it like any other deterministic error.
+    status, _, error = _attempt(
+        lambda: conn.send(("ok", fn(payload, attempt), "")), BaseException)
+    if status != "ok":
+        conn.send((status, None, error))
+    conn.close()
 
 
 class WorkerPool:
@@ -183,30 +239,16 @@ class WorkerPool:
 
     # ------------------------------------------------------------ serial
 
-    def _serial_attempt(self, job: PoolJob, attempt: int) -> Any:
-        if attempt in job.kill_on_attempts:
-            raise InjectedWorkerDeath(
-                f"injected worker death on attempt {attempt}")
-        return self.entrypoint(job.payload, attempt)
-
     def _run_serial(self, job: PoolJob,
                     outcome: JobOutcome | None = None) -> JobOutcome:
         outcome = outcome or JobOutcome(job_id=job.job_id)
         while outcome.attempts <= self.retries:
             attempt = outcome.attempts
             outcome.attempts += 1
-            try:
-                outcome.value = self._serial_attempt(job, attempt)
-                outcome.ok = True
-                return outcome
-            except RetryableJobError as exc:
-                outcome.error = f"{type(exc).__name__}: {exc}"
-                if isinstance(exc, InjectedWorkerDeath):
-                    outcome.worker_deaths += 1
-                time.sleep(self._delay(attempt + 1))
-            except Exception as exc:
-                outcome.error = f"{type(exc).__name__}: {exc}"
-                return outcome
+            if _fold(outcome, *_attempt(
+                    lambda: _in_process(self.entrypoint, job, attempt))):
+                break
+            time.sleep(self._delay(attempt + 1))
         return outcome
 
     # ---------------------------------------------------------- parallel
@@ -245,19 +287,8 @@ class WorkerPool:
                 value: Any, error: str) -> bool:
         """Fold one attempt in; True when the job reached an outcome."""
         outcome = outcomes[entry.job.job_id]
-        if status == "ok":
-            outcome.ok = True
-            outcome.value = value
+        if _fold(outcome, status, value, error):
             return True
-        outcome.error = error
-        if status == "fatal":
-            return True
-        if status == "died":
-            outcome.worker_deaths += 1
-        elif status == "timeout":
-            outcome.timeouts += 1
-        # "retry" (an explicit RetryableJobError) is transient but is
-        # neither a worker death nor a timeout; it just burns an attempt.
         if outcome.attempts <= self.retries:     # transient: try again
             pending.append(_Pending(entry.job, outcome.attempts,
                                     time.monotonic()
@@ -268,22 +299,20 @@ class WorkerPool:
             # attempt before declaring it lost.
             self.progress(f"job {entry.job.job_id}: workers kept dying; "
                           "final in-process attempt")
-            try:
-                outcome.value = self._serial_attempt(
-                    entry.job, outcome.attempts)
-                outcome.ok = True
+            status, value, error = _attempt(lambda: _in_process(
+                self.entrypoint, entry.job, outcome.attempts))
+            if status == "ok":
+                outcome.ok, outcome.value = True, value
                 outcome.attempts += 1
-            except Exception as exc:
-                outcome.error = f"{type(exc).__name__}: {exc}"
+            else:
+                outcome.error = error
         return True
 
     def _degrade_to_serial(self, outcomes: dict[str, JobOutcome],
                            pending: list[_Pending],
                            running: list[_Running]) -> dict[str, JobOutcome]:
         for victim in running:
-            victim.process.kill()
-            victim.process.join(timeout=5)
-            victim.conn.close()
+            _stop(victim)
             outcomes[victim.job.job_id].worker_deaths += 1
             pending.append(_Pending(victim.job,
                                     outcomes[victim.job.job_id].attempts,
@@ -326,9 +355,7 @@ class WorkerPool:
                     if entry.conn.poll(0) or not entry.process.is_alive():
                         status, value, error = self._reap(entry)
                     elif time.monotonic() > entry.deadline:
-                        entry.process.kill()
-                        entry.process.join(timeout=5)
-                        entry.conn.close()
+                        _stop(entry)
                         status, value, error = (
                             "timeout", None,
                             f"timed out after {self.timeout:.0f}s")
@@ -361,12 +388,7 @@ class WorkerPool:
         unfinished = ({entry.job.job_id for entry in pending}
                       | {entry.job.job_id for entry in running})
         for entry in running:
-            try:
-                entry.process.kill()
-                entry.process.join(timeout=5)
-                entry.conn.close()
-            except Exception:
-                pass
+            _stop(entry)
         running.clear()
         pending.clear()
         for job_id in unfinished:
@@ -694,15 +716,11 @@ def _daemon_worker_main(conn, entrypoint) -> None:
 
         if attempt in kill_on_attempts:
             os.kill(os.getpid(), signal.SIGKILL)
-        try:
-            value = entrypoint(payload, attempt, report)
-            conn.send(("ok", job_id, value, ""))
-        except RetryableJobError as exc:
-            conn.send(("retry", job_id, None,
-                       f"{type(exc).__name__}: {exc}"))
-        except BaseException as exc:
-            conn.send(("fatal", job_id, None,
-                       f"{type(exc).__name__}: {exc}"))
+        status, _, error = _attempt(lambda: conn.send(
+            ("ok", job_id, entrypoint(payload, attempt, report), "")),
+            BaseException)
+        if status != "ok":
+            conn.send((status, job_id, None, error))
 
 
 @dataclass
@@ -792,23 +810,15 @@ class WorkerDaemon:
             self._thread.join(timeout=10)
             self._thread = None
         for slot in self._slots:
-            process = slot.process
-            if process is None:
+            if slot.process is None:
                 continue
-            try:
-                if slot.job is None and slot.conn is not None:
+            if slot.job is None:        # idle: ask it to exit first
+                try:
                     slot.conn.send(("stop",))
-                    process.join(timeout=1)
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=5)
-            except (OSError, ValueError):
-                pass
-            try:
-                if slot.conn is not None:
-                    slot.conn.close()
-            except OSError:
-                pass
+                    slot.process.join(timeout=1)
+                except (OSError, ValueError):
+                    pass
+            _stop(slot)
             slot.process = slot.conn = None
             slot.job = None
         self._slots = []
@@ -876,13 +886,7 @@ class WorkerDaemon:
         job = slot.job
         slot.job = None
         expiry = self.queue.expire(job.job_id, reason)
-        try:
-            if slot.process.is_alive():
-                slot.process.kill()
-            slot.process.join(timeout=5)
-            slot.conn.close()
-        except (OSError, ValueError):
-            pass
+        _stop(slot)
         self._spawn(slot)
         if expiry is None:
             return
@@ -904,11 +908,15 @@ class WorkerDaemon:
                      error: str) -> None:
         job = slot.job
         slot.job = None
-        if status == "retry" and job.attempts <= self.queue.retries:
-            expiry = self.queue.expire(job.job_id, "retryable-error")
+        died = status == "died"
+        if died or (status == "retry"
+                    and job.attempts <= self.queue.retries):
+            expiry = self.queue.expire(
+                job.job_id, "worker-died" if died else "retryable-error")
             if expiry is not None and expiry.requeued:
                 self.on_event(job.job_id,
-                              {"type": "requeue", "reason": error,
+                              {"type": "requeue",
+                               "reason": "worker-died" if died else error,
                                "attempt": job.attempts})
                 return
         self.queue.complete(job.job_id)
@@ -981,8 +989,8 @@ class WorkerDaemon:
     def _supervise_serial(self) -> None:
         """In-process fallback: one job at a time, no child processes.
 
-        Injected deaths surface as :class:`InjectedWorkerDeath`
-        (retryable) so the expiry/re-queue path still runs.
+        Injected deaths surface as :class:`InjectedWorkerDeath`, which
+        settles as ``"died"``, so the expiry/re-queue path still runs.
         """
         while not self._stop.is_set():
             now = time.monotonic()
@@ -1000,30 +1008,6 @@ class WorkerDaemon:
                 self.queue.heartbeat(job_id)
                 self.on_event(job_id, {"type": "progress", **data})
 
-            slot = _Slot(worker_id=0, job=job)
-            try:
-                if lease.attempt in job.kill_on_attempts:
-                    raise InjectedWorkerDeath(
-                        f"injected worker death on attempt {lease.attempt}")
-                value = self.entrypoint(job.payload, lease.attempt, report)
-            except InjectedWorkerDeath as exc:
-                slot.job = job
-                expiry = self.queue.expire(job.job_id, "worker-died")
-                if expiry is not None and expiry.requeued:
-                    self.on_event(job.job_id,
-                                  {"type": "requeue",
-                                   "reason": "worker-died",
-                                   "attempt": job.attempts})
-                else:
-                    self._settle_slot(slot, "fatal", None,
-                                      f"{type(exc).__name__}: {exc}")
-                continue
-            except RetryableJobError as exc:
-                self._settle_slot(slot, "retry", None,
-                                  f"{type(exc).__name__}: {exc}")
-                continue
-            except Exception as exc:
-                self._settle_slot(slot, "fatal", None,
-                                  f"{type(exc).__name__}: {exc}")
-                continue
-            self._settle_slot(slot, "ok", value, "")
+            self._settle_slot(_Slot(worker_id=0, job=job), *_attempt(
+                lambda: _in_process(self.entrypoint, job, lease.attempt,
+                                    report)))

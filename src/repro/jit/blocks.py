@@ -9,8 +9,8 @@ also carry the two static partitions of the text:
 * **trace regions** (:func:`repro.isa.uop.trace_regions`) — the spans
   the JIT compiles, one generated function each;
 * **basic blocks** (:func:`repro.isa.uop.basic_blocks`) — finer grain,
-  used only for the per-block entry counters reported by
-  ``jit_stats()`` and the bench harness.
+  used only for the per-block entry counters that
+  ``UnitJIT.stats_dict()`` reports to the tests.
 
 Tables are built per (program uop list, latency table) and cached on
 the consumer. Multiscalar tag bits are not decoded: the JIT serves the

@@ -190,7 +190,8 @@ class UnitJIT:
     # ------------------------------------------------------------- stats
 
     def stats_dict(self, top: int = 10) -> dict:
-        """JSON-ready statistics for benches, the CLI, and CI artifacts."""
+        """JSON-ready statistics: entries, declines, compiled bodies
+        and the hottest blocks (the tests' grid runs read them)."""
         data = self.tables.stats_dict(top=top)
         data["entries"] = self.entries
         data["declines"] = self.declines

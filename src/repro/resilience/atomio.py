@@ -1,5 +1,5 @@
 """Atomic, checksummed persistence — the one write path for every
-file the repository stores durably (results, bench baselines,
+file the repository stores durably (result-store entries,
 checkpoints).
 
 * :func:`atomic_write_text` writes through a same-directory temp file,

@@ -55,9 +55,12 @@ class CheckpointManager:
 
     def __init__(self, directory: Path | str, key: str,
                  every: int = 2_000_000) -> None:
+        if every < 1:
+            raise ValueError(f"checkpoint interval must be at least 1 "
+                             f"cycle, not {every}")
         self.directory = Path(directory)
         self.key = key
-        self.every = max(1, every)
+        self.every = every
         self.path = self.directory / f"{key}.ckpt.json"
         #: First cycle at or past which the run loop calls capture().
         #: The run loop clamps cycle skips and compiled jit windows to

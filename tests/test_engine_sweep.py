@@ -152,7 +152,8 @@ def test_cli_sweep_rejects_unknown_workload(capsys):
 def test_cli_sweep_rejects_impossible_machines(capsys):
     # Exit 2 from the parser: before a grid is built or a worker forked.
     for flag, value in (("--units", "0"), ("--units", "4,-1"),
-                        ("--widths", "3"), ("--max-cycles", "0")):
+                        ("--widths", "3"), ("--max-cycles", "0"),
+                        ("--timeout", "-1"), ("--timeout", "0")):
         with pytest.raises(SystemExit) as exit:
             main(["sweep", "--workloads", "wc", flag, value])
         assert exit.value.code == 2

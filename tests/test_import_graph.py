@@ -217,6 +217,29 @@ def test_multiscalar_machine_never_loads_the_jit():
     assert "repro.jit.engine" in after_scalar
 
 
+def test_bench_module_loads_no_core():
+    # What is left of the bench harness is imported by perf/run.py for
+    # calibrate(): that must not load a simulator core.
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "import repro.harness.bench\n"
+         "print(json.dumps(sorted(m for m in sys.modules"
+         " if m.startswith('repro.core'))))"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+        text=True, check=True)
+    assert json.loads(done.stdout) == []
+
+
+def test_bench_is_not_a_command(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "bench"],
+        env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path,
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2
+    assert "invalid choice: 'bench'" in done.stderr
+
+
 def _packages() -> list[str]:
     return ["repro"] + [info.name for info in pkgutil.walk_packages(
         repro.__path__, prefix="repro.") if info.ispkg]

@@ -15,7 +15,7 @@ Four things are pinned here:
   aggregation.
 * **Cost** — with tracing disabled the instrumentation adds at most
   0.2% Python-level calls and builds no event (a count that repeats
-  exactly; ``repro bench --check`` applies the same gate).
+  exactly, so it gates here rather than as a wall-clock ratio).
 """
 
 from __future__ import annotations
@@ -347,12 +347,11 @@ def test_sweep_aggregates_metrics_across_grid():
 # ------------------------------------------------------------------- cost
 
 def test_disabled_tracing_overhead_within_budget():
-    """The gate ``repro bench --check`` applies, asserted here too: a
-    count of Python-level calls for wc on 4 units, jit off, with no bus
-    and with a bus whose mask is empty. An attached-but-masked bus may
-    add at most 0.2% more calls (measured 0.06-0.09% — the cold
-    emission sites' ``emit()`` calls that filter immediately) and must
-    construct no event at all."""
+    """The tracing-cost gate: a count of Python-level calls for wc on 4
+    units, jit off, with no bus and with a bus whose mask is empty. An
+    attached-but-masked bus may add at most 0.2% more calls (measured
+    0.06-0.10% — the cold emission sites' ``emit()`` calls that filter
+    immediately) and must construct no event at all."""
     from repro.harness.bench import measure_trace_overhead
 
     measured = measure_trace_overhead()

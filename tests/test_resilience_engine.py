@@ -1,7 +1,7 @@
 """Engine-level resilience: durable writes, crash resume, clean Ctrl-C.
 
-Covers the integration seams: every persistent artifact (result store,
-bench payloads, checkpoints) goes through the shared checksummed atomic
+Covers the integration seams: every persistent artifact (result store
+entries, checkpoints) goes through the shared checksummed atomic
 writer and reads corrupt data as absent; a worker killed after a
 durable checkpoint resumes bit-identically; and a KeyboardInterrupt
 drains pools without orphans while keeping every finished result.
@@ -24,7 +24,6 @@ from repro.engine.scheduler import (
 )
 from repro.engine.store import ResultStore
 from repro.engine.sweep import SweepRequest, run_sweep
-from repro.harness import bench
 from repro.resilience.checkpoint import CheckpointPolicy
 
 KEY = "ab" + "0" * 62
@@ -46,25 +45,6 @@ def test_store_checksum_mismatch_is_a_miss_and_warns_once(tmp_path,
     warned = [record for record in caplog.records
               if str(path) in record.getMessage()]
     assert len(warned) == 1
-
-
-def test_bench_payload_checksum_roundtrip(tmp_path):
-    path = tmp_path / "bench.json"
-    payload = {"schema": 1, "cases": [], "total": {"cycles": 7}}
-    bench.write_payload(payload, path)
-    loaded = bench.load_baseline(path)
-    assert loaded["total"] == {"cycles": 7}
-    assert "checksum" in loaded
-    path.write_text(path.read_text().replace('"cycles": 7',
-                                             '"cycles": 8'))
-    assert bench.load_baseline(path) is None
-    assert bench.load_baseline(tmp_path / "absent.json") is None
-
-
-def test_bench_baseline_without_checksum_still_loads(tmp_path):
-    path = tmp_path / "legacy.json"
-    path.write_text(json.dumps({"schema": 1, "cases": []}))
-    assert bench.load_baseline(path)["schema"] == 1
 
 
 # -------------------------------------------------- checkpointed execution

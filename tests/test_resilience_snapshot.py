@@ -216,6 +216,13 @@ def test_checkpoint_manager_roundtrip(tmp_path):
         build("ms4", "wc", True)) is False
 
 
+@pytest.mark.parametrize("every", [0, -5])
+def test_checkpoint_interval_below_one_is_rejected(tmp_path, every):
+    # Flooring it to 1 used to checkpoint (and fsync) every cycle.
+    with pytest.raises(ValueError, match="at least 1 cycle"):
+        CheckpointManager(tmp_path, KEY, every=every)
+
+
 def test_truncated_checkpoint_reads_as_absent(tmp_path):
     processor = build("ms4", "wc", True)
     manager = CheckpointManager(tmp_path, KEY, every=3_000)

@@ -135,9 +135,10 @@ def test_cli_run_ooo_two_way(minc_file, capsys):
      ("entries.s", "main: li $t0, 1\n halt\n"),
      "unknown task-entry label 'nowhere'"),
     (["trace"], None, "neither a workload"),
+    (["trace", "--window", "5:2"], None, "with END after START"),
 ], ids=("run-missing", "compile-missing", "disasm-missing", "assembler",
         "minc-lex", "minc-parse", "minc-codegen", "annotation",
-        "trace-missing"))
+        "trace-missing", "trace-empty-window"))
 def test_cli_bad_program_is_one_line_and_exit_2(command, source, message,
                                                 tmp_path, capsys):
     name, text = source or ("nosuch.s", None)
@@ -147,6 +148,55 @@ def test_cli_bad_program_is_one_line_and_exit_2(command, source, message,
     assert main([command[0], str(path), *command[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"repro {command[0]}: error: ") and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["tables", "3", "--names", "nosuch"], 2,
+     "unknown workloads ['nosuch']"),
+    (["workloads", "--run", "nosuch"], 2, "unknown workloads ['nosuch']"),
+    (["run", "loop.s", "--max-cycles", "10"], 1, "exceeded 10 cycles"),
+    (["run", "loop.s", "--units", "4", "--max-cycles", "10"], 1,
+     "exceeded 10 cycles"),
+    (["trace", "wc", "--max-cycles", "10"], 1, "exceeded 10 cycles"),
+    (["run", "loop.s", "--max-cycles", "0"], 2,
+     "argument --max-cycles: must be at least 1, not 0"),
+    (["trace", "wc", "--max-cycles", "0"], 2,
+     "argument --max-cycles: must be at least 1, not 0"),
+    (["chaos", "--checkpoint-every", "0"], 2,
+     "argument --checkpoint-every: must be at least 1, not 0"),
+    (["chaos", "--checkpoint-every", "-5"], 2,
+     "argument --checkpoint-every: must be at least 1, not -5"),
+    (["serve", "--checkpoint-every", "0"], 2,
+     "argument --checkpoint-every: must be at least 1, not 0"),
+    (["serve", "--lease-ttl", "0"], 2,
+     "argument --lease-ttl: must be more than 0 seconds, not 0"),
+    (["serve", "--timeout", "-1"], 2,
+     "argument --timeout: must be more than 0 seconds, not -1"),
+    (["explore", "gcc", "--timeout", "-1"], 2,
+     "argument --timeout: must be more than 0 seconds, not -1"),
+    (["explore", "gcc", "--budget", "0"], 2,
+     "argument --budget: must be at least 1, not 0"),
+], ids=("tables-unknown-workload", "workloads-unknown-workload",
+        "run-budget-scalar", "run-budget-ms4", "trace-budget",
+        "run-max-cycles-0", "trace-max-cycles-0", "chaos-checkpoint-0",
+        "chaos-checkpoint-negative", "serve-checkpoint-0",
+        "serve-lease-ttl-0", "serve-timeout-negative",
+        "explore-timeout-negative", "explore-budget-0"))
+def test_cli_rejection_is_one_line(argv, code, message, tmp_path, capsys,
+                                   monkeypatch):
+    # Unusable input exits 2 and a typed simulation failure exits 1,
+    # each as one `repro CMD: error:` line, from the parser or the
+    # command alike.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "loop.s").write_text("main: j main\n")
+    try:
+        status = main(argv)
+    except SystemExit as exit:
+        status = exit.code
+    err = capsys.readouterr().err
+    assert status == code
+    assert err.startswith(f"repro {argv[0]}: error: ") and message in err
     assert "Traceback" not in err and err.count("\n") == 1
 
 
