@@ -92,14 +92,14 @@ def _checked(build):
         raise _CommandError(error) from None
 
 
-def _simulate(processor, max_cycles: int):
-    """``processor.run(max_cycles=...)``, with a typed simulation
-    failure (exhausted budget, livelock) re-raised as a
-    :class:`_CommandError` that exits 1."""
+def _simulate(run, *args, **kwargs):
+    """``run(*args, **kwargs)``, with a typed simulation failure
+    (exhausted budget, livelock) re-raised as a :class:`_CommandError`
+    that exits 1."""
     from repro.resilience.failures import SimulationFailure
 
     try:
-        return processor.run(max_cycles=max_cycles)
+        return run(*args, **kwargs)
     except SimulationFailure as error:
         raise _CommandError(error, code=1) from None
 
@@ -146,9 +146,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.config import multiscalar_config, scalar_config
     from repro.core.processor import MultiscalarProcessor
     from repro.core.scalar import ScalarProcessor
-    from repro.core.tracer import TaskTracer
+    from repro.observability import Category, EventBus, render_timeline
 
     multiscalar = args.units > 1 or args.multiscalar
+    if args.timeline and not multiscalar:
+        raise _CommandError("--timeline needs a multiscalar machine "
+                            "(--units above 1, or --multiscalar)")
     program = _load_program(args.file, multiscalar, args.entries,
                             args.auto_loops)
     fast_path = not args.no_fast_path
@@ -157,8 +160,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = multiscalar_config(args.units, args.issue, args.ooo,
                                     fast_path=fast_path, jit=jit)
         processor = MultiscalarProcessor(program, config)
-        tracer = TaskTracer().attach(processor) if args.timeline else None
-        result = _simulate(processor, args.max_cycles)
+        bus = EventBus(Category.TASK).attach(processor) \
+            if args.timeline else None
+        result = _simulate(processor.run, max_cycles=args.max_cycles)
         print(result.output, end="")
         if result.output and not result.output.endswith("\n"):
             print()
@@ -175,14 +179,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.stats:
             for key, value in result.distribution.as_dict().items():
                 print(f"--   {key}: {value}", file=sys.stderr)
-        if tracer is not None:
-            print(tracer.render(), file=sys.stderr)
-            print("-- " + tracer.summary(), file=sys.stderr)
+        if bus is not None:
+            chart, summary = render_timeline(bus, processor.num_units)
+            print(chart, file=sys.stderr)
+            print("-- " + summary, file=sys.stderr)
     else:
         config = scalar_config(args.issue, args.ooo, fast_path=fast_path,
                                jit=jit)
-        result = _simulate(ScalarProcessor(program, config),
-                           args.max_cycles)
+        result = _simulate(ScalarProcessor(program, config).run,
+                           max_cycles=args.max_cycles)
         print(result.output, end="")
         if result.output and not result.output.endswith("\n"):
             print()
@@ -452,7 +457,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 130
     if args.timeline:
-        print(render_timelines(request))
+        print(_simulate(render_timelines, request))
     if args.self_test:
         if summary.worker_deaths < 1 or not summary.ok:
             print("sweep: self-test FAILED -- the killed worker's job "
@@ -609,7 +614,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     with the structured event bus attached, write a Chrome trace-event
     JSON file, and print a cycle-attribution flamegraph."""
     from repro.observability import (
-        Category,
         EventBus,
         chrome_trace,
         collect_metrics,
@@ -618,26 +622,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         write_chrome_trace,
     )
 
-    try:
-        categories = Category.parse(args.categories)
-    except ValueError as error:
-        print(f"repro trace: error: {error}", file=sys.stderr)
-        return 2
-    window = None
-    if args.window:
-        start_text, sep, end_text = args.window.partition(":")
-        try:
-            if not sep:
-                raise ValueError
-            window = (int(start_text) if start_text else 0,
-                      int(end_text) if end_text else 1 << 62)
-            if window[1] <= window[0]:
-                raise ValueError
-        except ValueError:
-            print("repro trace: error: --window takes START:END cycle "
-                  "bounds with END after START (either side may be "
-                  "empty)", file=sys.stderr)
-            return 2
     multiscalar = args.units > 1 or args.multiscalar
     from repro.config import multiscalar_config, scalar_config
     from repro.core.processor import MultiscalarProcessor
@@ -651,10 +635,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         label = f"{args.target}:" \
             + (f"ms{args.units}" if multiscalar else "scalar")
     elif not Path(args.target).exists():
-        print(f"repro trace: error: {args.target!r} is neither a "
-              f"workload ({', '.join(sorted(WORKLOADS))}) nor a "
-              f"program file", file=sys.stderr)
-        return 2
+        raise _CommandError(
+            f"{args.target!r} is neither a workload "
+            f"({', '.join(sorted(WORKLOADS))}) nor a program file")
     else:
         program = _load_program(args.target, multiscalar, args.entries,
                                 args.auto_loops)
@@ -669,8 +652,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         processor = ScalarProcessor(
             program, scalar_config(args.issue, args.ooo,
                                    fast_path=fast_path, jit=jit))
-    bus = EventBus(categories, window=window).attach(processor)
-    result = _simulate(processor, args.max_cycles)
+    bus = EventBus(args.categories, window=args.window).attach(processor)
+    result = _simulate(processor.run, max_cycles=args.max_cycles)
     trace = chrome_trace(bus, num_units=args.units if multiscalar else 1,
                          total_cycles=result.cycles, label=label)
     problems = validate_chrome_trace(trace)
@@ -781,6 +764,33 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _categories(text: str):
+    """argparse type for ``trace --categories``: a
+    :class:`~repro.observability.Category` mask, rejected with the list
+    of valid names."""
+    from repro.observability import Category
+
+    try:
+        return Category.parse(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _window(text: str) -> tuple[int, int]:
+    """argparse type for ``trace --window``: ``START:END`` cycle bounds,
+    either side optional, END after START."""
+    try:
+        start, end = text.split(":")
+        window = (int(start or 0), int(end or 1 << 62))
+        if window[0] < window[1]:
+            return window
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        "must be START:END cycle bounds with END after START "
+        "(either side may be empty)")
+
+
 def _positive_list(text: str) -> list[int]:
     return [_positive(item) for item in text.split(",")]
 
@@ -835,7 +845,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("file")
     add_machine_flags(run)
     run.add_argument("--timeline", action="store_true",
-                     help="print the per-unit task timeline")
+                     help="print the per-unit task timeline "
+                          "(multiscalar machines only)")
     run.add_argument("--stats", action="store_true",
                      help="print the cycle-distribution taxonomy")
     run.add_argument("--max-cycles", type=_positive, default=20_000_000)
@@ -994,11 +1005,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="processing units (>1 implies multiscalar; "
                             "default 4)")
     add_machine_flags(trace, with_units=False)
-    trace.add_argument("--categories", default="all",
+    trace.add_argument("--categories", type=_categories, default="all",
                        help="comma-separated event categories to record "
                             "(task,pipe,ring,arb,mem,seq,predict; "
                             "default all)")
-    trace.add_argument("--window", default=None, metavar="START:END",
+    trace.add_argument("--window", type=_window, default=None,
+                       metavar="START:END",
                        help="record only events with START <= cycle < "
                             "END (either bound may be empty)")
     trace.add_argument("--out", default="trace.json",

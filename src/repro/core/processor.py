@@ -289,14 +289,10 @@ class MultiscalarProcessor:
         self._progress_window = 200_000
         self._fast = self.config.fast_path
         self._activity = True
-        #: Optional event observer (see repro.core.tracer.TaskTracer):
-        #: an object with task_assigned/task_stopped/task_retired/
-        #: task_squashed(task, cycle) methods.
-        self.observer = None
         #: Optional structured event bus (repro.observability.EventBus),
-        #: planted by EventBus.attach and never serialized. Every
-        #: emission site guards on ``is not None``, so tracing is
-        #: zero-cost when disabled.
+        #: planted by EventBus.attach and never serialized: the one way
+        #: task lifecycle leaves the machine. Every emission site guards
+        #: on ``is not None``, so tracing is zero-cost when disabled.
         self.trace = None
 
     # ================================================== public interface
@@ -492,8 +488,6 @@ class MultiscalarProcessor:
         for t in self.active:
             t.sleep_until = 0
         self._activity = True
-        if self.observer is not None:
-            self.observer.task_assigned(task, cycle)
         self._next_unit = (self._next_unit + 1) % self.num_units
         self.seq_busy_until = cycle + 1
         self._last_progress = cycle
@@ -605,8 +599,6 @@ class MultiscalarProcessor:
     def task_stopped(self, task: TaskInstance, next_pc: int) -> None:
         task.stopped = True
         task.actual_next = next_pc
-        if self.observer is not None:
-            self.observer.task_stopped(task, self.cycle)
         if self.trace is not None:
             self.trace.emit(_TASK, "stop", self.cycle, task.unit_index,
                             {"seq": task.seq, "next": next_pc})
@@ -739,8 +731,6 @@ class MultiscalarProcessor:
         slot.context.regs = None
         slot.context.pending = None
         self.distribution.fold_squashed(task.cycles)
-        if self.observer is not None:
-            self.observer.task_squashed(task, self.cycle)
         trace = self.trace
         if trace is not None:
             trace.emit(_TASK, "squash", self.cycle, task.unit_index,
@@ -788,12 +778,16 @@ class MultiscalarProcessor:
         slot.context.regs = None
         slot.context.pending = None
         self.active.pop(0)
-        if self.observer is not None:
-            self.observer.task_retired(head, cycle)
         trace = self.trace
         if trace is not None:
-            trace.emit(_TASK, "retire", cycle, head.unit_index,
-                       {"seq": head.seq})
+            # A stopped task has released its whole create mask; any
+            # register it still owes is a ring-protocol bug, reported in
+            # the event only then so healthy streams stay unchanged.
+            args = {"seq": head.seq}
+            unforwarded = head.create_mask - head.forwarded
+            if head.stopped and unforwarded:
+                args["unforwarded"] = sorted(unforwarded)
+            trace.emit(_TASK, "retire", cycle, head.unit_index, args)
             trace.emit(_ARB, "occupancy", cycle, -1,
                        {"entries": self.arb.entry_count()})
 

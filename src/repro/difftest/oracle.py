@@ -15,7 +15,9 @@ binary*: final program output, the final register file (scalar only —
 a multiscalar machine legitimately drops dead registers that are
 outside every create mask), the final committed-memory delta, and the
 retired dynamic instruction count. Multiscalar runs additionally carry
-machine invariants observed through the processor's event hook:
+machine invariants, checked on the finished machine and folded from
+the ``task`` events of an attached
+:class:`~repro.observability.EventBus`:
 
 * cycle accounting is exhaustive (``distribution.total() == units *
   cycles``);
@@ -41,6 +43,7 @@ from repro.difftest.injection import use_backend
 from repro.isa import FunctionalCPU, Program, assemble
 from repro.isa.memory_image import PAGE_SIZE, SparseMemory
 from repro.minic import compile_and_annotate, compile_scalar
+from repro.observability import Category, EventBus
 
 DEFAULT_MAX_INSTRUCTIONS = 400_000
 DEFAULT_MAX_CYCLES = 4_000_000
@@ -228,36 +231,51 @@ def run_scalar_backend(program: Program, spec: BackendSpec,
             cycles=result.cycles)
 
 
-class _InvariantObserver:
-    """Collects the task life-cycle for post-run invariant checks."""
-
-    def __init__(self) -> None:
-        self.assigned: set[int] = set()
-        self.retired: list[int] = []
-        self.squashed: set[int] = set()
-        self.mask_failures: list[str] = []
-
-    def task_assigned(self, task, cycle: int) -> None:
-        self.assigned.add(task.seq)
-
-    def task_stopped(self, task, cycle: int) -> None:
-        pass
-
-    def task_retired(self, task, cycle: int) -> None:
-        self.retired.append(task.seq)
-        if task.stopped and not task.create_mask <= task.forwarded:
-            missing = sorted(task.create_mask - task.forwarded)
-            self.mask_failures.append(
-                f"task seq {task.seq} retired without forwarding "
-                f"create-mask registers {missing}")
-
-    def task_squashed(self, task, cycle: int) -> None:
-        self.squashed.add(task.seq)
+def _lifecycle_failures(events, ring_senders=()) -> list[str]:
+    """Fold a ``task``-category event stream into the lifecycle
+    invariants it breaks (none for a healthy run): every assigned task
+    retired or squashed exactly once, retirement in sequence order, no
+    retire that left create-mask registers unforwarded, and no ring
+    message (by ``ring_senders`` seq) from a task never assigned."""
+    assigned: set[int] = set()
+    retired: list[int] = []
+    squashed: set[int] = set()
+    failures = []
+    for event in events:
+        seq = event.args["seq"]
+        if event.name == "assign":
+            assigned.add(seq)
+        elif event.name == "squash":
+            squashed.add(seq)
+        elif event.name == "retire":
+            retired.append(seq)
+            if "unforwarded" in event.args:
+                failures.append(
+                    f"task seq {seq} retired without forwarding "
+                    f"create-mask registers {event.args['unforwarded']}")
+    accounted = set(retired) | squashed
+    if accounted != assigned:
+        lost = sorted(assigned - accounted)
+        phantom = sorted(accounted - assigned)
+        failures.append(
+            f"task accounting leak: lost={lost} phantom={phantom}")
+    if len(retired) != len(set(retired)):
+        failures.append("a task retired more than once")
+    if retired != sorted(retired):
+        failures.append(f"tasks retired out of sequence order: {retired}")
+    if set(retired) & squashed:
+        both = sorted(set(retired) & squashed)
+        failures.append(f"tasks both retired and squashed: {both}")
+    ghosts = [seq for seq in ring_senders if seq not in assigned]
+    if ghosts:
+        failures.append(
+            f"ring carries messages from never-assigned tasks: {ghosts}")
+    return failures
 
 
 def _check_invariants(processor: MultiscalarProcessor, result,
-                      observer: _InvariantObserver) -> tuple:
-    failures = list(observer.mask_failures)
+                      events) -> tuple:
+    failures = []
     dist_total = result.distribution.total()
     expected_total = processor.num_units * result.cycles
     if dist_total != expected_total:
@@ -268,27 +286,8 @@ def _check_invariants(processor: MultiscalarProcessor, result,
         failures.append(
             f"ARB not empty after halt: {processor.arb.entry_count()} "
             f"speculative entries survived retirement")
-    accounted = set(observer.retired) | observer.squashed
-    if accounted != observer.assigned:
-        lost = sorted(observer.assigned - accounted)
-        phantom = sorted(accounted - observer.assigned)
-        failures.append(
-            f"task accounting leak: lost={lost} phantom={phantom}")
-    if len(observer.retired) != len(set(observer.retired)):
-        failures.append("a task retired more than once")
-    if observer.retired != sorted(observer.retired):
-        failures.append(
-            f"tasks retired out of sequence order: {observer.retired}")
-    if set(observer.retired) & observer.squashed:
-        both = sorted(set(observer.retired) & observer.squashed)
-        failures.append(f"tasks both retired and squashed: {both}")
-    in_flight = [m for link in processor.ring._links for m in link]
-    ghosts = [m.sender_seq for m in in_flight
-              if m.sender_seq not in observer.assigned]
-    if ghosts:
-        failures.append(
-            f"ring carries messages from never-assigned tasks: {ghosts}")
-    return tuple(failures)
+    senders = [m.sender_seq for link in processor.ring._links for m in link]
+    return tuple(failures + _lifecycle_failures(events, senders))
 
 
 def run_multiscalar_backend(program: Program, spec: BackendSpec,
@@ -299,8 +298,7 @@ def run_multiscalar_backend(program: Program, spec: BackendSpec,
             program, multiscalar_config(spec.units, spec.issue_width,
                                         spec.out_of_order,
                                         fast_path=spec.fast_path))
-        observer = _InvariantObserver()
-        processor.observer = observer
+        bus = EventBus(Category.TASK).attach(processor)
         try:
             result = processor.run(max_cycles=max_cycles)
         except Exception as exc:
@@ -311,8 +309,7 @@ def run_multiscalar_backend(program: Program, spec: BackendSpec,
             memory=memory_delta(program.initial_memory(), processor.memory),
             instructions=result.instructions,
             cycles=result.cycles,
-            invariant_failures=_check_invariants(processor, result,
-                                                 observer))
+            invariant_failures=_check_invariants(processor, result, bus))
 
 
 # ============================================================ comparison

@@ -278,11 +278,12 @@ def _tabulate(summary: SweepSummary, by_key: dict[str, SimJob],
 
 def render_timelines(request: SweepRequest, width: int = 72) -> str:
     """Re-run the widest configuration of each workload with a
-    :class:`~repro.core.tracer.TaskTracer` attached and render the
-    per-unit task timelines (serial; timing only, results ignored)."""
+    ``task``-category :class:`~repro.observability.EventBus` attached
+    and render the per-unit task timelines (serial; timing only,
+    results ignored)."""
     from repro.config import multiscalar_config
     from repro.core.processor import MultiscalarProcessor
-    from repro.core.tracer import TaskTracer
+    from repro.observability import Category, EventBus, render_timeline
     from repro.workloads import WORKLOADS
 
     units = max(request.units) if request.units else 4
@@ -293,9 +294,8 @@ def render_timelines(request: SweepRequest, width: int = 72) -> str:
             spec.multiscalar_program(),
             multiscalar_config(units, max(request.widths),
                                request.orders[-1]))
-        tracer = TaskTracer().attach(processor)
+        bus = EventBus(Category.TASK).attach(processor)
         processor.run(max_cycles=request.max_cycles)
         lines.append(f"-- {name} ({units} units) --")
-        lines.append(tracer.render(width=width))
-        lines.append(tracer.summary())
+        lines.extend(render_timeline(bus, units, width))
     return "\n".join(lines)

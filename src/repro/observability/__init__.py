@@ -15,8 +15,9 @@ timing behavior:
   metrics across cached runs.
 * :mod:`repro.observability.export` — exporters: Chrome trace-event
   JSON (loadable in Perfetto or ``chrome://tracing``, one track per
-  processing unit plus sequencer/ring/ARB/memory tracks) and a terminal
-  cycle-attribution flamegraph.
+  processing unit plus sequencer/ring/ARB/memory tracks), a terminal
+  cycle-attribution flamegraph, and the per-unit task timeline folded
+  from the ``task`` events.
 
 The user-facing entry point is ``python -m repro trace <workload>``;
 see docs/OBSERVABILITY.md for the event taxonomy and a Perfetto
@@ -36,13 +37,14 @@ __all__ = [
     "validate_chrome_trace",
     "write_chrome_trace",
     "render_flamegraph",
+    "render_timeline",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "events": ("Category", "EventBus", "TraceEvent"),
     "export": (
-        "chrome_trace", "render_flamegraph", "validate_chrome_trace",
-        "write_chrome_trace",
+        "chrome_trace", "render_flamegraph", "render_timeline",
+        "validate_chrome_trace", "write_chrome_trace",
     ),
     "metrics": ("Histogram", "MetricsRegistry", "collect_metrics"),
 })

@@ -8,8 +8,10 @@ which is what keeps tracing out of the simulator's hot-path budget
 (tier-1 holds an attached-but-masked bus to <= 0.2% extra Python calls
 and zero events built, counted by
 ``repro.harness.bench.measure_trace_overhead``). :meth:`EventBus.attach`
-plants one bus into every component of a processor, mirroring how
-``repro.core.tracer.TaskTracer`` attaches as an observer.
+plants one bus into every component of a processor; it is the only
+seam through which anything outside the machine watches it run (the
+``--timeline`` chart and the fuzz oracle's task invariants are folds
+over the ``task`` category).
 
 Events are emitted only at *discrete state transitions* that both the
 fast-path and the reference per-cycle simulator execute at identical

@@ -12,7 +12,9 @@ events. Simulated cycles map 1:1 to trace microseconds.
 :func:`validate_chrome_trace` is the schema check used by the tests,
 ``repro.tools.validate_trace``, and the CI trace-smoke job.
 :func:`render_flamegraph` prints the paper's Section-3 cycle
-taxonomy as an indented terminal bar chart.
+taxonomy as an indented terminal bar chart, and
+:func:`render_timeline` folds the task-lifecycle events into an ASCII
+Gantt chart of the unit queue (``repro run --timeline``).
 """
 
 from __future__ import annotations
@@ -231,3 +233,61 @@ def render_flamegraph(source, width: int = 36) -> str:
                      f"{100.0 * value / total:5.1f}% |{bar:<{width}}| "
                      f"{value:,}")
     return "\n".join(lines)
+
+
+def render_timeline(events, num_units: int,
+                    width: int = 100) -> tuple[str, str]:
+    """Fold a task-lifecycle stream into an ASCII Gantt chart of the
+    unit queue and a one-line summary; returns ``(chart, summary)``.
+
+    ``events`` is an iterable of :class:`TraceEvent` (an
+    :class:`EventBus` recording :attr:`Category.TASK` works directly;
+    other categories are skipped, as is the end of a task whose
+    ``assign`` was never seen). The chart has one row per unit, more
+    if an event names a unit past ``num_units``, and at most ``width``
+    columns, each a slice of simulated time::
+
+        unit  0 |=====R|===========R|xxxx|====R|
+        unit  1 |......|======R|xxxxxx|=====R|
+
+    ``=`` a task executing that eventually retires, ``R`` its
+    retirement, ``x`` a task eventually squashed, ``.`` no task
+    assigned.
+    """
+    cat_task = int(Category.TASK)
+    # seq -> [unit, assigned, ended, fate]; fate is None while running.
+    tasks: dict[int, list] = {}
+    for event in events:
+        if event.cat != cat_task:
+            continue
+        seq = event.args["seq"]
+        if event.name == "assign":
+            tasks[seq] = [event.tid, event.ts, None, None]
+        elif event.name in ("retire", "squash") and seq in tasks:
+            tasks[seq][2:] = [event.ts, event.name]
+    retired = [t for t in tasks.values() if t[3] == "retire"]
+    squashed = sum(t[3] == "squash" for t in tasks.values())
+    mean = sum(t[2] - t[1] for t in retired) / len(retired) \
+        if retired else 0.0
+    summary = (f"{len(retired)} tasks retired, {squashed} squashed; "
+               f"mean retired-task lifetime {mean:.1f} cycles")
+    if not tasks:
+        return "(no tasks traced)", summary
+    end = max(t[1] if t[2] is None else t[2] for t in tasks.values()) + 1
+    scale = max(1, -(-end // width))
+    columns = -(-end // scale)
+    units = max(num_units, max(t[0] for t in tasks.values()) + 1)
+    rows = [["."] * columns for _ in range(units)]
+    for seq in sorted(tasks):
+        unit, assigned, ended, fate = tasks[seq]
+        stop = end if ended is None else ended
+        glyph = "x" if fate == "squash" else "="
+        for col in range(assigned // scale,
+                         min(columns, stop // scale + 1)):
+            rows[unit][col] = glyph
+        if fate == "retire":
+            rows[unit][stop // scale] = "R"
+    lines = [f"timeline ({scale} cycles/column, {end} cycles total)"]
+    lines.extend(f"unit {unit:2d} |{''.join(row)}|"
+                 for unit, row in enumerate(rows))
+    return "\n".join(lines), summary

@@ -25,9 +25,11 @@ from repro.difftest import (
     shrink,
 )
 from repro.difftest.generator import GeneratedProgram
-from repro.difftest.oracle import ProgramInvalid
+from repro.difftest.oracle import ProgramInvalid, _lifecycle_failures
 from repro.isa import FunctionalCPU, assemble
 from repro.isa.opcodes import Op
+from repro.observability import Category, EventBus, TraceEvent
+from repro.resilience.failures import SimulationFailure
 from repro import cli
 
 SMALL_GRID = (
@@ -116,6 +118,78 @@ def test_shrink_respects_check_budget():
     result = shrink(_toy_program(), pred, max_checks=5)
     assert result.checks <= 5
     assert "chunk0" in result.program.body   # never shrinks away the bug
+
+
+# ---------------------------------------------------- machine invariants
+
+def _task_events(*steps):
+    """A planted ``task`` stream: (name, seq) or (name, seq, extra args)."""
+    events = []
+    for cycle, (name, seq, *extra) in enumerate(steps):
+        args = {"seq": seq, **(extra[0] if extra else {})}
+        events.append(TraceEvent(cycle, int(Category.TASK), name, 0, args))
+    return events
+
+
+@pytest.mark.parametrize("steps, senders, message", [
+    ((("assign", 1), ("assign", 2), ("retire", 1)), (),
+     "task accounting leak: lost=[2] phantom=[]"),
+    ((("assign", 1), ("retire", 1), ("squash", 5)), (),
+     "task accounting leak: lost=[] phantom=[5]"),
+    ((("assign", 1), ("retire", 1), ("retire", 1)), (),
+     "a task retired more than once"),
+    ((("assign", 1), ("assign", 2), ("retire", 2), ("retire", 1)), (),
+     "tasks retired out of sequence order: [2, 1]"),
+    ((("assign", 1), ("assign", 2), ("retire", 1), ("squash", 1),
+      ("retire", 2)), (),
+     "tasks both retired and squashed: [1]"),
+    ((("assign", 1), ("stop", 1), ("retire", 1, {"unforwarded": [8, 9]})),
+     (), "task seq 1 retired without forwarding create-mask registers "
+         "[8, 9]"),
+    ((("assign", 1), ("retire", 1)), (1, 7),
+     "ring carries messages from never-assigned tasks: [7]"),
+], ids=("lost", "phantom", "retired-twice", "out-of-order",
+        "retired-and-squashed", "unforwarded", "ring-ghost"))
+def test_lifecycle_fold_reports_each_broken_invariant(steps, senders,
+                                                      message):
+    assert _lifecycle_failures(_task_events(*steps), senders) == [message]
+
+
+def test_lifecycle_fold_passes_a_clean_stream():
+    events = _task_events(("assign", 1), ("assign", 2), ("assign", 3),
+                          ("stop", 1, {"next": 0x400}), ("retire", 1),
+                          ("squash", 3), ("stop", 2, {"next": 0x400}),
+                          ("retire", 2))
+    assert _lifecycle_failures(events, (1, 2)) == []
+
+
+def test_retire_event_names_unforwarded_registers_only_on_a_bug():
+    # A healthy run never puts "unforwarded" on a retire; a task that
+    # stops while owing a create-mask register gets it named there.
+    program = annotate_program(assemble(
+        "main: li $t0, 1\n"
+        "loop: addi $t0, $t0, 1\n"
+        "      blt $t0, 6, loop\n"
+        "      halt\n"), task_entries=["loop"])
+    processor = MultiscalarProcessor(program, multiscalar_config(2))
+    bus = EventBus(Category.TASK).attach(processor)
+    processor.run()
+    retires = [event.args for event in bus if event.name == "retire"]
+    assert retires and all("unforwarded" not in args for args in retires)
+
+    # Plant the bug: a machine whose ring never forwards. The first task
+    # retires owing its create mask; its successors then starve.
+    processor = MultiscalarProcessor(program, multiscalar_config(2))
+    bus = EventBus(Category.TASK).attach(processor)
+    processor.forward_value = lambda task, reg, value: None
+    with pytest.raises(SimulationFailure):
+        processor.run(max_cycles=2_000)
+    first = next(event for event in bus if event.name == "retire")
+    assert first.args["unforwarded"]
+    assert any(failure.startswith(f"task seq {first.args['seq']} retired "
+                                  "without forwarding create-mask "
+                                  "registers [")
+               for failure in _lifecycle_failures(bus))
 
 
 # ------------------------------------------ fault injection / acceptance

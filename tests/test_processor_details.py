@@ -12,6 +12,7 @@ from repro.core.processor import (
     SimulationTimeout,
 )
 from repro.isa import FunctionalCPU, assemble
+from repro.observability import Category, EventBus
 
 SIMPLE = """
         .task init targets=loop creates=$t0,$t1,$s0
@@ -250,25 +251,6 @@ done:
 """
 
 
-class _Recorder:
-    """Observer that logs the task life-cycle in arrival order."""
-
-    def __init__(self):
-        self.events = []
-
-    def task_assigned(self, task, cycle):
-        self.events.append(("assign", task.seq))
-
-    def task_stopped(self, task, cycle):
-        pass
-
-    def task_retired(self, task, cycle):
-        self.events.append(("retire", task.seq))
-
-    def task_squashed(self, task, cycle):
-        self.events.append(("squash", task.seq))
-
-
 def _rmw_processor(**config_kwargs):
     from repro.compiler import annotate_program
 
@@ -285,13 +267,12 @@ def test_memory_squash_takes_suffix_and_recovers():
     # and the violator plus everything younger must be squashed —
     # never an already-retired (or older) task.
     processor = _rmw_processor()
-    recorder = _Recorder()
-    processor.observer = recorder
+    bus = EventBus(Category.TASK).attach(processor)
     result = processor.run()
     assert result.output == "8"
     assert result.squashes_memory >= 1
     retired_so_far = []
-    for kind, seq in recorder.events:
+    for kind, seq in ((event.name, event.args["seq"]) for event in bus):
         if kind == "retire":
             retired_so_far.append(seq)
         elif kind == "squash" and retired_so_far:

@@ -1,12 +1,12 @@
-"""Tests for the task tracer and the command-line interface."""
+"""Tests for the task timeline and the command-line interface."""
 
 import pytest
 
 from repro.cli import main
 from repro.config import multiscalar_config
 from repro.core import MultiscalarProcessor
-from repro.core.tracer import TaskTracer
 from repro.minic import compile_and_annotate
+from repro.observability import Category, EventBus, render_timeline
 
 SOURCE = """
 int out[16];
@@ -28,42 +28,49 @@ void main() {
 def traced_run():
     program = compile_and_annotate(SOURCE)
     processor = MultiscalarProcessor(program, multiscalar_config(4))
-    tracer = TaskTracer().attach(processor)
+    bus = EventBus(Category.TASK).attach(processor)
     result = processor.run()
-    return tracer, result
+    return bus, result
 
 
 def test_tracer_counts_match_processor(traced_run):
-    tracer, result = traced_run
-    assert len(tracer.retired()) == result.tasks_retired
-    assert len(tracer.squashed()) == result.tasks_squashed
+    bus, result = traced_run
+    _, summary = render_timeline(bus, 4)
+    assert summary.startswith(f"{result.tasks_retired} tasks retired, "
+                              f"{result.tasks_squashed} squashed;")
     assert result.output == "240"
 
 
 def test_tracer_events_are_ordered(traced_run):
-    tracer, result = traced_run
-    for event in tracer.retired():
-        assert event.assigned <= event.ended
-        if event.stopped is not None:
-            assert event.assigned <= event.stopped <= event.ended
+    bus, result = traced_run
+    tasks = {}      # seq -> {event name: cycle}
+    for event in bus:
+        tasks.setdefault(event.args["seq"], {})[event.name] = event.ts
+    retired = [task for task in tasks.values() if "retire" in task]
+    assert len(retired) == result.tasks_retired
+    for task in retired:
+        assert task["assign"] <= task["retire"]
+        if "stop" in task:
+            assert task["assign"] <= task["stop"] <= task["retire"]
 
 
 def test_tracer_render_has_unit_rows(traced_run):
-    tracer, result = traced_run
-    art = tracer.render(width=60)
-    assert "unit  0" in art and "unit  3" in art
-    assert "=" in art
-    assert "cycles/column" in art
+    bus, result = traced_run
+    chart, _ = render_timeline(bus, 4, width=60)
+    assert "unit  0" in chart and "unit  3" in chart
+    assert "=" in chart
+    assert "cycles/column" in chart
 
 
 def test_tracer_summary(traced_run):
-    tracer, _ = traced_run
-    summary = tracer.summary()
+    bus, _ = traced_run
+    _, summary = render_timeline(bus, 4)
     assert "retired" in summary and "squashed" in summary
 
 
 def test_empty_tracer_render():
-    assert TaskTracer().render() == "(no tasks traced)"
+    assert render_timeline(EventBus(Category.TASK), 4)[0] \
+        == "(no tasks traced)"
 
 
 # ------------------------------------------------------------------ CLI
@@ -136,16 +143,23 @@ def test_cli_run_ooo_two_way(minc_file, capsys):
      "unknown task-entry label 'nowhere'"),
     (["trace"], None, "neither a workload"),
     (["trace", "--window", "5:2"], None, "with END after START"),
+    (["trace", "--categories", "task,bogus"], None,
+     "unknown event category 'bogus' (valid: task, pipe, ring, arb, mem, "
+     "seq, predict, all)"),
 ], ids=("run-missing", "compile-missing", "disasm-missing", "assembler",
         "minc-lex", "minc-parse", "minc-codegen", "annotation",
-        "trace-missing", "trace-empty-window"))
+        "trace-missing", "trace-empty-window", "trace-unknown-category"))
 def test_cli_bad_program_is_one_line_and_exit_2(command, source, message,
                                                 tmp_path, capsys):
     name, text = source or ("nosuch.s", None)
     path = tmp_path / name
     if text is not None:
         path.write_text(text)
-    assert main([command[0], str(path), *command[1:]]) == 2
+    try:
+        status = main([command[0], str(path), *command[1:]])
+    except SystemExit as rejected:  # rejected by the argument parser
+        status = rejected.code
+    assert status == 2
     err = capsys.readouterr().err
     assert err.startswith(f"repro {command[0]}: error: ") and message in err
     assert "Traceback" not in err and err.count("\n") == 1
@@ -177,12 +191,15 @@ def test_cli_bad_program_is_one_line_and_exit_2(command, source, message,
      "argument --timeout: must be more than 0 seconds, not -1"),
     (["explore", "gcc", "--budget", "0"], 2,
      "argument --budget: must be at least 1, not 0"),
+    (["run", "loop.s", "--timeline"], 2,
+     "--timeline needs a multiscalar machine"),
 ], ids=("tables-unknown-workload", "workloads-unknown-workload",
         "run-budget-scalar", "run-budget-ms4", "trace-budget",
         "run-max-cycles-0", "trace-max-cycles-0", "chaos-checkpoint-0",
         "chaos-checkpoint-negative", "serve-checkpoint-0",
         "serve-lease-ttl-0", "serve-timeout-negative",
-        "explore-timeout-negative", "explore-budget-0"))
+        "explore-timeout-negative", "explore-budget-0",
+        "run-timeline-scalar"))
 def test_cli_rejection_is_one_line(argv, code, message, tmp_path, capsys,
                                    monkeypatch):
     # Unusable input exits 2 and a typed simulation failure exits 1,
@@ -198,6 +215,20 @@ def test_cli_rejection_is_one_line(argv, code, message, tmp_path, capsys,
     assert status == code
     assert err.startswith(f"repro {argv[0]}: error: ") and message in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_cli_sweep_timeline_budget_is_one_error_line(tmp_path, capsys,
+                                                     monkeypatch):
+    # The timeline re-run honours --max-cycles; running out of it ends
+    # the sweep with one typed error line, never a traceback.
+    monkeypatch.chdir(tmp_path)
+    status = main(["sweep", "--workloads", "wc", "--units", "4",
+                   "--max-cycles", "100", "--timeline", "--no-cache"])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.endswith("\n") and err.splitlines()[-1].startswith(
+        "repro sweep: error: exceeded 100 cycles")
+    assert "Traceback" not in err
 
 
 def test_cli_compile(minc_file, capsys, tmp_path):

@@ -1,110 +1,101 @@
-"""Direct tests for the task-timeline renderer and its event filters.
+"""Direct tests for the task-timeline renderer and its event fold.
 
-These build :class:`TaskEvent` streams by hand, so every rendering
-branch — squash glyphs, retire markers, scale compression, units with
-no events — is pinned down without running a simulation.
+These build ``task``-category event streams by hand, so every
+rendering branch — squash glyphs, retire markers, scale compression,
+units with no events — is pinned down without running a simulation.
 """
 
-from repro.core.tracer import TaskEvent, TaskTracer
+from repro.observability import Category, TraceEvent, render_timeline
 
 
-class _FakeTask:
-    def __init__(self, seq, unit, entry=0x400, name="loop"):
-        self.seq = seq
-        self.unit_index = unit
-        self.entry = entry
-
-        class _Descriptor:
-            pass
-
-        self.descriptor = _Descriptor()
-        self.descriptor.name = name
+def _event(name, seq, unit, cycle):
+    args = {"seq": seq}
+    if name == "assign":
+        args["task"] = "loop"
+    return TraceEvent(cycle, int(Category.TASK), name, unit, args)
 
 
-def tracer_with(num_units=2):
-    tracer = TaskTracer()
-    tracer._num_units = num_units
-    return tracer
+def assign(seq, unit, cycle):
+    return _event("assign", seq, unit, cycle)
+
+
+def retire(seq, unit, cycle):
+    return _event("retire", seq, unit, cycle)
+
+
+def squash(seq, unit, cycle):
+    return _event("squash", seq, unit, cycle)
+
+
+def rows(chart):
+    return [line.split("|")[1] for line in chart.splitlines()
+            if line.startswith("unit")]
 
 
 def test_filters_partition_events_by_fate():
-    tracer = tracer_with()
-    tracer.task_assigned(_FakeTask(0, 0), cycle=0)
-    tracer.task_assigned(_FakeTask(1, 1), cycle=0)
-    tracer.task_assigned(_FakeTask(2, 0), cycle=5)
-    tracer.task_retired(_FakeTask(0, 0), cycle=4)
-    tracer.task_squashed(_FakeTask(1, 1), cycle=3)
-    retired = tracer.retired()
-    squashed = tracer.squashed()
-    assert [e.seq for e in retired] == [0]
-    assert [e.seq for e in squashed] == [1]
-    # Task 2 is still active: in neither filter.
-    assert tracer.events[2].fate == "active"
-    assert all(e.fate == "retired" for e in retired)
-    assert all(e.fate == "squashed" for e in squashed)
+    chart, summary = render_timeline(
+        [assign(0, 0, 0), assign(1, 1, 0), assign(2, 0, 5),
+         retire(0, 0, 4), squash(1, 1, 3)], num_units=2, width=100)
+    assert summary.startswith("1 tasks retired, 1 squashed; ")
+    unit0, unit1 = rows(chart)
+    # Task 2 is still active: it runs to the end unmarked.
+    assert unit0 == "====R="
+    assert unit1 == "xxxx.."
+    # Non-task events (here a ring send) are not part of the fold.
+    ring = TraceEvent(2, int(Category.RING), "send", 0, {"seq": 0})
+    assert render_timeline([ring], 2) == render_timeline([], 2)
 
 
 def test_lifecycle_callbacks_ignore_unknown_tasks():
-    tracer = tracer_with()
-    tracer.task_retired(_FakeTask(99, 0), cycle=10)    # never assigned
-    tracer.task_squashed(_FakeTask(98, 0), cycle=10)
-    tracer.task_stopped(_FakeTask(97, 0), cycle=10)
-    assert tracer.events == {}
+    chart, summary = render_timeline(
+        [retire(99, 0, 10),    # never assigned
+         squash(98, 0, 10),
+         _event("stop", 97, 0, 10)], num_units=2)
+    assert chart == "(no tasks traced)"
+    assert summary.startswith("0 tasks retired, 0 squashed")
 
 
 def test_render_marks_squashed_and_retired_distinctly():
-    tracer = tracer_with(num_units=2)
-    tracer.task_assigned(_FakeTask(0, 0), cycle=0)
-    tracer.task_retired(_FakeTask(0, 0), cycle=10)
-    tracer.task_assigned(_FakeTask(1, 1), cycle=2)
-    tracer.task_squashed(_FakeTask(1, 1), cycle=8)
-    art = tracer.render(width=50)
-    unit0, unit1 = [line for line in art.splitlines() if "|" in line]
+    chart, _ = render_timeline(
+        [assign(0, 0, 0), retire(0, 0, 10), assign(1, 1, 2),
+         squash(1, 1, 8)], num_units=2, width=50)
+    unit0, unit1 = rows(chart)
     assert "R" in unit0 and "x" not in unit0
     assert "x" in unit1 and "R" not in unit1
     assert "=" in unit0
 
 
 def test_render_scales_long_timelines_to_width():
-    tracer = tracer_with(num_units=1)
-    tracer.task_assigned(_FakeTask(0, 0), cycle=0)
-    tracer.task_retired(_FakeTask(0, 0), cycle=999)
-    art = tracer.render(width=10)
-    assert "timeline (100 cycles/column, 1000 cycles total)" in art
-    row = [line for line in art.splitlines() if line.startswith("unit")][0]
-    assert len(row.split("|")[1]) == 10
+    chart, _ = render_timeline([assign(0, 0, 0), retire(0, 0, 999)],
+                               num_units=1, width=10)
+    assert "timeline (100 cycles/column, 1000 cycles total)" in chart
+    assert len(rows(chart)[0]) == 10
 
 
 def test_render_includes_units_that_never_ran_a_task():
-    tracer = tracer_with(num_units=3)
-    tracer.task_assigned(_FakeTask(0, 1), cycle=0)
-    tracer.task_retired(_FakeTask(0, 1), cycle=4)
-    art = tracer.render()
-    lines = [line for line in art.splitlines() if line.startswith("unit")]
+    chart, _ = render_timeline([assign(0, 1, 0), retire(0, 1, 4)],
+                               num_units=3)
+    lines = rows(chart)
     assert len(lines) == 3
-    assert set(lines[0].split("|")[1]) == {"."}    # unit 0 always idle
-    assert set(lines[2].split("|")[1]) == {"."}    # unit 2 always idle
+    assert set(lines[0]) == {"."}    # unit 0 always idle
+    assert set(lines[2]) == {"."}    # unit 2 always idle
 
 
 def test_render_without_attach_falls_back_to_max_unit():
-    tracer = TaskTracer()     # never attached: no _num_units
-    tracer.task_assigned(_FakeTask(0, 2), cycle=0)
-    tracer.task_retired(_FakeTask(0, 2), cycle=3)
-    lines = [line for line in tracer.render().splitlines()
-             if line.startswith("unit")]
-    assert len(lines) == 3    # units 0..2 inferred from events
+    # An event naming a unit past num_units still gets its row.
+    chart, _ = render_timeline([assign(0, 2, 0), retire(0, 2, 3)],
+                               num_units=0)
+    assert len(rows(chart)) == 3    # units 0..2 inferred from events
 
 
 def test_render_active_task_extends_to_end_without_marker():
-    tracer = tracer_with(num_units=1)
-    tracer.task_assigned(_FakeTask(0, 0), cycle=0)   # never ends
-    art = tracer.render(width=20)
-    row = [line for line in art.splitlines() if line.startswith("unit")][0]
-    body = row.split("|")[1]
+    chart, _ = render_timeline([assign(0, 0, 0)], num_units=1, width=20)
+    body = rows(chart)[0]
     assert "=" in body and "R" not in body and "x" not in body
 
 
 def test_empty_render_and_summary():
-    tracer = TaskTracer()
-    assert tracer.render() == "(no tasks traced)"
-    assert "0 tasks retired, 0 squashed" in tracer.summary()
+    chart, summary = render_timeline([], num_units=4)
+    assert chart == "(no tasks traced)"
+    assert summary == ("0 tasks retired, 0 squashed; "
+                       "mean retired-task lifetime 0.0 cycles")
