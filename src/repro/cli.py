@@ -67,7 +67,7 @@ class _CommandError(Exception):
     exits with ``code``: 2 for input the command cannot use (a program
     file that cannot be read, assembled, compiled or annotated; an
     unknown workload), 1 for a run that ended in a typed simulation
-    failure."""
+    failure or a paper-grid job that failed."""
 
     def __init__(self, message, code: int = 2) -> None:
         super().__init__(message)
@@ -232,47 +232,44 @@ def cmd_workloads(args: argparse.Namespace) -> int:
             print(f"{name:10} {spec.paper_benchmark:28} "
                   f"{spec.description}")
         return 0
-    _known_workloads([args.run])
-    from repro.config import multiscalar_config, scalar_config
-    from repro.core.processor import MultiscalarProcessor
-    from repro.core.scalar import ScalarProcessor
-    from repro.engine.job import SimulationMismatchError
+    from repro.harness.runner import paper_sweep
 
-    spec = WORKLOADS[args.run]
-    scalar = ScalarProcessor(spec.scalar_program(), scalar_config()).run()
-    processor = MultiscalarProcessor(spec.multiscalar_program(),
-                                     multiscalar_config(args.units))
-    result = processor.run()
-    if result.output != spec.expected_output:
-        raise SimulationMismatchError(
-            f"{args.run}: multiscalar output {result.output!r} does not "
-            f"match expected {spec.expected_output!r}")
-    print(f"{args.run}: scalar {scalar.cycles} cycles, "
-          f"{args.units}-unit multiscalar {result.cycles} cycles "
-          f"(speedup {scalar.cycles / result.cycles:.2f}x, "
-          f"prediction {result.prediction_accuracy:.1%})")
+    summary = _tabulated(paper_sweep, _known_workloads([args.run]),
+                         units=(args.units,), widths=(1,))
+    cell = summary.cells[0]
+    print(f"{args.run}: scalar {summary.scalar_cycles[args.run, 1, False]} "
+          f"cycles, {args.units}-unit multiscalar {cell.cycles} cycles "
+          f"(speedup {cell.speedup:.2f}x, "
+          f"prediction {cell.prediction_accuracy:.1f}%)")
     return 0
 
 
-def _apply_cache_flags(args: argparse.Namespace) -> None:
-    """Apply --cache-dir/--purge-cache/--no-cache before a
-    harness command touches the store."""
+def _apply_cache_flags(args: argparse.Namespace):
+    """The store a harness command reads and writes, or ``None``:
+    ``--cache-dir`` moves it, ``--purge-cache`` empties it first, and
+    ``--no-cache`` or ``REPRO_NO_DISK_CACHE`` turn it off."""
+    import os
+
+    from repro.engine.store import ResultStore, persistent_cache_enabled
+
     if getattr(args, "cache_dir", None):
-        import os
-
         os.environ["REPRO_CACHE_DIR"] = args.cache_dir
-    purge = getattr(args, "purge_cache", False)
-    no_cache = getattr(args, "no_cache", False)
-    if not (purge or no_cache):
-        return
-    from repro.harness import runner
-
-    if purge:
-        removed = runner.clear_cache(persistent=True)
+    if getattr(args, "purge_cache", False):
+        removed = ResultStore().purge()
         print(f"cache: purged {removed} stored results", file=sys.stderr)
-    if no_cache:
-        runner.set_persistent_cache(False)
-        runner.clear_cache()
+    if getattr(args, "no_cache", False) or not persistent_cache_enabled():
+        return None
+    return ResultStore()
+
+
+def _tabulated(read, *args, **kwargs):
+    """``read(*args, **kwargs)`` over a paper grid, with a failed job
+    (wrong output, timeout, dead worker) re-raised as a
+    :class:`_CommandError` that exits 1."""
+    try:
+        return read(*args, **kwargs)
+    except RuntimeError as error:
+        raise _CommandError(error, code=1) from None
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
@@ -287,18 +284,16 @@ def cmd_tables(args: argparse.Namespace) -> int:
         table4_rows,
     )
 
-    if args.names:
-        _known_workloads(args.names)
-    _apply_cache_flags(args)
+    _known_workloads(args.names or ())
+    store = _apply_cache_flags(args)
     if args.number == 1:
         print(format_table1())
     elif args.number == 2:
-        print(format_table2(table2_rows()))
-    elif args.number == 3:
-        print(format_table3(table3_rows(args.names or None)))
-    elif args.number == 4:
-        print(format_table3(table4_rows(args.names or None),
-                            out_of_order=True))
+        print(format_table2(_tabulated(table2_rows, args.names, store)))
+    else:
+        rows = table3_rows if args.number == 3 else table4_rows
+        print(format_table3(_tabulated(rows, args.names, store),
+                            out_of_order=args.number == 4))
     return 0
 
 
@@ -307,8 +302,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     evaluation and write the paper-vs-measured report."""
     from repro.harness.report import generate_report
 
-    _apply_cache_flags(args)
-    text = generate_report(quick=args.quick)
+    text = _tabulated(generate_report, _apply_cache_flags(args),
+                      quick=args.quick)
     if args.output:
         Path(args.output).write_text(text)
         print(f"wrote {args.output}", file=sys.stderr)
@@ -400,7 +395,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Entry point for ``repro sweep``: run a workload x config
     grid through the job engine with persistent caching."""
-    from repro.engine import ResultStore, persistent_cache_enabled
     from repro.engine.sweep import (
         SweepRequest,
         render_timelines,
@@ -409,7 +403,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     from repro.harness.paper_data import ROW_ORDER
 
-    _apply_cache_flags(args)
+    store = _apply_cache_flags(args)
     workloads = _known_workloads(args.workloads or ROW_ORDER)
     request = SweepRequest(
         workloads=workloads,
@@ -433,9 +427,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             summary = run_sweep_via_server(request, args.server,
                                            progress=progress)
         else:
-            store = None
-            if request.use_cache and persistent_cache_enabled():
-                store = ResultStore()
             summary = run_sweep(request, store, progress=progress)
     except ConnectionError as error:
         print(f"repro sweep: server error: {error}", file=sys.stderr)
@@ -520,7 +511,6 @@ def _explore_self_test(args: argparse.Namespace) -> int:
 
 def cmd_explore(args: argparse.Namespace) -> int:
     """Entry point for ``repro explore``: the design-space autopilot."""
-    from repro.engine import ResultStore, persistent_cache_enabled
     from repro.explore import (
         ExploreRequest,
         LocalEvaluator,
@@ -533,7 +523,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     )
     from repro.workloads import WORKLOADS
 
-    _apply_cache_flags(args)
+    store = _apply_cache_flags(args)
     if args.self_test:
         return _explore_self_test(args)
     if args.target == "all":
@@ -546,14 +536,12 @@ def cmd_explore(args: argparse.Namespace) -> int:
         use_cache=not args.no_cache)
     progress = (lambda message: print(f"explore: {message}",
                                       file=sys.stderr))
-    store = None
     if args.server:
+        store = None
         evaluator = ServerEvaluator(args.server, timeout=args.timeout,
                                     max_cycles=args.max_cycles,
                                     progress=progress)
     else:
-        if request.use_cache and persistent_cache_enabled():
-            store = ResultStore()
         evaluator = LocalEvaluator(store, jobs=args.jobs,
                                    timeout=args.timeout,
                                    retries=args.retries,
@@ -707,13 +695,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Entry point for ``repro serve``: run the simulation job
     server — an asyncio HTTP API over the leased worker daemon — until
     interrupted (Ctrl-C drains the queue and exits 130)."""
-    from repro.engine import ResultStore, persistent_cache_enabled
     from repro.server import ReproServer
 
-    _apply_cache_flags(args)
-    store = None
-    if not args.no_cache and persistent_cache_enabled():
-        store = ResultStore()
+    store = _apply_cache_flags(args)
     server = ReproServer(
         workers=args.jobs, lease_ttl=args.lease_ttl,
         timeout=args.timeout, retries=args.retries,

@@ -12,12 +12,9 @@ Layers:
   leases;
 * :mod:`repro.engine.resolve` — the one path from a list of jobs to
   payloads plus accounting, over a local pool or ``repro serve``;
-* :mod:`repro.engine.sweep` — grid sweeps combining all four.
-
-The one-job convenience path used by the harness runner is
-:func:`~repro.engine.job.execute_cached`: it consults the persistent
-store, simulates on a miss, persists the fresh payload, and returns
-the native result object.
+* :mod:`repro.engine.sweep` — grid sweeps combining all four; the
+  paper tables (:mod:`repro.harness.runner`) are views of a sweep, and
+  the runner's one-job reads go through the same resolver.
 
 Names resolve on first use: reaching for :class:`ResultStore` or
 :class:`SimJob` loads neither the scheduler nor the simulator.
@@ -46,7 +43,6 @@ __all__ = [
     "count_job",
     "default_cache_dir",
     "execute",
-    "execute_cached",
     "multiscalar_job",
     "persistent_cache_enabled",
     "priority_value",
@@ -57,8 +53,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, {
     "job": (
         "SimJob", "SimulationMismatchError", "code_fingerprint", "count_job",
-        "execute", "execute_cached", "multiscalar_job",
-        "result_from_payload", "scalar_job",
+        "execute", "multiscalar_job", "result_from_payload", "scalar_job",
     ),
     "scheduler": (
         "InjectedWorkerDeath", "JobOutcome", "Lease", "LeaseQueue", "PoolJob",

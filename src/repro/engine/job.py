@@ -426,23 +426,6 @@ def execute(job: SimJob, checkpoints=None, attempt: int = 0,
             "metrics": collect_metrics(processor).to_dict()}
 
 
-def execute_cached(job: SimJob, store):
-    """Run one job through the persistent store (serially, in-process).
-
-    With ``store=None`` the job always simulates and nothing persists.
-    Returns the native result object (:class:`ScalarResult`,
-    :class:`MultiscalarResult`, or an ``int`` instruction count).
-    """
-    if store is None:
-        return result_from_payload(execute(job))
-    key = job.key()
-    payload = store.get(key)
-    if payload is None:
-        payload = execute(job)
-        store.put(key, payload, job=job.describe())
-    return result_from_payload(payload)
-
-
 def result_from_payload(payload: dict):
     """Reconstruct the native result object from a stored payload."""
     if payload["type"] == "scalar":

@@ -13,11 +13,14 @@ fault-tolerant pool:
 * a job that fails (mismatch, timeout after retries, dead workers) is
   counted and reported, but never takes the sweep down.
 
-The summary renders the same speedup numbers as the serial harness —
-``scalar.cycles / multiscalar.cycles`` per cell — plus the engine's
-cache and fault accounting. :func:`run_sweep_via_server` resolves the
-identical grid as a thin HTTP client of a ``repro serve`` instance
-instead of a local pool — same keys, same table, shared cache.
+The summary holds the speedup of every cell —
+``scalar.cycles / multiscalar.cycles``, divided only in
+:func:`_tabulate` — next to each job's native result and the engine's
+cache and fault accounting; the paper tables
+(:mod:`repro.harness.runner`) are views of it.
+:func:`run_sweep_via_server` resolves the identical grid as a thin HTTP
+client of a ``repro serve`` instance instead of a local pool — same
+keys, same table, shared cache.
 """
 
 from __future__ import annotations
@@ -74,6 +77,9 @@ class SweepSummary:
     cells: list[SweepCell] = field(default_factory=list)
     scalar_cycles: dict[tuple[str, int, bool], int] = \
         field(default_factory=dict)
+    #: The native result of every grid job that finished, keyed
+    #: ``(kind, workload, units, issue_width, out_of_order)``.
+    results: dict[tuple, object] = field(default_factory=dict)
     total_jobs: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -124,7 +130,7 @@ class SweepSummary:
                            f"{'ooo' if ooo else 'io':5} "
                            f"{scalar if scalar is not None else '-':>10}")
                     for units in req.units:
-                        cell = self._cell(name, units, width, ooo)
+                        cell = self.cell(name, units, width, ooo)
                         if cell is None or cell.speedup is None:
                             row += f" {'-':>12} {'-':>8}"
                         else:
@@ -147,8 +153,9 @@ class SweepSummary:
             lines.append(f"  failed: {error}")
         return "\n".join(lines)
 
-    def _cell(self, name: str, units: int, width: int,
-              ooo: bool) -> SweepCell | None:
+    def cell(self, name: str, units: int, width: int,
+             ooo: bool) -> SweepCell | None:
+        """The grid cell of one multiscalar machine, if requested."""
         for cell in self.cells:
             if (cell.workload, cell.units, cell.issue_width,
                     cell.out_of_order) == (name, units, width, ooo):
@@ -199,8 +206,8 @@ def _run_grid(request: SweepRequest, resolver,
         retries=resolution.retries,
         worker_deaths=resolution.worker_deaths,
         timeouts=resolution.timeouts,
-        errors=[f"{by_key[key].label()}: {message}"
-                for key, message in resolution.errors.items()],
+        errors=[f"{job.label()}: {resolution.errors[key]}"
+                for key, job in by_key.items() if key in resolution.errors],
         interrupted=resolution.interrupted)
     _tabulate(summary, by_key, resolution.payloads)
     return summary
@@ -251,9 +258,10 @@ def _tabulate(summary: SweepSummary, by_key: dict[str, SimJob],
             summary.metrics = registry
         else:
             summary.metrics.merge(registry)
-    results = {(job.kind, job.workload, job.units, job.issue_width,
-                job.out_of_order): result_from_payload(payloads[key])
-               for key, job in by_key.items() if key in payloads}
+    results = summary.results = {
+        (job.kind, job.workload, job.units, job.issue_width,
+         job.out_of_order): result_from_payload(payloads[key])
+        for key, job in by_key.items() if key in payloads}
     for name in request.workloads:
         for width in request.widths:
             for ooo in request.orders:

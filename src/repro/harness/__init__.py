@@ -7,9 +7,7 @@ __all__ = [
     "PAPER_TABLE3",
     "PAPER_TABLE4",
     "PaperSpeedups",
-    "SpeedupCell",
     "TableRow",
-    "clear_cache",
     "format_cycle_distribution",
     "format_table1",
     "format_table2",
@@ -26,8 +24,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "PAPER_TABLE2", "PAPER_TABLE3", "PAPER_TABLE4", "PaperSpeedups",
     ),
     "runner": (
-        "SpeedupCell", "TableRow", "clear_cache", "run_multiscalar",
-        "run_scalar", "table2_rows", "table3_rows", "table4_rows",
+        "TableRow", "run_multiscalar", "run_scalar", "table2_rows",
+        "table3_rows", "table4_rows",
     ),
     "tables": (
         "format_table1", "format_table2", "format_table3",

@@ -2,19 +2,16 @@
 
 ``python -m repro report -o report.md`` runs the full evaluation
 (Tables 1-4 plus the Section-3 cycle distribution) and writes a
-self-contained markdown/text report. ``--quick`` restricts the sweep to
-a few representative workloads for a fast smoke report.
+self-contained markdown/text report. Tables 3 and 4 and the
+distribution are views of one sweep over both issue orders; ``--quick``
+restricts it to a few representative workloads for a fast smoke
+report.
 """
 
 from __future__ import annotations
 
 from repro.harness.paper_data import ROW_ORDER
-from repro.harness.runner import (
-    run_multiscalar,
-    table2_rows,
-    table3_rows,
-    table4_rows,
-)
+from repro.harness.runner import paper_sweep, table2_rows, table_rows
 from repro.harness.tables import (
     format_cycle_distribution,
     format_table1,
@@ -25,9 +22,12 @@ from repro.harness.tables import (
 QUICK_NAMES = ["gcc", "wc", "example"]
 
 
-def generate_report(quick: bool = False) -> str:
-    """Run the evaluation and render the full report text."""
+def generate_report(store, quick: bool = False) -> str:
+    """Run the evaluation through ``store`` (``None``: simulate
+    everything, persist nothing) and render the full report text."""
     names = QUICK_NAMES if quick else list(ROW_ORDER)
+    counts = table2_rows(names, store=store)
+    summary = paper_sweep(names, orders=(False, True), store=store)
     sections = [
         "# Multiscalar reproduction report",
         "",
@@ -39,22 +39,21 @@ def generate_report(quick: bool = False) -> str:
         "```",
         "",
         "```",
-        format_table2([row for row in table2_rows()
-                       if row[0] in names]),
+        format_table2(counts),
         "```",
         "",
         "```",
-        format_table3(table3_rows(names)),
+        format_table3(table_rows(summary, False)),
         "```",
         "",
         "```",
-        format_table3(table4_rows(names), out_of_order=True),
+        format_table3(table_rows(summary, True), out_of_order=True),
         "```",
         "",
         "```",
         format_cycle_distribution({
-            name: run_multiscalar(name, 8, 1, False).distribution
-            for name in names}),
+            name: summary.results[("multiscalar", name, 8, 1, False)]
+            .distribution for name in names}),
         "```",
         "",
     ]

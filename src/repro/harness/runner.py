@@ -1,108 +1,114 @@
-"""Run workloads across machine configurations and build table rows.
+"""Paper-table rows, read off the sweep's resolved grid.
 
-Memoization is two-level: a per-process dict (hits return the very
-same result object) in front of the engine's persistent on-disk store
-(results survive across processes and invalidate themselves when the
-simulator or a workload changes). Output verification raises
-:class:`~repro.engine.SimulationMismatchError` unconditionally — it is
-a real check, not a ``assert`` stripped under ``python -O``.
+Tables 3 and 4 and the report's cycle distribution are views of one
+:func:`~repro.engine.sweep.run_sweep` summary: its cells carry the
+speedups and prediction accuracies, its ``results`` the scalar IPCs and
+cycle distributions. Table 2 and the one-job reads resolve through the
+same :class:`~repro.engine.resolve.LocalResolver`, so every number here
+shares the sweep's keys, store and worker pool. A failed job raises —
+:class:`~repro.engine.SimulationMismatchError` when its output was
+wrong, :class:`RuntimeError` naming the job otherwise — so a table
+never has a hole.
+
+``store`` defaults to the environment's (``$REPRO_CACHE_DIR``, none
+under ``REPRO_NO_DISK_CACHE``); ``store=None`` always simulates and
+persists nothing.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from repro.core.results import MultiscalarResult, ScalarResult
 from repro.engine.job import (
+    SimJob,
     SimulationMismatchError,
     count_job,
-    execute_cached,
     multiscalar_job,
+    result_from_payload,
     scalar_job,
 )
+from repro.engine.resolve import LocalResolver
 from repro.engine.store import ResultStore, persistent_cache_enabled
+from repro.engine.sweep import (
+    SweepCell,
+    SweepRequest,
+    SweepSummary,
+    run_sweep,
+)
 from repro.harness.paper_data import ROW_ORDER
 
 __all__ = [
-    "SimulationMismatchError",
-    "clear_cache",
-    "dynamic_count",
+    "TableRow",
+    "paper_sweep",
     "run_multiscalar",
     "run_scalar",
-    "set_persistent_cache",
     "table2_rows",
     "table3_rows",
     "table4_rows",
+    "table_rows",
 ]
 
-_scalar_cache: dict[tuple, ScalarResult] = {}
-_multi_cache: dict[tuple, MultiscalarResult] = {}
-_count_cache: dict[tuple, int] = {}
-
-#: Process-wide switch for the persistent layer (``--no-cache``).
-_persistent = True
+#: The ``store=`` default: the environment's store, chosen per call.
+_ENV = object()
+#: Grids resolve with one worker per CPU.
+_WORKERS = os.cpu_count() or 1
 
 
-def set_persistent_cache(enabled: bool) -> None:
-    """Turn the on-disk result store on or off for this process."""
-    global _persistent
-    _persistent = enabled
+def _chosen(store) -> ResultStore | None:
+    if store is _ENV:
+        return ResultStore() if persistent_cache_enabled() else None
+    return store
 
 
-def _store() -> ResultStore | None:
-    if not _persistent or not persistent_cache_enabled():
-        return None
-    return ResultStore()      # resolves $REPRO_CACHE_DIR lazily
+def _raise_first(interrupted: bool, errors: list[str]) -> None:
+    """Re-raise Ctrl-C, else the first failed job's ``"<label>: <Type>:
+    <message>"`` line (what ``scheduler._attempt`` reports, after the
+    job's label): a mismatch as its own type, anything else as a
+    :class:`RuntimeError`."""
+    if interrupted:
+        raise KeyboardInterrupt
+    if errors:
+        kind, _, message = errors[0].partition(": ")[2].partition(": ")
+        if kind == SimulationMismatchError.__name__:
+            raise SimulationMismatchError(message)
+        raise RuntimeError(errors[0])
 
 
-def clear_cache(persistent: bool = False) -> int:
-    """Empty the in-process memo caches; with ``persistent=True`` also
-    purge the on-disk store. Returns the number of stored result files
-    removed (0 for the in-process-only flavour)."""
-    _scalar_cache.clear()
-    _multi_cache.clear()
-    _count_cache.clear()
-    if persistent:
-        return ResultStore().purge()
-    return 0
+def _results(jobs: list[SimJob], store, workers: int = 1) -> list:
+    """The native result of each job, in order, through the store."""
+    resolution = LocalResolver(_chosen(store), jobs=workers).resolve(jobs)
+    _raise_first(resolution.interrupted, [
+        f"{job.label()}: {resolution.errors[job.key()]}"
+        for job in jobs if job.key() in resolution.errors])
+    return [result_from_payload(resolution.payloads[job.key()])
+            for job in jobs]
 
 
-def run_scalar(name: str, issue_width: int = 1,
-               out_of_order: bool = False) -> ScalarResult:
-    """Run one workload on the scalar baseline (memoized)."""
-    key = (name, issue_width, out_of_order)
-    if key not in _scalar_cache:
-        _scalar_cache[key] = execute_cached(
-            scalar_job(name, issue_width, out_of_order), _store())
-    return _scalar_cache[key]
+def run_scalar(name: str, issue_width: int = 1, out_of_order: bool = False,
+               store=_ENV) -> ScalarResult:
+    """Run one workload on the scalar baseline."""
+    return _results([scalar_job(name, issue_width, out_of_order)], store)[0]
 
 
 def run_multiscalar(name: str, units: int, issue_width: int = 1,
-                    out_of_order: bool = False) -> MultiscalarResult:
-    """Run one workload on a multiscalar configuration (memoized)."""
-    key = (name, units, issue_width, out_of_order)
-    if key not in _multi_cache:
-        _multi_cache[key] = execute_cached(
-            multiscalar_job(name, units, issue_width, out_of_order),
-            _store())
-    return _multi_cache[key]
+                    out_of_order: bool = False,
+                    store=_ENV) -> MultiscalarResult:
+    """Run one workload on a multiscalar configuration."""
+    return _results([multiscalar_job(name, units, issue_width,
+                                     out_of_order)], store)[0]
 
 
-def dynamic_count(name: str, multiscalar: bool) -> int:
-    """Dynamic instruction count of a workload binary (memoized)."""
-    key = (name, multiscalar)
-    if key not in _count_cache:
-        _count_cache[key] = execute_cached(
-            count_job(name, annotated=multiscalar), _store())
-    return _count_cache[key]
-
-
-# ------------------------------------------------------------ table rows
-
-@dataclass
-class SpeedupCell:
-    speedup: float
-    prediction_accuracy: float   # percent
+def paper_sweep(names=None, orders=(False,), units=(4, 8), widths=(1, 2),
+                store=_ENV) -> SweepSummary:
+    """Resolve a paper grid (by default Table 3's); the first failed
+    job raises."""
+    summary = run_sweep(SweepRequest(
+        tuple(names or ROW_ORDER), units=units, widths=widths,
+        orders=orders, jobs=_WORKERS), _chosen(store))
+    _raise_first(summary.interrupted, summary.errors)
+    return summary
 
 
 @dataclass
@@ -111,53 +117,45 @@ class TableRow:
 
     name: str
     scalar_ipc_1w: float
-    cell_4u_1w: SpeedupCell
-    cell_8u_1w: SpeedupCell
+    cell_4u_1w: SweepCell
+    cell_8u_1w: SweepCell
     scalar_ipc_2w: float
-    cell_4u_2w: SpeedupCell
-    cell_8u_2w: SpeedupCell
+    cell_4u_2w: SweepCell
+    cell_8u_2w: SweepCell
 
 
-def table2_rows() -> list[tuple[str, int, int, float]]:
+def table_rows(summary: SweepSummary, out_of_order: bool) -> list[TableRow]:
+    """The Table-3 (in-order) or Table-4 rows of a :func:`paper_sweep`
+    summary."""
+    def ipc(name, width):
+        return summary.results[("scalar", name, 1, width, out_of_order)].ipc
+
+    return [TableRow(
+        name, ipc(name, 1),
+        summary.cell(name, 4, 1, out_of_order),
+        summary.cell(name, 8, 1, out_of_order),
+        ipc(name, 2),
+        summary.cell(name, 4, 2, out_of_order),
+        summary.cell(name, 8, 2, out_of_order))
+        for name in summary.request.workloads]
+
+
+def table2_rows(names=None, store=_ENV) -> list[tuple[str, int, int, float]]:
     """(name, scalar count, multiscalar count, percent increase) rows."""
-    rows = []
-    for name in ROW_ORDER:
-        scalar = dynamic_count(name, multiscalar=False)
-        multi = dynamic_count(name, multiscalar=True)
-        rows.append((name, scalar, multi, 100.0 * (multi / scalar - 1)))
-    return rows
+    names = names or ROW_ORDER
+    counts = _results([count_job(name, annotated)
+                       for name in names for annotated in (False, True)],
+                      store, workers=_WORKERS)
+    return [(name, scalar, multi, 100.0 * (multi / scalar - 1))
+            for name, scalar, multi
+            in zip(names, counts[::2], counts[1::2])]
 
 
-def _speedup_cell(name: str, units: int, issue_width: int,
-                  out_of_order: bool) -> SpeedupCell:
-    scalar = run_scalar(name, issue_width, out_of_order)
-    multi = run_multiscalar(name, units, issue_width, out_of_order)
-    return SpeedupCell(
-        speedup=scalar.cycles / multi.cycles,
-        prediction_accuracy=100.0 * multi.prediction_accuracy)
-
-
-def _speedup_rows(out_of_order: bool,
-                  names: list[str] | None = None) -> list[TableRow]:
-    rows = []
-    for name in names or ROW_ORDER:
-        rows.append(TableRow(
-            name=name,
-            scalar_ipc_1w=run_scalar(name, 1, out_of_order).ipc,
-            cell_4u_1w=_speedup_cell(name, 4, 1, out_of_order),
-            cell_8u_1w=_speedup_cell(name, 8, 1, out_of_order),
-            scalar_ipc_2w=run_scalar(name, 2, out_of_order).ipc,
-            cell_4u_2w=_speedup_cell(name, 4, 2, out_of_order),
-            cell_8u_2w=_speedup_cell(name, 8, 2, out_of_order),
-        ))
-    return rows
-
-
-def table3_rows(names: list[str] | None = None) -> list[TableRow]:
+def table3_rows(names=None, store=_ENV) -> list[TableRow]:
     """Table 3: in-order issue processing units."""
-    return _speedup_rows(out_of_order=False, names=names)
+    return table_rows(paper_sweep(names, (False,), store=store), False)
 
 
-def table4_rows(names: list[str] | None = None) -> list[TableRow]:
+def table4_rows(names=None, store=_ENV) -> list[TableRow]:
     """Table 4: out-of-order issue processing units."""
-    return _speedup_rows(out_of_order=True, names=names)
+    return table_rows(paper_sweep(names, (True,), store=store), True)

@@ -53,15 +53,15 @@ class WorkloadSpec:
     paper_notes: str = ""
 
     def scalar_program(self) -> Program:
-        return _compile_scalar_cached(self.source, self.name)
+        return _compile_scalar(self.source, self.name)
 
     def multiscalar_program(self,
                             knobs: CompilerKnobs | None = None) -> Program:
         """The annotated binary, optionally re-partitioned under a
         non-default :class:`~repro.compiler.CompilerKnobs` setting
         (the design-space search compiles one binary per knob point)."""
-        return _compile_multiscalar_cached(self.source, self.name,
-                                           self.extra_entries, knobs)
+        return _compile_multiscalar(self.source, self.name,
+                                    self.extra_entries, knobs)
 
 
 @lru_cache(maxsize=64)
@@ -75,16 +75,16 @@ def _front_end(source: str, name: str) -> CompiledUnit:
 
 
 @lru_cache(maxsize=64)
-def _compile_scalar_cached(source: str, name: str) -> Program:
+def _compile_scalar(source: str, name: str) -> Program:
     from repro.isa.assembler import assemble
 
     return assemble(_front_end(source, name).asm, name)
 
 
 @lru_cache(maxsize=128)
-def _compile_multiscalar_cached(source: str, name: str,
-                                extra_entries: tuple[str, ...],
-                                knobs: CompilerKnobs | None) -> Program:
+def _compile_multiscalar(source: str, name: str,
+                         extra_entries: tuple[str, ...],
+                         knobs: CompilerKnobs | None) -> Program:
     from repro.minic.driver import annotate_unit
 
     return annotate_unit(_front_end(source, name), name,

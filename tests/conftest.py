@@ -2,9 +2,11 @@
 
 Every test gets a private ``REPRO_CACHE_DIR`` so simulations cached by
 one test can never leak into another (or litter ``.repro-cache/`` in
-the working tree). The in-process memo caches in
-``repro.harness.runner`` are intentionally left alone — sharing those
-across tests is what keeps the table suites fast.
+the working tree). What is shared across tests is opt-in and
+session-scoped: ``grid_run`` for the digest and differential files,
+and ``table_store`` — one result store — for the table and report
+tests that assert nothing about cache accounting, so each paper-grid
+cell is simulated once per session.
 """
 
 import functools
@@ -76,6 +78,14 @@ def grid_run():
     # One spelling of the key: lru_cache tells (w, m) from (w, m, shape).
     return lambda workload, machine, shape="1w-io": \
         cached(workload, machine, shape)
+
+
+@pytest.fixture(scope="session")
+def table_store(tmp_path_factory):
+    """One :class:`~repro.engine.ResultStore` for the whole session."""
+    from repro.engine import ResultStore
+
+    return ResultStore(tmp_path_factory.mktemp("table-store"))
 
 
 @pytest.fixture(autouse=True)

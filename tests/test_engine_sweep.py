@@ -8,9 +8,14 @@ the suite stays fast; the parallel machinery itself is covered by
 import pytest
 
 from repro.cli import main
-from repro.engine import ResultStore, execute_cached, scalar_job
+from repro.engine import (
+    ResultStore,
+    execute,
+    multiscalar_job,
+    result_from_payload,
+    scalar_job,
+)
 from repro.engine.sweep import SweepRequest, build_grid, run_sweep
-from repro.harness import runner
 
 WORKLOADS = ("cmp",)
 
@@ -40,11 +45,13 @@ def test_sweep_matches_serial_harness(store):
     assert summary.ok
     assert summary.total_jobs == 3
     assert summary.cache_misses == 3 and summary.cache_hits == 0
-    scalar = runner.run_scalar("cmp")
+    scalar = result_from_payload(execute(scalar_job("cmp")))
     assert summary.scalar_cycles[("cmp", 1, False)] == scalar.cycles
+    assert summary.results[("scalar", "cmp", 1, 1, False)] == scalar
     for units in (1, 2):
-        live = scalar.cycles / runner.run_multiscalar("cmp", units).cycles
-        cell = summary._cell("cmp", units, 1, False)
+        multi = result_from_payload(execute(multiscalar_job("cmp", units)))
+        live = scalar.cycles / multi.cycles
+        cell = summary.cell("cmp", units, 1, False)
         assert cell.speedup == pytest.approx(live, rel=0, abs=0)
         assert cell.prediction_accuracy is not None
 
@@ -163,7 +170,8 @@ def test_cli_sweep_rejects_impossible_machines(capsys):
 def test_cli_cache_status_and_purge(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-cache"))
     store = ResultStore()
-    execute_cached(scalar_job("cmp"), store)
+    job = scalar_job("cmp")
+    store.put(job.key(), execute(job), job=job.describe())
     assert main(["cache"]) == 0
     assert "1 stored results" in capsys.readouterr().out
     assert main(["cache", "--purge"]) == 0
@@ -175,8 +183,3 @@ def test_cli_tables_accept_no_cache(capsys):
     assert main(["tables", "2", "--no-cache"]) == 0
     assert "Table 2" in capsys.readouterr().out
 
-
-def teardown_module():
-    # The CLI self-test path flips the runner's persistent switch via
-    # --no-cache; restore it for whoever runs next.
-    runner.set_persistent_cache(True)

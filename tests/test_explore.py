@@ -275,8 +275,8 @@ def _break_toolchain(monkeypatch, error=AssertionError):
     # Compiles memoized by earlier tests would mask the sabotage.
     from repro.workloads import base
 
-    for cached in (base._front_end, base._compile_scalar_cached,
-                   base._compile_multiscalar_cached):
+    for cached in (base._front_end, base._compile_scalar,
+                   base._compile_multiscalar):
         cached.cache_clear()
 
 

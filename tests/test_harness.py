@@ -1,5 +1,6 @@
 """Tests for the evaluation harness: runners, caching, and formatting."""
 
+from repro.engine import ResultStore
 from repro.harness import (
     PAPER_TABLE2,
     PAPER_TABLE3,
@@ -11,12 +12,12 @@ from repro.harness import (
 )
 from repro.harness.paper_data import ROW_ORDER
 from repro.harness.runner import (
-    _multi_cache,
-    dynamic_count,
     run_multiscalar,
     run_scalar,
+    table2_rows,
     table3_rows,
 )
+from repro.workloads import WORKLOADS
 
 
 def test_paper_data_complete():
@@ -29,18 +30,22 @@ def test_paper_data_complete():
 
 def test_run_scalar_memoized():
     first = run_scalar("wc", 1, False)
-    second = run_scalar("wc", 1, False)
-    assert first is second
+    store = ResultStore()
+    assert run_scalar("wc", 1, False, store=store) == first
+    assert store.hits == 1 and len(store) == 1
 
 
 def test_run_multiscalar_memoized_and_verified():
     first = run_multiscalar("wc", 4, 1, False)
-    assert ("wc", 4, 1, False) in _multi_cache
-    assert run_multiscalar("wc", 4, 1, False) is first
+    assert first.output == WORKLOADS["wc"].expected_output
+    store = ResultStore()
+    assert run_multiscalar("wc", 4, 1, False, store=store) == first
+    assert store.hits == 1
 
 
 def test_dynamic_count_multiscalar_not_smaller():
-    assert dynamic_count("wc", True) >= dynamic_count("wc", False)
+    [(_, scalar, multi, _)] = table2_rows(["wc"])
+    assert multi >= scalar
 
 
 def test_format_table1_contains_all_latencies():
@@ -57,16 +62,16 @@ def test_format_table2_includes_paper_column():
     assert f"{PAPER_TABLE2['wc'][2]:.1f}%" in text
 
 
-def test_format_table3_single_row():
-    rows = table3_rows(names=["wc"])
+def test_format_table3_single_row(table_store):
+    rows = table3_rows(names=["wc"], store=table_store)
     text = format_table3(rows)
     assert "wc" in text
     assert "(" in text   # paper comparison values present
     assert "In-Order" in text
 
 
-def test_format_cycle_distribution():
-    result = run_multiscalar("wc", 4, 1, False)
+def test_format_cycle_distribution(table_store):
+    result = run_multiscalar("wc", 4, 1, False, store=table_store)
     text = format_cycle_distribution({"wc": result.distribution})
     assert "wc" in text
     assert "useful" in text

@@ -41,8 +41,12 @@ EXECUTION = tuple(name for name in HEAVY
 #: miss, the HTTP client only with ``--server``.
 TRANSPORT = ("repro.engine.scheduler", "repro.server.client")
 
-SWEEP = ["sweep", "--workloads", "wc,cmp", "--units", "4", "--jobs", "2"]
+#: The cold sweep's grid covers TABLES' cells: a warm table reads the
+#: sweep's keys, or it would have to load the scheduler.
+SWEEP = ["sweep", "--workloads", "wc,cmp", "--units", "4,8",
+         "--widths", "1,2", "--jobs", "2"]
 EXPLORE = ["explore", "cmp", "--budget", "6", "--seed", "3", "--jobs", "2"]
+TABLES = ["tables", "3", "--names", "cmp"]
 
 # Runs `python -m repro ARGV` in a fresh interpreter and reports what
 # it loaded. Pool workers are probed through the module-level
@@ -132,12 +136,13 @@ def test_help_loads_no_package(tmp_path):
     assert loaded <= {"repro.cli", "repro.__main__"}
 
 
-@pytest.mark.parametrize("command", ["sweep", "explore"])
+@pytest.mark.parametrize("command", ["sweep", "explore", "tables"])
 def test_warm_run_loads_neither_toolchain_nor_simulator(filled, command):
     tmp, store, _ = filled
-    argv = {"sweep": SWEEP, "explore": EXPLORE}[command]
-    loaded, children = _run(tmp, argv + ["--require-hit-rate", "1.0"],
-                            store)
+    argv = {"sweep": SWEEP + ["--require-hit-rate", "1.0"],
+            "explore": EXPLORE + ["--require-hit-rate", "1.0"],
+            "tables": TABLES}[command]
+    loaded, children = _run(tmp, argv, store)
     assert "repro.engine.resolve" in loaded
     unwanted = loaded & set(HEAVY + TRANSPORT)
     assert not unwanted, sorted(unwanted)
@@ -261,7 +266,7 @@ def test_old_import_homes_still_work():
     from repro.core.results import MultiscalarResult as leaf_result
     from repro.core.scalar import ScalarResult as scalar_home
     from repro.difftest import shrink
-    from repro.engine import WorkerPool, execute_cached
+    from repro.engine import WorkerPool, execute
     from repro.pipeline import StallReason
     from repro.pipeline.context import StallReason as context_home
     from repro.pipeline.stall import StallReason as leaf_reason
@@ -269,6 +274,6 @@ def test_old_import_homes_still_work():
     assert MultiscalarResult is leaf_result
     assert ScalarResult is scalar_home
     assert StallReason is context_home is leaf_reason
-    assert callable(shrink) and callable(execute_cached)
+    assert callable(shrink) and callable(execute)
     assert MultiscalarProcessor.__module__ == "repro.core.processor"
     assert WorkerPool.__module__ == "repro.engine.scheduler"

@@ -1,48 +1,29 @@
-"""Tests for the harness runner's memoization caches.
+"""Tests for the harness runner's reads through the persistent store.
 
-Tables 3, 4, and the distribution study all go through
-``repro.harness.runner``; its per-process caches must return the very
-same result object on a hit (simulations are expensive) and must never
-let two different machine configurations collide on one key. Behind
-the process caches sits the engine's persistent store; runs repeated
-in a fresh "process" (here: a cleared cache) must be served from disk
-without re-simulating.
+Tables 3, 4, and the distribution study are views of a sweep, and the
+one-job reads (``run_scalar`` / ``run_multiscalar``) resolve through
+the same store: a run repeated in a fresh process must be served from
+disk without re-simulating, and two different machine configurations
+must never collide on one key.
 """
 
 import pytest
 
-from repro.engine import ResultStore, SimulationMismatchError
-from repro.harness import runner
+from repro.cli import main
+from repro.engine import (
+    ResultStore,
+    SimulationMismatchError,
+    multiscalar_job,
+    scalar_job,
+)
 from repro.harness.runner import (
-    clear_cache,
-    dynamic_count,
     run_multiscalar,
     run_scalar,
+    table2_rows,
 )
 
 #: A cheap workload, so cache tests don't dominate the suite's runtime.
 NAME = "cmp"
-
-
-@pytest.fixture(autouse=True)
-def _fresh_caches():
-    clear_cache()
-    yield
-    clear_cache()
-
-
-def test_multiscalar_cache_hit_returns_identical_object():
-    first = run_multiscalar(NAME, units=4)
-    second = run_multiscalar(NAME, units=4)
-    assert second is first
-    assert len(runner._multi_cache) == 1
-
-
-def test_scalar_cache_hit_returns_identical_object():
-    first = run_scalar(NAME)
-    assert run_scalar(NAME) is first
-    assert run_scalar(NAME, 1, False) is first   # same key, spelled out
-    assert len(runner._scalar_cache) == 1
 
 
 def test_differing_multiscalar_configs_never_collide():
@@ -50,55 +31,39 @@ def test_differing_multiscalar_configs_never_collide():
             for units in (2, 4) for width in (1, 2)
             for ooo in (False, True)]
     results = {cfg: run_multiscalar(NAME, *cfg) for cfg in grid}
-    assert len(runner._multi_cache) == len(grid)
-    # Every cached entry belongs to exactly one configuration.
-    ids = [id(result) for result in results.values()]
-    assert len(set(ids)) == len(grid)
-    # A repeat sweep serves every configuration from the cache.
+    # Every configuration is its own stored entry...
+    store = ResultStore()
+    assert len(store) == len(grid)
+    # ...and a repeat sweep serves each one from disk, unchanged.
     for cfg, result in results.items():
-        assert run_multiscalar(NAME, *cfg) is result
-    assert len(runner._multi_cache) == len(grid)
+        assert run_multiscalar(NAME, *cfg, store=store) == result
+    assert store.hits == len(grid) and len(store) == len(grid)
 
 
 def test_cache_keys_include_every_config_axis():
-    run_multiscalar(NAME, units=4, issue_width=1, out_of_order=False)
-    run_multiscalar(NAME, units=4, issue_width=2, out_of_order=False)
-    run_multiscalar(NAME, units=4, issue_width=1, out_of_order=True)
-    run_multiscalar(NAME, units=8, issue_width=1, out_of_order=False)
-    keys = set(runner._multi_cache)
-    assert keys == {
-        (NAME, 4, 1, False),
-        (NAME, 4, 2, False),
-        (NAME, 4, 1, True),
-        (NAME, 8, 1, False),
-    }
+    configs = [(4, 1, False), (4, 2, False), (4, 1, True), (8, 1, False)]
+    keys = {multiscalar_job(NAME, *cfg).key() for cfg in configs}
+    assert len(keys) == len(configs)
+    assert scalar_job(NAME).key() not in keys
 
 
 def test_scalar_and_multiscalar_caches_are_separate():
     run_scalar(NAME, issue_width=2)
     run_multiscalar(NAME, units=2, issue_width=2)
-    assert len(runner._scalar_cache) == 1
-    assert len(runner._multi_cache) == 1
+    store = ResultStore()
+    assert len(store) == 2
+    assert store.get(scalar_job(NAME, 2).key())["type"] == "scalar"
+    assert store.get(multiscalar_job(NAME, 2, 2).key())["type"] \
+        == "multiscalar"
 
 
 def test_dynamic_count_cache_distinguishes_binaries():
-    scalar = dynamic_count(NAME, multiscalar=False)
-    multi = dynamic_count(NAME, multiscalar=True)
-    assert set(runner._count_cache) == {(NAME, False), (NAME, True)}
+    [(name, scalar, multi, _)] = table2_rows([NAME])
+    assert name == NAME
     # The annotated binary executes at least as many instructions
     # (inserted releases), so the two entries are genuinely distinct.
     assert multi >= scalar
-    assert dynamic_count(NAME, multiscalar=False) == scalar
-
-
-def test_clear_cache_empties_every_cache():
-    run_scalar(NAME)
-    run_multiscalar(NAME, units=2)
-    dynamic_count(NAME, multiscalar=False)
-    clear_cache()
-    assert not runner._scalar_cache
-    assert not runner._multi_cache
-    assert not runner._count_cache
+    assert len(ResultStore()) == 2
 
 
 # ------------------------------------------------- persistent store layer
@@ -107,37 +72,33 @@ def test_runner_populates_the_persistent_store():
     result = run_scalar(NAME)
     store = ResultStore()
     assert len(store) == 1
-    # A "new process" (cleared memo cache) is served from disk: equal
-    # stats, but a distinct deserialized object.
-    clear_cache()
-    revived = run_scalar(NAME)
+    # Every read is a new deserialization from disk: equal stats, a
+    # distinct object, and the store counts the hit.
+    revived = run_scalar(NAME, store=store)
     assert revived is not result
     assert revived == result
+    assert store.hits == 1 and store.misses == 0
 
 
 def test_dynamic_count_served_from_disk_across_processes():
-    first = dynamic_count(NAME, multiscalar=True)
-    clear_cache()
-    assert dynamic_count(NAME, multiscalar=True) == first
-    assert len(ResultStore()) == 1
+    first = table2_rows([NAME])
+    store = ResultStore()
+    assert table2_rows([NAME], store=store) == first
+    assert store.hits == 2 and len(store) == 2
 
 
-def test_clear_cache_persistent_purges_the_store():
+def test_clear_cache_persistent_purges_the_store(capsys):
     run_scalar(NAME)
     run_multiscalar(NAME, units=2)
     assert len(ResultStore()) == 2
-    removed = clear_cache(persistent=True)
-    assert removed == 2
+    assert main(["tables", "1", "--purge-cache"]) == 0
+    assert "purged 2 stored results" in capsys.readouterr().err
     assert len(ResultStore()) == 0
 
 
 def test_set_persistent_cache_off_bypasses_disk():
-    runner.set_persistent_cache(False)
-    try:
-        run_scalar(NAME)
-        assert len(ResultStore()) == 0
-    finally:
-        runner.set_persistent_cache(True)
+    run_scalar(NAME, store=None)
+    assert len(ResultStore()) == 0
 
 
 def test_mismatch_is_a_typed_error_not_an_assert(monkeypatch):
@@ -147,8 +108,7 @@ def test_mismatch_is_a_typed_error_not_an_assert(monkeypatch):
 
     bad = dataclasses.replace(WORKLOADS[NAME], expected_output="nope")
     monkeypatch.setitem(WORKLOADS, NAME, bad)
-    with pytest.raises(SimulationMismatchError):
+    with pytest.raises(SimulationMismatchError, match="does not match"):
         run_scalar(NAME)
-    # The failed run must not poison either cache layer.
-    assert not runner._scalar_cache
+    # The failed run must not poison the store.
     assert len(ResultStore()) == 0

@@ -231,6 +231,30 @@ def test_cli_sweep_timeline_budget_is_one_error_line(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tables", "3", "--names", "wc"],
+    ["report", "--quick"],
+    ["workloads", "--run", "wc", "--units", "4"],
+], ids=("tables", "report", "workloads-run"))
+def test_cli_failed_cell_is_one_error_line(argv, tmp_path, capsys,
+                                           monkeypatch):
+    # A paper-grid job whose output is wrong ends the command with one
+    # `repro CMD: error:` line naming the job and exit 1: a table never
+    # prints with a hole, and never ends in a traceback.
+    import dataclasses
+
+    from repro.workloads import WORKLOADS
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(WORKLOADS, "wc", dataclasses.replace(
+        WORKLOADS["wc"], expected_output="nope"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro {argv[0]}: error: wc:")
+    assert "does not match expected 'nope'" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_cli_compile(minc_file, capsys, tmp_path):
     assert main(["compile", minc_file]) == 0
     out = capsys.readouterr().out
@@ -265,15 +289,24 @@ def test_cli_table1(capsys):
     assert "Functional Unit Latencies" in capsys.readouterr().out
 
 
-def test_cli_table3_subset(capsys):
-    assert main(["tables", "3", "--names", "gcc"]) == 0
+def test_cli_table3_subset(capsys, table_store):
+    assert main(["tables", "3", "--names", "gcc",
+                 "--cache-dir", str(table_store.root)]) == 0
     out = capsys.readouterr().out
     assert "gcc" in out and "In-Order" in out
 
 
-def test_cli_report_quick(capsys, tmp_path):
+def test_cli_table2_prints_only_the_named_rows(capsys):
+    assert main(["tables", "2", "--names", "wc"]) == 0
+    title, header, *rows = capsys.readouterr().out.splitlines()
+    assert title.startswith("Table 2") and header.startswith("Program")
+    assert len(rows) == 1 and rows[0].startswith("wc ")
+
+
+def test_cli_report_quick(capsys, tmp_path, table_store):
     target = tmp_path / "report.md"
-    assert main(["report", "--quick", "-o", str(target)]) == 0
+    assert main(["report", "--quick", "-o", str(target),
+                 "--cache-dir", str(table_store.root)]) == 0
     text = target.read_text()
     assert "Multiscalar reproduction report" in text
     assert "Table 3" in text and "Table 4" in text
