@@ -263,9 +263,10 @@ def _apply_cache_flags(args: argparse.Namespace):
 
 
 def _tabulated(read, *args, **kwargs):
-    """``read(*args, **kwargs)`` over a paper grid, with a failed job
-    (wrong output, timeout, dead worker) re-raised as a
-    :class:`_CommandError` that exits 1."""
+    """``read(*args, **kwargs)`` over a paper grid or a fuzz campaign,
+    with a failed job (wrong output, timeout, dead worker, a program
+    that could not be checked) re-raised as a :class:`_CommandError`
+    that exits 1."""
     try:
         return read(*args, **kwargs)
     except RuntimeError as error:
@@ -315,6 +316,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     """Entry point for ``repro fuzz``: differential fuzzing of
     every backend; exits non-zero on a divergence."""
+    from contextlib import nullcontext
+
     from repro.difftest import (
         FuzzCampaign,
         inject_jit_guard_miss,
@@ -354,20 +357,24 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 f"unknown opcode {args.self_test!r} for --self-test "
                 "(or: jit-taken-branch)")
     except ValueError as error:
-        print(f"repro fuzz: error: {error}", file=sys.stderr)
-        return 2
-    if args.self_test:
-        # Plant a bug — a semantics bug in the multiscalar backend, or
-        # a guard miss in the scalar core's compiled bodies — and
-        # demand the campaign catches it: a check that the oracle
-        # itself still has teeth.
-        if jit_guard_miss:
-            injector = inject_jit_guard_miss("taken-branch")
-        else:
-            injector = inject_opcode_bug(Op[args.self_test.upper()])
+        raise _CommandError(error) from None
+    # With --self-test, plant a bug — a semantics bug in the
+    # multiscalar backend, or a guard miss in the scalar core's compiled
+    # bodies — and demand the campaign catches it: a check that the
+    # oracle itself still has teeth.
+    injector = nullcontext()
+    if jit_guard_miss:
+        injector = inject_jit_guard_miss("taken-branch")
+    elif args.self_test:
+        injector = inject_opcode_bug(Op[args.self_test.upper()])
+    try:
         with injector:
-            result = campaign.run()
-        print(result.render())
+            result = _tabulated(campaign.run)
+    except ConnectionError as error:
+        print(f"repro fuzz: server error: {error}", file=sys.stderr)
+        return 2
+    print(result.render())
+    if args.self_test:
         if result.ok:
             print("fuzz: self-test FAILED -- injected "
                   f"{args.self_test} bug went undetected", file=sys.stderr)
@@ -375,17 +382,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"fuzz: self-test ok -- injected {args.self_test} bug "
               "was caught and shrunk", file=sys.stderr)
         return 0
-    if args.server:
-        from repro.server import ServerError
-
-        try:
-            result = campaign.run()
-        except ServerError as error:
-            print(f"repro fuzz: server error: {error}", file=sys.stderr)
-            return 2
-    else:
-        result = campaign.run()
-    print(result.render())
     if result.interrupted:
         print("fuzz: interrupted; partial results above", file=sys.stderr)
         return 130
@@ -1059,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz", help="differential fuzzing across all backends")
     fuzz.add_argument("--seed", type=int, default=0,
                       help="campaign seed (same seed, same programs)")
-    fuzz.add_argument("--budget", type=int, default=100,
+    fuzz.add_argument("--budget", type=_positive, default=100,
                       help="number of generated programs to run")
     fuzz.add_argument("--languages", type=lambda s: s.split(","),
                       default=["asm", "minic"],

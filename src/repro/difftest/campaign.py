@@ -7,18 +7,18 @@ rotating window over the full multiscalar configuration grid (1/2/4/8
 units × 1/2-way × in-order/out-of-order), so a whole campaign covers
 the grid even though each program runs on a handful of backends.
 
-On the first divergence the campaign stops, delta-debugs the program
-down to a near-minimal reproducer (re-checking candidates only on the
+Programs are checked in waves of ``4 * jobs`` (one at a time on a
+serial pool) and each wave's outcomes are scanned in generation order,
+whatever ran them: the engine's worker pool (which runs ``jobs=1``
+serially in-process, and turns a crashed worker into a retry rather
+than a lost campaign), or, with ``server=URL``, ``fuzz`` jobs on a
+running ``repro serve`` fleet (``repro fuzz --server URL``). Every
+transport therefore reports the same first divergence. The campaign
+then re-derives that report in-process, delta-debugs the program down
+to a near-minimal reproducer (re-checking candidates only on the
 backends that actually diverged, which keeps shrinking fast), and
-reports it. Re-running the same seed reproduces the whole sequence.
-
-With ``jobs > 1`` the campaign shards program checks across the
-engine's fault-tolerant worker pool in waves, scanning each wave's
-results in generation order — so the reported divergence is the same
-one the serial campaign would find, and a crashed worker costs a retry
-rather than the campaign. With ``server=URL`` the same waves are
-submitted as ``fuzz`` jobs to a running ``repro serve`` fleet instead
-of a private pool (``repro fuzz --server URL``).
+reports it. Re-running the same seed reproduces the whole sequence. A
+program that could not be checked at all is an error, never a skip.
 """
 
 from __future__ import annotations
@@ -180,192 +180,108 @@ class FuzzCampaign:
     # --------------------------------------------------------------- run
 
     def run(self) -> CampaignResult:
-        if self.server:
-            return self._run_server()
-        if self.jobs > 1:
-            return self._run_parallel()
-        return self._run_serial()
+        """Check programs in waves (``4 * jobs`` programs, or one on a
+        serial pool) and scan each wave's outcomes in generation order,
+        so every transport finds the same first divergence; it is then
+        re-derived and shrunk in-process.
 
-    def _run_serial(self) -> CampaignResult:
+        A program that could not be checked (the checker raised, a
+        worker or lease was lost beyond its retries) raises
+        :class:`RuntimeError`; an unreachable server raises
+        :class:`ConnectionError`. Ctrl-C ends the scan and sets
+        ``interrupted``.
+        """
+        check_wave, width = (self._served() if self.server
+                             else self._pooled())
         result = CampaignResult(seed=self.seed)
         index = 0
         try:
-            while result.programs_run < self.budget:
-                program = self.generate(index)
-                grid = self.grid_for(index)
-                index += 1
-                try:
-                    report = self._check(program, grid)
-                except ProgramInvalid:
-                    result.programs_skipped += 1
-                    continue
-                result.programs_run += 1
-                result.by_language[program.language] = \
-                    result.by_language.get(program.language, 0) + 1
-                result.backends_used.update(report.backends_run)
-                if result.programs_run % 25 == 0:
-                    self.progress(f"{result.programs_run}/{self.budget} "
-                                  "programs, no divergences")
-                if not report.ok:
-                    result.report = report
-                    result.shrunk = self._shrink(program, report, grid)
-                    break
+            while result.programs_run < self.budget and result.ok:
+                wave = range(index, index + min(
+                    width, self.budget - result.programs_run))
+                for at, checked, error in check_wave(wave):
+                    if result.programs_run >= self.budget:
+                        break
+                    if checked is None:
+                        if error == "interrupted":
+                            result.interrupted = True
+                            return result
+                        raise RuntimeError(
+                            f"program {at} (seed "
+                            f"{self.seed * SEED_STRIDE + at}) could not "
+                            f"be checked: {error}")
+                    if checked["status"] == "invalid":
+                        result.programs_skipped += 1
+                        continue
+                    result.programs_run += 1
+                    result.by_language[checked["language"]] = \
+                        result.by_language.get(checked["language"], 0) + 1
+                    result.backends_used.update(checked["backends"])
+                    if result.programs_run % 25 == 0:
+                        self.progress(f"{result.programs_run}/{self.budget} "
+                                      "programs, no divergences")
+                    if checked["status"] == "divergence":
+                        program, grid = self.generate(at), self.grid_for(at)
+                        result.report = self._check(program, grid)
+                        result.shrunk = self._shrink(program, result.report,
+                                                     grid)
+                        break
+                index = wave.stop
         except KeyboardInterrupt:
+            # A pool drains its workers before it answers; a server's
+            # keep running, and only this client stops early.
             result.interrupted = True
         return result
 
-    def _run_parallel(self) -> CampaignResult:
-        """Shard checks across worker processes, wave by wave.
-
-        Each worker regenerates its program from the (cheap, seeded)
-        generator and runs the full oracle check; the parent scans
-        outcomes in generation order, so the first divergence reported
-        matches the serial campaign. Shrinking stays in-process.
-        """
+    def _pooled(self):
+        """The wave transport over the engine's worker pool, and its
+        wave width. The pool runs ``jobs=1`` serially in this process,
+        where looking ahead past a divergence only costs time (a planted
+        bug can make a neighbouring check run to its cycle budget), so a
+        serial wave is one program."""
         from repro.engine.scheduler import PoolJob, WorkerPool
 
-        pool = WorkerPool(check_entry, jobs=self.jobs,
-                          retries=2, progress=self.progress)
-        result = CampaignResult(seed=self.seed)
-        index = 0
-        try:
-            while result.programs_run < self.budget:
-                wave = min(4 * self.jobs,
-                           self.budget - result.programs_run)
-                payloads = []
-                for offset in range(wave):
-                    payloads.append(PoolJob(
-                        job_id=str(index + offset),
-                        payload=self._payload_for(index + offset)))
-                outcomes = pool.run(payloads)
-                stop = False
-                for offset in range(wave):
-                    if result.programs_run >= self.budget:
-                        stop = True
-                        break
-                    outcome = outcomes[str(index + offset)]
-                    if not outcome.ok:
-                        if outcome.error == "interrupted":
-                            # The pool drained on Ctrl-C; nothing at or
-                            # past this outcome ran.
-                            stop = True
-                            break
-                        # A worker crashed beyond retry; treat the
-                        # program like an invalid generation rather
-                        # than losing the campaign.
-                        self.progress(f"program {index + offset} lost: "
-                                      f"{outcome.error}")
-                        result.programs_skipped += 1
-                        continue
-                    checked = outcome.value
-                    if checked["status"] == "invalid":
-                        result.programs_skipped += 1
-                        continue
-                    result.programs_run += 1
-                    result.by_language[checked["language"]] = \
-                        result.by_language.get(checked["language"], 0) + 1
-                    result.backends_used.update(checked["backends"])
-                    if result.programs_run % 25 == 0:
-                        self.progress(
-                            f"{result.programs_run}/{self.budget} "
-                            "programs, no divergences")
-                    if checked["status"] == "divergence":
-                        # Recreate the full report in-process
-                        # (deterministic) and shrink as the serial
-                        # campaign would.
-                        program = self.generate(index + offset)
-                        grid = self.grid_for(index + offset)
-                        report = self._check(program, grid)
-                        result.report = report
-                        result.shrunk = self._shrink(program, report, grid)
-                        stop = True
-                        break
-                index += wave
-                if pool.interrupted:
-                    result.interrupted = True
-                    break
-                if stop or result.report is not None:
-                    break
-        except KeyboardInterrupt:
-            # Raised between waves or during in-process shrinking; the
-            # pool has already drained its workers by the time run()
-            # returns, so there is nothing left to kill.
-            result.interrupted = True
-        return result
+        pool = WorkerPool(check_entry, jobs=self.jobs, retries=2,
+                          progress=self.progress)
 
-    def _run_server(self) -> CampaignResult:
-        """Ship checks to a ``repro serve`` fleet, wave by wave.
+        def check_wave(wave: range) -> list[tuple[int, dict | None, str]]:
+            outcomes = pool.run([PoolJob(str(at), self._payload_for(at))
+                                 for at in wave])
+            settled = [outcomes[str(at)] for at in wave]
+            return [(at, outcome.value if outcome.ok else None, outcome.error)
+                    for at, outcome in zip(wave, settled)]
+        return check_wave, 1 if pool.serial else 4 * self.jobs
 
-        Each wave's programs become ``fuzz`` job envelopes (the same
-        seeded payloads the pool workers get); outcomes are scanned in
-        generation order, so the first divergence matches the serial
-        campaign. Shrinking stays client-side. Because the server's
-        keys are content-addressed, re-running a campaign against a
-        warm server replays from cache instead of re-simulating.
-        """
-        from repro.server.client import ServerClient, ServerError
+    def _served(self):
+        """The wave transport over one ``repro serve`` client, and its
+        wave width: each program is a ``fuzz`` job, keyed by content, so
+        a warm server replays a campaign from its store."""
+        from repro.server.client import ServerClient, ask
 
         client = ServerClient(self.server, client_id="fuzz")
-        result = CampaignResult(seed=self.seed)
-        index = 0
-        try:
-            while result.programs_run < self.budget:
-                wave = min(4 * self.jobs,
-                           self.budget - result.programs_run)
-                submitted: list[tuple[int, str | None, str]] = []
-                for offset in range(wave):
-                    envelope = {"type": "fuzz",
-                                "spec": self._payload_for(index + offset)}
-                    try:
-                        answer = client.submit(envelope,
-                                               priority="background")
-                        submitted.append((index + offset,
-                                          answer["key"], ""))
-                    except ServerError as exc:
-                        if exc.status == 0:  # unreachable, not a bad job
-                            raise
-                        submitted.append((index + offset, None, str(exc)))
-                keys = [key for _, key, _ in submitted if key]
-                records = client.wait(keys, timeout=600.0)
-                stop = False
-                for at, key, error in submitted:
-                    if result.programs_run >= self.budget:
-                        stop = True
-                        break
-                    if key is None or records[key]["status"] != "done":
-                        message = error or records[key].get("error", "?")
-                        self.progress(f"program {at} lost: {message}")
-                        result.programs_skipped += 1
-                        continue
-                    checked = client.result(key)["check"]
-                    if checked["status"] == "invalid":
-                        result.programs_skipped += 1
-                        continue
-                    result.programs_run += 1
-                    result.by_language[checked["language"]] = \
-                        result.by_language.get(checked["language"], 0) + 1
-                    result.backends_used.update(checked["backends"])
-                    if result.programs_run % 25 == 0:
-                        self.progress(
-                            f"{result.programs_run}/{self.budget} "
-                            "programs, no divergences")
-                    if checked["status"] == "divergence":
-                        program = self.generate(at)
-                        grid = self.grid_for(at)
-                        report = self._check(program, grid)
-                        result.report = report
-                        result.shrunk = self._shrink(program, report,
-                                                     grid)
-                        stop = True
-                        break
-                index += wave
-                if stop or result.report is not None:
-                    break
-        except KeyboardInterrupt:
-            # The server and its workers keep running; only this
-            # client stops early.
-            result.interrupted = True
-        return result
+
+        def check_wave(wave: range) -> list[tuple[int, dict | None, str]]:
+            keys, errors = {}, {}
+            for at in wave:
+                answer, errors[at] = ask(
+                    client.submit, {"type": "fuzz",
+                                    "spec": self._payload_for(at)},
+                    priority="background")
+                if answer is not None:
+                    keys[at] = answer["key"]
+            records, why = ask(client.wait, list(keys.values()),
+                               timeout=600.0)
+            outcomes = []
+            for at in wave:
+                record = (records or {}).get(keys.get(at), {})
+                answer = None
+                if record.get("status") == "done":
+                    answer, errors[at] = ask(client.result, keys[at])
+                outcomes.append((at, answer and answer["check"],
+                                 errors[at] or why
+                                 or record.get("error", "no result")))
+            return outcomes
+        return check_wave, 4 * self.jobs
 
     def _payload_for(self, index: int) -> dict:
         return {

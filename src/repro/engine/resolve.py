@@ -179,28 +179,20 @@ class ServerResolver(_Resolver):
         self.fresh = fresh
         self.progress = progress or (lambda message: None)
 
-    def _ask(self, call, *args, **kwargs):
-        """``(answer, "")`` from one client call, or ``(None, why)``
-        when the server answered with something else."""
-        from repro.server.client import ServerError
-
-        try:
-            return call(*args, **kwargs), ""
-        except ServerError as exc:
-            if exc.status == 0:      # no server, not a refused request
-                raise ConnectionError(str(exc)) from exc
-            return None, str(exc)
-
     def _lookup(self, key: str) -> dict | None:
+        from repro.server.client import ask
+
         # Unknown (404), still running (202) and failed earlier (409)
         # are all misses: submitting is what settles each of them.
-        return None if self.fresh else self._ask(self.client.result, key)[0]
+        return None if self.fresh else ask(self.client.result, key)[0]
 
     def _dispatch(self, misses: dict[str, SimJob], faults: dict[str, dict],
                   resolution: Resolution) -> None:
+        from repro.server.client import ask
+
         submitted = []
         for key, job in misses.items():
-            answer, why = self._ask(
+            answer, why = ask(
                 self.client.submit, {"type": "sim", "spec": job.spec()},
                 priority="batch", fresh=self.fresh, fault=faults.get(key))
             if answer is None:
@@ -209,7 +201,7 @@ class ServerResolver(_Resolver):
                 submitted.append(key)
         self.progress(f"{len(resolution.cached)} cached on the server, "
                       f"{len(submitted)} submitted to {self.url}")
-        records, why = self._ask(
+        records, why = ask(
             self.client.wait, submitted,
             timeout=self.timeout * max(1, len(submitted)),
             progress=lambda done, total: self.progress(
@@ -224,7 +216,7 @@ class ServerResolver(_Resolver):
             resolution.timeouts += record.get("timeouts", 0)
             payload, why = None, record.get("error")
             if record["status"] == "done":
-                payload, why = self._ask(self.client.result, key)
+                payload, why = ask(self.client.result, key)
             if payload is not None:
                 resolution.payloads[key] = payload
             else:

@@ -979,8 +979,10 @@ class WorkerDaemon:
             else:
                 self._idle.set()
             # A live worker renews its lease each pass, so passes may be
-            # no further apart than a fraction of the lease's life.
-            timeout = min([self.queue.lease_ttl / 3]
+            # no further apart than a fraction of the lease's life, nor
+            # than a job's timeout (``deadline - now`` rounds above it
+            # once the monotonic clock reads a few thousand seconds).
+            timeout = min([self.queue.lease_ttl / 3, self.timeout]
                           + [slot.deadline - now for slot in busy])
             _wait_ready(busy, timeout if busy else None, self._wake)
 

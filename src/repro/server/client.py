@@ -35,6 +35,18 @@ class ServerError(RuntimeError):
         self.status = status
 
 
+def ask(call, *args, **kwargs):
+    """``(answer, "")`` from one client call, or ``(None, why)`` when
+    the server answered with something else; an unreachable server
+    raises :class:`ConnectionError`."""
+    try:
+        return call(*args, **kwargs), ""
+    except ServerError as exc:
+        if exc.status == 0:      # no server, not a refused request
+            raise ConnectionError(str(exc)) from exc
+        return None, str(exc)
+
+
 class ServerClient:
     """Submit/poll/fetch against one ``repro serve`` base URL."""
 

@@ -8,7 +8,7 @@ A :class:`ServerJob` wraps one of three work kinds behind a uniform
   ``SimJob.key()`` — so anything a standalone ``repro sweep`` already
   cached is an instant hit for a server client, and vice versa;
 * ``fuzz`` — one differential-oracle check (the same seeded payload
-  ``repro fuzz --jobs N`` ships to its pool workers);
+  ``repro fuzz`` hands its local pool);
 * ``trace`` — run one registered workload with the structured event
   bus attached and return the Chrome trace-event JSON plus metrics.
 

@@ -247,6 +247,50 @@ def test_fuzz_cli_self_test_catches_planted_bug(capsys):
     assert "reproducer" in out
 
 
+@pytest.mark.parametrize("jobs", [1, 2], ids=("jobs1", "jobs2"))
+def test_fuzz_failed_check_is_one_error_line(jobs, monkeypatch, capsys):
+    # A checker that raises is an error on every transport, never a
+    # skipped program that still ends in "no divergences".
+    from repro.difftest.campaign import SEED_STRIDE
+    from repro.difftest.oracle import check_program as real_check
+
+    def planted(program, grid, **kwargs):
+        if program.seed == 5 * SEED_STRIDE + 2:
+            raise ValueError("planted checker failure")
+        return real_check(program, grid=grid, **kwargs)
+
+    monkeypatch.setattr("repro.difftest.campaign.check_program", planted)
+    assert cli.main(["fuzz", "--seed", "5", "--budget", "4",
+                     "--jobs", str(jobs)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("repro fuzz: error: ")]
+    assert errors == [
+        f"repro fuzz: error: program 2 (seed {5 * SEED_STRIDE + 2}) could "
+        "not be checked: ValueError: planted checker failure"]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("seed, bug", [(5, None), (10, Op.XOR)],
+                         ids=("clean", "xor-self-test"))
+def test_campaign_transports_agree(seed, bug):
+    # One wave scan, two pool shapes: the serial pool and a forked one
+    # report the same programs, the same divergence and the same shrunk
+    # reproducer (seed 10 diverges on program 8, past the first wave).
+    def render(jobs):
+        campaign = FuzzCampaign(seed=seed, budget=10, max_cycles=200_000,
+                                jobs=jobs)
+        if bug is None:
+            return campaign.run().render()
+        with inject_opcode_bug(bug):
+            result = campaign.run()
+        assert result.shrunk is not None
+        return result.render()
+
+    assert render(2) == render(1)
+
+
 # ------------------------------------------------- regressions from fuzz
 
 def test_no_commits_after_exit_syscall():

@@ -115,6 +115,18 @@ def test_fuzz_job_type(server, client):
     assert payload["check"]["status"] in ("ok", "invalid")
 
 
+def test_fuzz_campaign_via_server_renders_like_local(server):
+    # The server transport and the local pool scan the same waves in
+    # the same order, so a campaign reads the same whichever ran it.
+    from repro.difftest import FuzzCampaign
+
+    def render(**transport):
+        return FuzzCampaign(seed=7, budget=10, max_cycles=200_000,
+                            **transport).run().render()
+
+    assert render(server=f"http://127.0.0.1:{server.port}") == render()
+
+
 def test_trace_job_type(server, client):
     answer = client.submit({"type": "trace",
                             "spec": {"workload": "wc", "units": 2,

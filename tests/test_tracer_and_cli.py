@@ -193,13 +193,22 @@ def test_cli_bad_program_is_one_line_and_exit_2(command, source, message,
      "argument --budget: must be at least 1, not 0"),
     (["run", "loop.s", "--timeline"], 2,
      "--timeline needs a multiscalar machine"),
+    (["fuzz", "--budget", "0"], 2,
+     "argument --budget: must be at least 1, not 0"),
+    (["fuzz", "--languages", "asm,cobol"], 2,
+     "unknown fuzz language 'cobol'"),
+    (["fuzz", "--self-test", "nosuchop"], 2,
+     "unknown opcode 'nosuchop' for --self-test"),
+    (["fuzz", "--self-test", "xor", "--server", "http://127.0.0.1:1"], 2,
+     "--self-test cannot run against --server"),
 ], ids=("tables-unknown-workload", "workloads-unknown-workload",
         "run-budget-scalar", "run-budget-ms4", "trace-budget",
         "run-max-cycles-0", "trace-max-cycles-0", "chaos-checkpoint-0",
         "chaos-checkpoint-negative", "serve-checkpoint-0",
         "serve-lease-ttl-0", "serve-timeout-negative",
         "explore-timeout-negative", "explore-budget-0",
-        "run-timeline-scalar"))
+        "run-timeline-scalar", "fuzz-budget-0", "fuzz-unknown-language",
+        "fuzz-unknown-opcode", "fuzz-self-test-server"))
 def test_cli_rejection_is_one_line(argv, code, message, tmp_path, capsys,
                                    monkeypatch):
     # Unusable input exits 2 and a typed simulation failure exits 1,
@@ -214,6 +223,17 @@ def test_cli_rejection_is_one_line(argv, code, message, tmp_path, capsys,
     err = capsys.readouterr().err
     assert status == code
     assert err.startswith(f"repro {argv[0]}: error: ") and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_cli_fuzz_unreachable_server_is_one_line(capsys):
+    # The server transport raises ConnectionError for a server that is
+    # not there; `fuzz` reports it like `sweep` and `explore` do.
+    status = main(["fuzz", "--server", "http://127.0.0.1:1",
+                   "--budget", "1"])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("repro fuzz: server error: ")
     assert "Traceback" not in err and err.count("\n") == 1
 
 
