@@ -33,32 +33,34 @@ processes at a time. It is built for hostile weather:
   is *deterministic* and fails the job immediately (no retry), unless
   it is a :class:`RetryableJobError`; only crashes, timeouts, and
   explicitly retryable errors are presumed transient;
-* **graceful degradation** — if ``multiprocessing`` is unavailable or
-  process spawning itself fails, the pool falls back to serial
-  in-process execution, and a job whose workers keep dying gets one
-  final in-process attempt before being declared lost.
+* **graceful degradation** — if process spawning fails, the pool
+  falls back to serial in-process execution, and a job whose workers
+  keep dying gets one final in-process attempt before being declared
+  lost.
 
 Fault injection for self-tests: a job may carry ``kill_on_attempts``;
-a worker running one of those attempts SIGKILLs itself mid-job (in
-serial mode it raises a retryable error instead, since killing the
-only process would take the harness down with it).
+a worker running one of those attempts SIGKILLs itself mid-job. Where
+the pool runs an attempt in its own process (``jobs=1``, degradation,
+the final rescue) it raises a retryable error instead, since killing
+the only process would take the harness down with it.
+
+Both disciplines supervise their children through one set of helpers:
+a :class:`_Worker` record per child, :func:`_spawn` to start one,
+:func:`_answer` for the child's one reply per attempt, and
+:func:`_collect` to read a busy worker.
 """
 
 from __future__ import annotations
 
 import heapq
+import multiprocessing as _mp
 import os
 import signal
 import threading
 import time
 from dataclasses import dataclass
+from multiprocessing import connection as _mp_connection
 from typing import Any, Callable
-
-try:
-    import multiprocessing as _mp
-    from multiprocessing import connection as _mp_connection
-except ImportError:          # pragma: no cover - CPython always has it
-    _mp = None
 
 
 class RetryableJobError(Exception):
@@ -101,12 +103,16 @@ class _Pending:
 
 
 @dataclass
-class _Running:
-    job: PoolJob
-    attempt: int
+class _Worker:
+    """Parent-side record of one child process in either discipline:
+    its end of the pipe, and the job it runs (``None`` for an idle
+    daemon worker) with that job's wall-clock deadline."""
+
     process: Any
     conn: Any
-    deadline: float
+    job: PoolJob | QueuedJob | None = None
+    deadline: float = 0.0
+    worker_id: int = 0
 
 
 class _Wake:
@@ -166,24 +172,14 @@ def _attempt(call: Callable[[], Any],
         return status, None, f"{type(exc).__name__}: {exc}"
 
 
-def _in_process(fn, job, attempt: int, *extra) -> Any:
-    """``fn(job.payload, attempt, *extra)`` in this process, where an
-    injected death is raised as :class:`InjectedWorkerDeath`: killing
-    the only process would take the harness down with it."""
-    if attempt in job.kill_on_attempts:
-        raise InjectedWorkerDeath(
-            f"injected worker death on attempt {attempt}")
-    return fn(job.payload, attempt, *extra)
-
-
 def _fold(outcome: JobOutcome, status: str, value: Any, error: str) -> bool:
     """Count one pool attempt into ``outcome``; True when it settled
     the job (``ok`` or ``fatal``). A ``retry`` is transient but neither
     a worker death nor a timeout: it just burns an attempt."""
+    outcome.error = error
     if status == "ok":
         outcome.ok, outcome.value = True, value
         return True
-    outcome.error = error
     if status == "died":
         outcome.worker_deaths += 1
     elif status == "timeout":
@@ -192,8 +188,8 @@ def _fold(outcome: JobOutcome, status: str, value: Any, error: str) -> bool:
 
 
 def _stop(worker) -> None:
-    """Kill, reap and disconnect a worker (anything with ``.process``
-    and ``.conn``); a worker that already exited is only reaped."""
+    """Kill, reap and disconnect a worker; one that already exited is
+    only reaped."""
     try:
         worker.process.kill()
         worker.process.join(timeout=5)
@@ -202,16 +198,58 @@ def _stop(worker) -> None:
         pass
 
 
-def _child_main(conn, fn, payload, attempt, kill_on_attempts) -> None:
+def _spawn(target, *args) -> _Worker:
+    """Start ``target(conn, *args)`` in a child process; the parent
+    keeps the other end of the pipe."""
+    parent_conn, child_conn = _mp.Pipe()
+    process = _mp.Process(target=target, args=(child_conn, *args),
+                          daemon=True)
+    process.start()
+    child_conn.close()
+    return _Worker(process, parent_conn)
+
+
+def _answer(conn, fn, job_id, payload, attempt, kill_on_attempts,
+            *extra) -> None:
+    """Run one attempt in a child and send its one answer,
+    ``(status, job_id, value, error)`` with the status from
+    :func:`_attempt` — unless the attempt is an injected death, when
+    the child SIGKILLs itself and the parent sees it die instead. The
+    pool's one-shot child is this function; a daemon worker calls it
+    once per job."""
     if attempt in kill_on_attempts:
         os.kill(os.getpid(), signal.SIGKILL)
     # Sending is part of the attempt: a value that cannot be pickled
     # fails it like any other deterministic error.
-    status, _, error = _attempt(
-        lambda: conn.send(("ok", fn(payload, attempt), "")), BaseException)
+    status, _, error = _attempt(lambda: conn.send(
+        ("ok", job_id, fn(payload, attempt, *extra), "")), BaseException)
     if status != "ok":
-        conn.send((status, None, error))
-    conn.close()
+        conn.send((status, job_id, None, error))
+
+
+def _collect(worker: _Worker, now: float,
+             progress: Callable[[str, Any], None] | None,
+             ) -> tuple[str, Any, str] | None:
+    """Read one busy worker: its answer as ``(status, value, error)``,
+    ``("died", …)`` once it exited or closed its pipe without one,
+    ``("timeout", …)`` past its deadline, or ``None`` while it still
+    runs. ``("progress", job_id, data, "")`` messages read on the way
+    go to ``progress(job_id, data)``. Liveness is sampled before the
+    pipe is read, so a child that answered and then exited reads as its
+    answer, not as a death."""
+    alive = worker.process.is_alive()
+    try:
+        while worker.conn.poll():
+            status, job_id, value, error = worker.conn.recv()
+            if status != "progress":
+                return status, value, error
+            progress(job_id, value)
+    except (EOFError, OSError):
+        alive = False
+    if alive:
+        return ("timeout", None, "") if now > worker.deadline else None
+    worker.process.join(timeout=5)
+    return "died", None, f"worker died (exit code {worker.process.exitcode})"
 
 
 class WorkerPool:
@@ -219,7 +257,7 @@ class WorkerPool:
 
     def __init__(self, entrypoint: Callable[[Any, int], Any], *,
                  jobs: int = 1, timeout: float = 600.0, retries: int = 2,
-                 backoff: float = 0.25, force_serial: bool = False,
+                 backoff: float = 0.25,
                  progress: Callable[[str], None] | None = None) -> None:
         self.entrypoint = entrypoint
         self.jobs = max(1, jobs)
@@ -227,8 +265,7 @@ class WorkerPool:
         self.retries = max(0, retries)
         self.backoff = backoff
         self.progress = progress or (lambda message: None)
-        self.serial = (force_serial or self.jobs == 1 or _mp is None
-                       or os.environ.get("REPRO_FORCE_SERIAL") == "1")
+        self.serial = self.jobs == 1
         #: Set when a run was cut short by Ctrl-C: every in-flight
         #: worker was killed and joined (no orphans), finished outcomes
         #: were kept, and unfinished jobs read ``error="interrupted"``.
@@ -237,80 +274,57 @@ class WorkerPool:
     def _delay(self, attempt: int) -> float:
         return min(self.backoff * attempt, 2.0)
 
+    def _run_in_process(self, job: PoolJob, outcome: JobOutcome) -> bool:
+        """One attempt of ``job`` in this process, folded in like any
+        other; True when it settled the job. An injected death is raised
+        as :class:`InjectedWorkerDeath`: killing the only process would
+        take the harness down with it."""
+        attempt = outcome.attempts
+        outcome.attempts += 1
+
+        def call() -> Any:
+            if attempt in job.kill_on_attempts:
+                raise InjectedWorkerDeath(
+                    f"injected worker death on attempt {attempt}")
+            return self.entrypoint(job.payload, attempt)
+        return _fold(outcome, *_attempt(call))
+
     # ------------------------------------------------------------ serial
 
     def _run_serial(self, job: PoolJob,
                     outcome: JobOutcome | None = None) -> JobOutcome:
         outcome = outcome or JobOutcome(job_id=job.job_id)
         while outcome.attempts <= self.retries:
-            attempt = outcome.attempts
-            outcome.attempts += 1
-            if _fold(outcome, *_attempt(
-                    lambda: _in_process(self.entrypoint, job, attempt))):
+            if self._run_in_process(job, outcome):
                 break
-            time.sleep(self._delay(attempt + 1))
+            time.sleep(self._delay(outcome.attempts))
         return outcome
 
     # ---------------------------------------------------------- parallel
 
-    def _spawn(self, job: PoolJob, attempt: int) -> _Running:
-        ctx = _mp.get_context()
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_child_main,
-            args=(child_conn, self.entrypoint, job.payload, attempt,
-                  job.kill_on_attempts),
-            daemon=True)
-        process.start()
-        child_conn.close()
-        return _Running(job=job, attempt=attempt, process=process,
-                        conn=parent_conn,
-                        deadline=time.monotonic() + self.timeout)
-
-    def _reap(self, running: _Running) -> tuple[str, Any, str]:
-        """(status, value, error) once a worker finished or vanished."""
-        message = None
-        try:
-            if running.conn.poll():
-                message = running.conn.recv()
-        except (EOFError, OSError):
-            message = None
-        running.conn.close()
-        running.process.join(timeout=5)
-        if message is None:
-            code = running.process.exitcode
-            return ("died", None, f"worker died (exit code {code})")
-        return message
-
     def _settle(self, outcomes: dict[str, JobOutcome],
-                pending: list[_Pending], entry: _Running, status: str,
+                pending: list[_Pending], job: PoolJob, status: str,
                 value: Any, error: str) -> bool:
         """Fold one attempt in; True when the job reached an outcome."""
-        outcome = outcomes[entry.job.job_id]
+        outcome = outcomes[job.job_id]
         if _fold(outcome, status, value, error):
             return True
         if outcome.attempts <= self.retries:     # transient: try again
-            pending.append(_Pending(entry.job, outcome.attempts,
+            pending.append(_Pending(job, outcome.attempts,
                                     time.monotonic()
                                     + self._delay(outcome.attempts)))
             return False
         if outcome.worker_deaths:
             # Workers keep dying on this job: one final in-process
             # attempt before declaring it lost.
-            self.progress(f"job {entry.job.job_id}: workers kept dying; "
+            self.progress(f"job {job.job_id}: workers kept dying; "
                           "final in-process attempt")
-            status, value, error = _attempt(lambda: _in_process(
-                self.entrypoint, entry.job, outcome.attempts))
-            if status == "ok":
-                outcome.ok, outcome.value = True, value
-                outcome.attempts += 1
-            else:
-                outcome.error = error
+            self._run_in_process(job, outcome)
         return True
 
     def _degrade_to_serial(self, outcomes: dict[str, JobOutcome],
                            pending: list[_Pending],
-                           running: list[_Running]) -> dict[str, JobOutcome]:
+                           running: list[_Worker]) -> dict[str, JobOutcome]:
         for victim in running:
             _stop(victim)
             outcomes[victim.job.job_id].worker_deaths += 1
@@ -328,7 +342,7 @@ class WorkerPool:
         outcomes = {job.job_id: JobOutcome(job_id=job.job_id)
                     for job in pool_jobs}
         pending = [_Pending(job, 0, 0.0) for job in pool_jobs]
-        running: list[_Running] = []
+        running: list[_Worker] = []
         settled = 0
         try:
             while pending or running:
@@ -339,39 +353,41 @@ class WorkerPool:
                     if entry.not_before > now:
                         continue
                     pending.remove(entry)
-                    outcomes[entry.job.job_id].attempts = entry.attempt + 1
+                    job = entry.job
                     try:
-                        running.append(self._spawn(entry.job,
-                                                   entry.attempt))
+                        worker = _spawn(_answer, self.entrypoint,
+                                        job.job_id, job.payload,
+                                        entry.attempt, job.kill_on_attempts)
                     except Exception as exc:
                         self.progress(f"worker spawn failed ({exc}); "
                                       "degrading to serial execution")
-                        outcomes[entry.job.job_id].attempts = entry.attempt
                         pending.append(entry)
                         return self._degrade_to_serial(outcomes, pending,
                                                        running)
-                reaped = False
-                for entry in list(running):
-                    if entry.conn.poll(0) or not entry.process.is_alive():
-                        status, value, error = self._reap(entry)
-                    elif time.monotonic() > entry.deadline:
-                        _stop(entry)
-                        status, value, error = (
-                            "timeout", None,
-                            f"timed out after {self.timeout:.0f}s")
-                    else:
+                    worker.job, worker.deadline = job, now + self.timeout
+                    outcomes[job.job_id].attempts = entry.attempt + 1
+                    running.append(worker)
+                collected = False
+                for worker in list(running):
+                    answer = _collect(worker, time.monotonic(), None)
+                    if answer is None:
                         continue
-                    running.remove(entry)
-                    reaped = True
-                    if self._settle(outcomes, pending, entry, status,
-                                    value, error):
+                    if answer[0] == "timeout":
+                        answer = ("timeout", None,
+                                  f"timed out after {self.timeout:.0f}s")
+                    else:       # let it exit on its own: it may flush
+                        worker.process.join(timeout=5)
+                    _stop(worker)
+                    running.remove(worker)
+                    collected = True
+                    if self._settle(outcomes, pending, worker.job, *answer):
                         settled += 1
                         self.progress(
                             f"{settled}/{len(pool_jobs)} jobs settled")
-                if (pending or running) and not reaped:
+                if (pending or running) and not collected:
                     # Sleep until a worker reports or dies, its job
                     # times out, or a free slot's back-off runs out.
-                    wakeups = [entry.deadline for entry in running]
+                    wakeups = [worker.deadline for worker in running]
                     if len(running) < self.jobs:
                         wakeups += [entry.not_before for entry in pending]
                     _wait_ready(running, min(wakeups) - time.monotonic())
@@ -380,15 +396,15 @@ class WorkerPool:
         return outcomes
 
     def _abort(self, outcomes: dict[str, JobOutcome],
-               pending: list[_Pending], running: list[_Running]) -> None:
+               pending: list[_Pending], running: list[_Worker]) -> None:
         """Ctrl-C drain: kill and join every worker, keep finished
         outcomes, and mark everything unfinished ``interrupted``."""
         self.interrupted = True
         self.progress("interrupted; stopping workers")
         unfinished = ({entry.job.job_id for entry in pending}
-                      | {entry.job.job_id for entry in running})
-        for entry in running:
-            _stop(entry)
+                      | {worker.job.job_id for worker in running})
+        for worker in running:
+            _stop(worker)
         running.clear()
         pending.clear()
         for job_id in unfinished:
@@ -692,46 +708,25 @@ def _daemon_worker_main(conn, entrypoint) -> None:
 
     Protocol (over one duplex pipe): the parent sends
     ``("run", job_id, payload, attempt, kill_on_attempts)`` or
-    ``("stop",)``; the child answers each run with zero or more
-    ``("progress", job_id, data)`` messages followed by exactly one of
-    ``("ok", job_id, value, "")``, ``("retry", job_id, None, error)``
-    or ``("fatal", job_id, None, error)`` — unless it SIGKILLs itself
-    (injected fault or genuine crash), in which case the parent sees
-    the pipe die instead.
+    ``("stop",)``; the child answers each run through :func:`_answer`,
+    preceded by zero or more ``("progress", job_id, data, "")``
+    messages from the entrypoint's ``progress(data)``.
     """
     while True:
         try:
             message = conn.recv()
         except (EOFError, OSError):
             return
-        if not message or message[0] == "stop":
+        if message[0] != "run":
             return
-        _, job_id, payload, attempt, kill_on_attempts = message
 
-        def report(data, job_id=job_id):
+        def progress(data, job_id=message[1]):
             try:
-                conn.send(("progress", job_id, data))
-            except (BrokenPipeError, OSError):
+                conn.send(("progress", job_id, data, ""))
+            except OSError:
                 pass
 
-        if attempt in kill_on_attempts:
-            os.kill(os.getpid(), signal.SIGKILL)
-        status, _, error = _attempt(lambda: conn.send(
-            ("ok", job_id, entrypoint(payload, attempt, report), "")),
-            BaseException)
-        if status != "ok":
-            conn.send((status, job_id, None, error))
-
-
-@dataclass
-class _Slot:
-    """Parent-side state of one persistent worker process."""
-
-    worker_id: int
-    process: Any = None
-    conn: Any = None
-    job: QueuedJob | None = None
-    deadline: float = 0.0
+        _answer(conn, entrypoint, *message[1:], progress)
 
 
 class WorkerDaemon:
@@ -754,15 +749,11 @@ class WorkerDaemon:
     sentinels and on the wake-up that :meth:`submit` and
     :meth:`shutdown` write; the only timeouts are the nearest job
     deadline and the lease-renewal interval. Workers that die are
-    respawned, so the fleet stays at strength. In serial mode (no
-    multiprocessing)
-    a single thread runs jobs in-process; injected worker deaths
-    degrade to retryable errors exactly like the pool's serial mode.
+    respawned, so the fleet stays at strength.
     """
 
     def __init__(self, entrypoint, *, workers: int = 2,
                  queue: LeaseQueue | None = None, timeout: float = 600.0,
-                 force_serial: bool = False,
                  on_event: Callable[[str, dict], None] | None = None,
                  on_settled: Callable[[str, JobOutcome], None] | None = None,
                  ) -> None:
@@ -772,9 +763,7 @@ class WorkerDaemon:
         self.timeout = timeout
         self.on_event = on_event or (lambda job_id, event: None)
         self.on_settled = on_settled or (lambda job_id, outcome: None)
-        self.serial = (force_serial or _mp is None
-                       or os.environ.get("REPRO_FORCE_SERIAL") == "1")
-        self._slots: list[_Slot] = []
+        self._workers: list[_Worker] = []
         self._stop = threading.Event()
         self._wake = _Wake()
         self._thread: threading.Thread | None = None
@@ -789,12 +778,11 @@ class WorkerDaemon:
         if self._thread is not None:
             return self
         self._stop.clear()
-        if not self.serial:
-            self._slots = [_Slot(worker_id=i) for i in range(self.workers)]
-            for slot in self._slots:
-                self._spawn(slot)
-        target = self._supervise_serial if self.serial else self._supervise
-        self._thread = threading.Thread(target=target,
+        self._workers = [_spawn(_daemon_worker_main, self.entrypoint)
+                         for _ in range(self.workers)]
+        for worker_id, worker in enumerate(self._workers):
+            worker.worker_id = worker_id
+        self._thread = threading.Thread(target=self._supervise,
                                         name="repro-daemon", daemon=True)
         self._thread.start()
         return self
@@ -809,19 +797,15 @@ class WorkerDaemon:
         if self._thread is not None:
             self._thread.join(timeout=10)
             self._thread = None
-        for slot in self._slots:
-            if slot.process is None:
-                continue
-            if slot.job is None:        # idle: ask it to exit first
+        for worker in self._workers:
+            if worker.job is None:      # idle: ask it to exit first
                 try:
-                    slot.conn.send(("stop",))
-                    slot.process.join(timeout=1)
+                    worker.conn.send(("stop",))
+                    worker.process.join(timeout=1)
                 except (OSError, ValueError):
                     pass
-            _stop(slot)
-            slot.process = slot.conn = None
-            slot.job = None
-        self._slots = []
+            _stop(worker)
+        self._workers = []
         drained = self.queue.drain()
         if drained:
             self.interrupted = True
@@ -847,78 +831,58 @@ class WorkerDaemon:
 
     # ------------------------------------------------------- supervision
 
-    def _spawn(self, slot: _Slot) -> None:
-        ctx = _mp.get_context()
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        slot.process = ctx.Process(
-            target=_daemon_worker_main,
-            args=(child_conn, self.entrypoint), daemon=True)
-        slot.process.start()
-        child_conn.close()
-        slot.conn = parent_conn
-        slot.job = None
+    def _respawn(self, worker: _Worker) -> None:
+        """Put a fresh process and pipe in ``worker``'s place."""
+        _stop(worker)
+        fresh = _spawn(_daemon_worker_main, self.entrypoint)
+        worker.process, worker.conn = fresh.process, fresh.conn
 
-    def _grant(self, slot: _Slot, now: float) -> bool:
-        leased = self.queue.lease(slot.worker_id, now)
+    def _grant(self, worker: _Worker, now: float) -> None:
+        leased = self.queue.lease(worker.worker_id, now)
         if leased is None:
-            return False
+            return
         job, lease = leased
         try:
-            slot.conn.send(("run", job.job_id, job.payload, lease.attempt,
-                            job.kill_on_attempts))
-        except (BrokenPipeError, OSError):
+            worker.conn.send(("run", job.job_id, job.payload, lease.attempt,
+                              job.kill_on_attempts))
+        except OSError:
             # Worker vanished while idle; give the lease back and come
             # straight round again for the fresh worker to take it.
             self.queue.expire(job.job_id, "worker-died")
-            self._spawn(slot)
+            self._respawn(worker)
             self._wake.set()
-            return False
-        slot.job = job
-        slot.deadline = now + self.timeout
-        self.on_event(job.job_id,
-                      {"type": "lease", "worker": slot.worker_id,
-                       "attempt": lease.attempt})
-        return True
-
-    def _expire_slot(self, slot: _Slot, reason: str) -> None:
-        """A busy worker died / timed out: break the lease, re-queue
-        (or fail) the job, and put a fresh worker in the slot."""
-        job = slot.job
-        slot.job = None
-        expiry = self.queue.expire(job.job_id, reason)
-        _stop(slot)
-        self._spawn(slot)
-        if expiry is None:
             return
-        if expiry.requeued:
-            self.on_event(job.job_id,
-                          {"type": "requeue", "reason": reason,
-                           "attempt": job.attempts})
-        else:
-            outcome = JobOutcome(job_id=job.job_id, ok=False,
-                                 error=expiry.error,
-                                 attempts=job.attempts,
-                                 worker_deaths=job.worker_deaths,
-                                 timeouts=job.timeouts)
-            self.on_event(job.job_id,
-                          {"type": "failed", "error": expiry.error})
-            self.on_settled(job.job_id, outcome)
+        worker.job, worker.deadline = job, now + self.timeout
+        self.on_event(job.job_id,
+                      {"type": "lease", "worker": worker.worker_id,
+                       "attempt": lease.attempt})
 
-    def _settle_slot(self, slot: _Slot, status: str, value: Any,
-                     error: str) -> None:
-        job = slot.job
-        slot.job = None
-        died = status == "died"
-        if died or (status == "retry"
-                    and job.attempts <= self.queue.retries):
-            expiry = self.queue.expire(
-                job.job_id, "worker-died" if died else "retryable-error")
-            if expiry is not None and expiry.requeued:
-                self.on_event(job.job_id,
-                              {"type": "requeue",
-                               "reason": "worker-died" if died else error,
-                               "attempt": job.attempts})
+    def _progress(self, job_id: str, data: dict) -> None:
+        self.queue.heartbeat(job_id)
+        self.on_event(job_id, {"type": "progress", **data})
+
+    def _settle(self, worker: _Worker, status: str, value: Any,
+                error: str) -> None:
+        """Fold what :func:`_collect` read into the queue: re-queue the
+        job while its attempt budget lasts, else settle it. A worker
+        that died or timed out is replaced."""
+        job = worker.job
+        worker.job = None
+        expiry = reason = None
+        if status in ("died", "timeout"):
+            reason = "timeout" if status == "timeout" else "worker-died"
+            expiry = self.queue.expire(job.job_id, reason)
+            self._respawn(worker)
+            if expiry is None:          # the lease was already broken
                 return
+            error = expiry.error
+        elif status == "retry" and job.attempts <= self.queue.retries:
+            expiry = self.queue.expire(job.job_id, "retryable-error")
+            reason = error
+        if expiry is not None and expiry.requeued:
+            self.on_event(job.job_id, {"type": "requeue", "reason": reason,
+                                       "attempt": job.attempts})
+            return
         self.queue.complete(job.job_id)
         outcome = JobOutcome(job_id=job.job_id, ok=(status == "ok"),
                              value=value, error=error,
@@ -930,35 +894,6 @@ class WorkerDaemon:
                        "error": error})
         self.on_settled(job.job_id, outcome)
 
-    def _poll_slot(self, slot: _Slot, now: float) -> None:
-        """Relay messages from one busy worker; detect death/timeout."""
-        while True:
-            try:
-                if not slot.conn.poll(0):
-                    break
-                message = slot.conn.recv()
-            except (EOFError, OSError):
-                self._expire_slot(slot, "worker-died")
-                return
-            kind = message[0]
-            if kind == "progress":
-                _, job_id, data = message
-                self.queue.heartbeat(job_id, now)
-                self.on_event(job_id, {"type": "progress", **data})
-                continue
-            status, _, value, error = message
-            self._settle_slot(slot, status, value, error)
-            return
-        if slot.job is None:
-            return
-        if not slot.process.is_alive():
-            self._expire_slot(slot, "worker-died")
-        elif now > slot.deadline:
-            self._expire_slot(slot, "timeout")
-        else:
-            # The worker is demonstrably alive: that is a heartbeat.
-            self.queue.heartbeat(slot.job.job_id, now)
-
     def _supervise(self) -> None:
         while not self._stop.is_set():
             now = time.monotonic()
@@ -966,14 +901,20 @@ class WorkerDaemon:
                 event = {"type": "requeue" if expiry.requeued
                          else "failed", "reason": expiry.reason}
                 self.on_event(expiry.job_id, event)
-            for slot in self._slots:
-                if slot.job is not None:
-                    self._poll_slot(slot, now)
-                if slot.job is None:    # idle, or settled just now
-                    if not slot.process.is_alive():
-                        self._spawn(slot)
-                    self._grant(slot, now)
-            busy = [slot for slot in self._slots if slot.job is not None]
+            for worker in self._workers:
+                if worker.job is not None:
+                    answer = _collect(worker, now, self._progress)
+                    if answer is None:
+                        # The worker is demonstrably alive: a heartbeat.
+                        self.queue.heartbeat(worker.job.job_id, now)
+                    else:
+                        self._settle(worker, *answer)
+                if worker.job is None:  # idle, or settled just now
+                    if not worker.process.is_alive():
+                        self._respawn(worker)
+                    self._grant(worker, now)
+            busy = [worker for worker in self._workers
+                    if worker.job is not None]
             if busy or self.queue.in_flight():
                 self._idle.clear()
             else:
@@ -983,33 +924,5 @@ class WorkerDaemon:
             # than a job's timeout (``deadline - now`` rounds above it
             # once the monotonic clock reads a few thousand seconds).
             timeout = min([self.queue.lease_ttl / 3, self.timeout]
-                          + [slot.deadline - now for slot in busy])
+                          + [worker.deadline - now for worker in busy])
             _wait_ready(busy, timeout if busy else None, self._wake)
-
-    # ------------------------------------------------------------ serial
-
-    def _supervise_serial(self) -> None:
-        """In-process fallback: one job at a time, no child processes.
-
-        Injected deaths surface as :class:`InjectedWorkerDeath`, which
-        settles as ``"died"``, so the expiry/re-queue path still runs.
-        """
-        while not self._stop.is_set():
-            now = time.monotonic()
-            leased = self.queue.lease(0, now)
-            if leased is None:
-                self._idle.set()
-                _wait_ready((), None, self._wake)
-                continue
-            self._idle.clear()
-            job, lease = leased
-            self.on_event(job.job_id, {"type": "lease", "worker": 0,
-                                       "attempt": lease.attempt})
-
-            def report(data, job_id=job.job_id):
-                self.queue.heartbeat(job_id)
-                self.on_event(job_id, {"type": "progress", **data})
-
-            self._settle_slot(_Slot(worker_id=0, job=job), *_attempt(
-                lambda: _in_process(self.entrypoint, job, lease.attempt,
-                                    report)))

@@ -142,15 +142,13 @@ class ReproServer:
                  timeout: float = 600.0, retries: int = 2,
                  max_queue: int = 256, quota: int | None = None,
                  checkpoint_every: int = 2_000_000, chaos: bool = False,
-                 store: ResultStore | None = None,
-                 force_serial: bool = False) -> None:
+                 store: ResultStore | None = None) -> None:
         self.store = store
         self.chaos = chaos
         self.queue = LeaseQueue(lease_ttl=lease_ttl, max_depth=max_queue,
                                 retries=retries, quota=quota)
         self.daemon = WorkerDaemon(execute_server_job, workers=workers,
                                    queue=self.queue, timeout=timeout,
-                                   force_serial=force_serial,
                                    on_event=self._on_event,
                                    on_settled=self._on_settled)
         self.policy = None

@@ -6,11 +6,13 @@ these tests exercise scheduling, death, timeout, and retry machinery
 without paying for real simulations.
 """
 
+import multiprocessing
 import os
 import time
 
 import pytest
 
+from repro.engine import scheduler
 from repro.engine.scheduler import (
     InjectedWorkerDeath,
     PoolJob,
@@ -93,13 +95,6 @@ def test_duplicate_job_ids_rejected():
     pool = WorkerPool(square, jobs=1)
     with pytest.raises(ValueError):
         pool.run([PoolJob("a", 1), PoolJob("a", 2)])
-
-
-def test_force_serial_env(monkeypatch):
-    monkeypatch.setenv("REPRO_FORCE_SERIAL", "1")
-    pool = WorkerPool(square, jobs=8)
-    assert pool.serial
-    assert pool.run(jobs_for([3]))["0"].value == 9
 
 
 # --------------------------------------------------------------- parallel
@@ -185,6 +180,60 @@ def test_parallel_pool_wakes_for_a_retry_backoff(passes):
     backoffs = [timeout for workers, timeout in passes if not workers]
     assert backoffs and all(0 < timeout <= 0.2 for timeout in backoffs)
     assert len(passes) <= 8
+
+
+@pytest.mark.parametrize("jobs, kills, ok, attempts, deaths", [
+    pytest.param(1, (0,), True, 2, 1, id="serial-retry"),
+    pytest.param(2, (0,), True, 2, 1, id="parallel-retry"),
+    pytest.param(2, (0, 1), True, 3, 2, id="rescue-ok"),
+    pytest.param(2, (0, 1, 2), False, 3, 3, id="rescue-dies"),
+])
+def test_pool_outcome_accounting(jobs, kills, ok, attempts, deaths):
+    # Every attempt counts once, the final in-process rescue included,
+    # and a success carries no error left by the attempts before it.
+    pool = WorkerPool(square, jobs=jobs, timeout=60, retries=1, backoff=0.0)
+    outcome = pool.run([PoolJob("0", 4, kill_on_attempts=kills)])["0"]
+    assert (outcome.ok, outcome.attempts, outcome.worker_deaths) \
+        == (ok, attempts, deaths)
+    assert (outcome.error == "") == ok
+    assert outcome.value == (16 if ok else None)
+
+
+def test_spawn_failure_degrades_to_serial(monkeypatch):
+    spawn, calls = scheduler._spawn, []
+
+    def second_spawn_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError("out of processes")
+        return spawn(*args)
+
+    monkeypatch.setattr(scheduler, "_spawn", second_spawn_fails)
+    messages = []
+    pool = WorkerPool(square, jobs=2, timeout=60, backoff=0.0,
+                      progress=messages.append)
+    outcomes = pool.run(jobs_for([1, 2, 3, 4]))
+    assert {job_id: (o.ok, o.value) for job_id, o in outcomes.items()} \
+        == {str(i): (True, v * v) for i, v in enumerate([1, 2, 3, 4])}
+    assert any("degrading to serial execution" in message
+               for message in messages)
+    assert multiprocessing.active_children() == []
+
+
+def test_answer_from_an_exited_child_is_not_a_death(monkeypatch):
+    # Every one-shot child has answered and exited before the pool
+    # reads it: its answer must win over its dead process.
+    wait_ready = scheduler._wait_ready
+
+    def late_wait(workers, timeout, wake=None):
+        time.sleep(0.3)
+        return wait_ready(workers, timeout, wake)
+
+    monkeypatch.setattr(scheduler, "_wait_ready", late_wait)
+    pool = WorkerPool(square, jobs=2, timeout=60)
+    outcomes = pool.run(jobs_for([1, 2, 3, 4]))
+    assert all(o.ok and o.worker_deaths == 0 for o in outcomes.values())
+    assert [outcomes[str(i)].value for i in range(4)] == [1, 4, 9, 16]
 
 
 def test_empty_job_list_is_fine():

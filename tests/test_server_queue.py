@@ -190,11 +190,10 @@ class Recorder:
 
 
 def run_daemon(entrypoint, jobs, *, workers=2, queue=None,
-               timeout=60.0, force_serial=False, deadline=90.0):
+               timeout=60.0, deadline=90.0):
     rec = Recorder()
     daemon = WorkerDaemon(entrypoint, workers=workers, queue=queue,
-                          timeout=timeout, force_serial=force_serial,
-                          on_event=rec.on_event,
+                          timeout=timeout, on_event=rec.on_event,
                           on_settled=rec.on_settled)
     daemon.start()
     try:
@@ -244,16 +243,6 @@ def test_daemon_always_dying_job_fails_with_budget_error():
     assert outcome.worker_deaths == 2
 
 
-def test_daemon_serial_mode_requeues_injected_death():
-    queue = LeaseQueue(retries=2)
-    rec = run_daemon(square3, [qjob("k", 5, kill_on_attempts=(0,))],
-                     queue=queue, force_serial=True)
-    outcome = rec.outcomes["k"]
-    assert outcome.ok and outcome.value == 25
-    assert outcome.attempts == 2
-    assert "requeue" in rec.kinds("k")
-
-
 def test_daemon_shutdown_drains_unfinished_jobs():
     import multiprocessing
 
@@ -285,9 +274,8 @@ def sleep3(payload, attempt, progress):
 
 # ------------------------------- supervision blocks on what it waits for
 
-@pytest.mark.parametrize("force_serial", [False, True])
-def test_idle_daemon_does_not_tick(passes, force_serial):
-    daemon = WorkerDaemon(noop3, workers=2, force_serial=force_serial)
+def test_idle_daemon_does_not_tick(passes):
+    daemon = WorkerDaemon(noop3, workers=2)
     daemon.start()
     try:
         time.sleep(0.5)
@@ -299,12 +287,10 @@ def test_idle_daemon_does_not_tick(passes, force_serial):
     assert len(passes) <= 4             # shutdown is one more wake-up
 
 
-@pytest.mark.parametrize("force_serial", [False, True])
-def test_burst_costs_passes_in_proportion_to_messages(passes, force_serial):
+def test_burst_costs_passes_in_proportion_to_messages(passes):
     # 20 submissions and 20 answers are 40 arrivals; a pass may also
     # find its wake-up already consumed by the one before.
-    rec = run_daemon(noop3, [qjob(str(i), i) for i in range(20)],
-                     force_serial=force_serial)
+    rec = run_daemon(noop3, [qjob(str(i), i) for i in range(20)])
     assert {k: o.value for k, o in rec.outcomes.items()} \
         == {str(i): i for i in range(20)}
     assert len(passes) <= 2 * 40 + 5
