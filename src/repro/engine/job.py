@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from dataclasses import replace as _dc_replace
@@ -211,8 +211,7 @@ class SimJob:
 
     def describe(self) -> dict:
         """Human-readable job description stored next to each result."""
-        data = asdict(self)
-        data["entries"] = list(self.entries)
+        data = self.spec()
         if self.source is not None and len(data["source"]) > 200:
             data["source"] = data["source"][:200] + "..."
         return data
@@ -221,9 +220,7 @@ class SimJob:
         """Full, lossless JSON form (unlike :meth:`describe`, which
         truncates inline sources); inverse of :meth:`from_spec`. This
         is the wire format ``repro.server`` clients submit."""
-        data = asdict(self)
-        data["entries"] = list(self.entries)
-        return data
+        return vars(self) | {"entries": list(self.entries)}
 
     @classmethod
     def from_spec(cls, spec: dict) -> "SimJob":

@@ -404,6 +404,8 @@ class ReproServer:
         except ValueError:  # not three fields, no colon, or a line over limit
             raise _HttpError(400, "malformed request line or header") \
                 from None
+        if "transfer-encoding" in headers:
+            raise _HttpError(501, "transfer codings are not implemented")
         length = headers.get("content-length", "0")
         if not (length.isascii() and length.isdigit()):
             raise _HttpError(400, f"bad Content-Length {length!r}")
@@ -421,7 +423,8 @@ class ReproServer:
         reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
                    403: "Forbidden", 404: "Not Found", 405: "Method Not "
                    "Allowed", 409: "Conflict", 413: "Payload Too Large",
-                   429: "Too Many Requests", 500: "Internal Server Error"}
+                   429: "Too Many Requests", 500: "Internal Server Error",
+                   501: "Not Implemented"}
         if isinstance(body, str):
             blob = body.encode()
             ctype = "text/plain; charset=utf-8"

@@ -3,28 +3,38 @@
 The same :class:`ServerClient` backs the CLI client modes (``repro
 sweep --server URL``, ``explore --server``, ``fuzz --server``) and the
 tests. A grid is thousands of small exchanges with one server, so each
-client keeps one persistent ``http.client`` connection per thread
-(``TCP_NODELAY``, which ``http.client`` sets itself) instead of paying
-a TCP set-up and tear-down per request, and :meth:`ServerClient.wait`
-long-polls — the server answers when the job settles — instead of
-sleeping between status reads. A connection the server closed in the
-meantime (a restart, a server that answers ``Connection: close``) is
-reopened and the request sent once more, which is safe because
-submissions dedupe by key and everything else is a read. Backpressure
-(HTTP 429) is retried with the server's own ``Retry-After`` hint,
-bounded, so a client pointed at a saturated server degrades to
-patience instead of an error.
+client keeps one persistent TCP connection per thread (``TCP_NODELAY``
+set, so a request is never held back behind an unacknowledged one)
+instead of paying a set-up and tear-down per request, and
+:meth:`ServerClient.wait` long-polls — the server answers when the job
+settles — instead of sleeping between status reads.
+
+The client frames HTTP/1.1 itself, as the server does: a request is
+one write of head and body; an answer is a status line, header lines
+(names compared case-insensitively) and exactly ``Content-Length``
+bytes. An HTTP/1.0 answer, one that says ``Connection: close`` or one
+without ``Content-Length`` is read to the end of the stream and its
+connection closed, so the next request opens a fresh one. A kept-alive
+connection the server closed in the meantime (a restart) is reopened
+and the request sent once more, which is safe because submissions
+dedupe by key and everything else is a read. Backpressure (HTTP 429)
+is retried with the server's own ``Retry-After`` hint, bounded, so a
+client pointed at a saturated server degrades to patience instead of
+an error.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import threading
 import time
 
 #: Job states after which a record no longer changes.
 TERMINAL = ("done", "failed")
+
+#: Longest status or header line an answer may carry, newline included.
+MAX_LINE = 65537
 
 
 class ServerError(RuntimeError):
@@ -58,48 +68,105 @@ class ServerClient:
         scheme, _, rest = self.base_url.rpartition("://")
         self._netloc, slash, prefix = rest.partition("/")
         self._prefix = slash + prefix
-        self._factory = http.client.HTTPSConnection if scheme == "https" \
-            else http.client.HTTPConnection
+        self._tls = scheme == "https"
         self._local = threading.local()
-        self._connections: list[http.client.HTTPConnection] = []
+        #: Every thread's open (socket, reader) pair.
+        self._connections: set[tuple] = set()
 
     def __del__(self) -> None:
-        for conn in self._connections:      # every thread's
-            conn.close()
+        for connection in list(self._connections):
+            self._drop(connection)
 
     # ------------------------------------------------------------- plumbing
+
+    def _connect(self) -> tuple:
+        """Open this thread's connection: (socket, buffered reader)."""
+        host, colon, port = self._netloc.rpartition(":")
+        if not colon or "]" in port:        # no port, or a bare [v6]
+            host, port = self._netloc, "443" if self._tls else "80"
+        host = host.strip("[]")
+        sock = socket.create_connection((host, int(port)), self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls:
+                import ssl
+                sock = ssl.create_default_context().wrap_socket(
+                    sock, server_hostname=host)
+        except OSError:
+            sock.close()
+            raise
+        connection = self._local.conn = (sock, sock.makefile("rb"))
+        self._connections.add(connection)
+        return connection
+
+    def _drop(self, connection: tuple) -> None:
+        """Close a connection's reader and socket together; a socket
+        whose reader stays open keeps its descriptor."""
+        if getattr(self._local, "conn", None) is connection:
+            self._local.conn = None
+        self._connections.discard(connection)
+        sock, reader = connection
+        reader.close()
+        sock.close()
+
+    @staticmethod
+    def _line(reader) -> bytes:
+        line = reader.readline(MAX_LINE)
+        if not line.endswith(b"\n"):       # the end of stream, or too long
+            raise ConnectionResetError("answer cut short, or a line too long")
+        return line
+
+    def _answer(self, reader) -> tuple[int, dict, bytes, bool]:
+        """Read one answer: (status, headers by lower-case name, body,
+        whether the connection ends with it)."""
+        version, status, *_ = self._line(reader).split(None, 2)
+        headers = {}
+        while (line := self._line(reader)) not in (b"\r\n", b"\n"):
+            name, value = line.decode("latin-1").split(":", 1)
+            headers[name.strip().lower()] = value.strip()
+        length = headers.get("content-length")
+        if length is None:
+            return int(status), headers, reader.read(), True
+        blob = reader.read(int(length))
+        if len(blob) != int(length):
+            raise ConnectionResetError("connection closed mid-answer")
+        close = version != b"HTTP/1.1" \
+            or headers.get("connection", "").lower() == "close"
+        return int(status), headers, blob, close
 
     def _request(self, method: str, path: str, body: dict | None = None,
                  patience: float = 0.0) -> tuple[int, dict, dict]:
         """One HTTP exchange on this thread's connection; returns
-        (status, headers, decoded body). ``patience`` is how long the
-        server was asked to hold its answer, on top of ``timeout``."""
-        data = json.dumps(body).encode() if body is not None else None
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._local.conn = self._factory(self._netloc,
-                                                    timeout=self.timeout)
-            self._connections.append(conn)
+        (status, headers by lower-case name, decoded body).
+        ``patience`` is how long the server was asked to hold its
+        answer, on top of ``timeout``."""
+        data = json.dumps(body).encode() if body is not None else b""
+        message = (f"{method} {self._prefix}{path} HTTP/1.1\r\n"
+                   f"Host: {self._netloc}\r\n"
+                   + ("Content-Type: application/json\r\n" if data else "")
+                   + f"Content-Length: {len(data)}\r\n\r\n").encode() + data
         while True:
-            reused = conn.sock is not None
+            connection = getattr(self._local, "conn", None)
+            reused = connection is not None
             try:
-                conn.request(
-                    method, self._prefix + path, body=data,
-                    headers={"Content-Type": "application/json"}
-                    if data else {})
-                conn.sock.settimeout(self.timeout + patience)
-                answer = conn.getresponse()
-                status, headers = answer.status, dict(answer.getheaders())
-                blob = answer.read()
+                if connection is None:
+                    connection = self._connect()
+                sock, reader = connection
+                sock.settimeout(self.timeout + patience)
+                sock.sendall(message)
+                status, headers, blob, close = self._answer(reader)
                 break
-            except (http.client.HTTPException, OSError) as exc:
-                conn.close()
+            except (OSError, ValueError) as exc:
+                if connection is not None:
+                    self._drop(connection)
                 # A kept-alive socket the server has since closed fails
                 # on first use; anything else is the server's answer.
                 if reused and not isinstance(exc, TimeoutError):
                     continue
                 raise ServerError(
                     0, f"cannot reach {self.base_url}: {exc}") from exc
+        if close:
+            self._drop(connection)
         try:
             decoded = json.loads(blob.decode() or "null")
         except ValueError:
@@ -129,7 +196,7 @@ class ServerClient:
                                                     body)
             if status != 429:
                 break
-            time.sleep(min(5.0, float(headers.get("Retry-After", 1))))
+            time.sleep(min(5.0, float(headers.get("retry-after", 1))))
         if status != 200:
             raise ServerError(status, answer.get("error", "submit failed"))
         return answer

@@ -180,6 +180,25 @@ def test_resolver_module_imports_only_leaves():
     assert server - local == {"repro.server", "repro.server.client"}
 
 
+def test_server_client_loads_no_stdlib_http_stack():
+    # The client frames HTTP itself: http.client's response path pulls
+    # in the email package, which every serve client process paid for
+    # in start-up time and resident memory.
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "before = set(sys.modules)\n"
+         "import repro.server.client\n"
+         "print(json.dumps(sorted(set(sys.modules) - before)))"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+        text=True, check=True)
+    loaded = json.loads(done.stdout)
+    assert "repro.server.client" in loaded
+    stack = [name for name in loaded
+             if name.split(".")[0] in ("http", "email", "urllib")]
+    assert not stack, stack
+
+
 def test_runloop_module_imports_nothing_from_the_simulator():
     # The driver is policy over a seam: it must be loadable (and
     # testable against a fake machine) without either core, the

@@ -206,6 +206,7 @@ def test_unknown_endpoint_is_404(server):
         f"http://127.0.0.1:{server.port}/nope")
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(request, timeout=10)
+    err.value.close()
     assert err.value.code == 404
 
 

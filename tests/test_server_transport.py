@@ -202,6 +202,101 @@ def test_unreachable_server_is_status_zero():
     assert err.value.status == 0
 
 
+# ------------------------------------------------ the client's framing
+
+class _Scripted(http.server.BaseHTTPRequestHandler):
+    """A stand-in server that answers each request with the next
+    ``(status, headers)`` of its script (the last one repeats); headers
+    ``None`` means no ``Content-Length``, so the body ends at the close.
+    Counts connections and requests."""
+
+    script: list = []
+    connections = 0
+    requests: list = []
+
+    def setup(self):
+        super().setup()
+        type(self).connections += 1
+
+    def do_GET(self):
+        self.requests.append(self.command)
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        status, headers = self.script.pop(0) if len(self.script) > 1 \
+            else self.script[0]
+        blob = json.dumps({"key": "k", "status": "done", "cached": True,
+                           "ok": True}).encode()
+        self.send_response(status)
+        if headers is not None:
+            headers = {**headers, "Content-Length": str(len(blob))}
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(blob)
+
+    do_POST = do_GET
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def scripted():
+    """``scripted(protocol, *script)``: a running :class:`_Scripted`
+    server speaking ``protocol``; returns (its handler class, URL)."""
+    running = []
+
+    def start(protocol, *script):
+        handler = type("Stub", (_Scripted,), {
+            "protocol_version": protocol, "script": list(script),
+            "connections": 0, "requests": []})
+        stub = http.server.HTTPServer(("127.0.0.1", 0), handler)
+        thread = threading.Thread(target=stub.serve_forever, daemon=True)
+        thread.start()
+        running.append((stub, thread))
+        return handler, f"http://127.0.0.1:{stub.server_port}"
+
+    yield start
+    for stub, thread in running:
+        stub.shutdown()
+        thread.join(10)
+        stub.server_close()
+
+
+def test_every_request_is_one_write(plain, monkeypatch):
+    srv, url = plain
+    writes = []
+    sendall = socket.socket.sendall
+
+    def spy(sock, data, *args):
+        if sock.getpeername()[1] == srv.port:
+            writes.append(len(data))
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", spy)
+    client = ServerClient(url)
+    key = client.submit(sim_envelope(count_job("wc", annotated=True)))["key"]
+    client.wait([key], timeout=60)
+    assert client.result(key) is not None and client.health()["ok"]
+    assert len(writes) == counter(srv, "http_requests") >= 4
+
+
+def test_retry_after_is_honoured_in_any_case(scripted):
+    stub, url = scripted("HTTP/1.1", (429, {"retry-after": "0"}),
+                         (200, {}))
+    start = time.monotonic()
+    assert ServerClient(url).submit({"type": "sim", "spec": {}})["cached"]
+    assert time.monotonic() - start < 0.5
+    assert stub.requests == ["POST", "POST"] and stub.connections == 1
+
+
+def test_http_1_0_answer_without_length_is_read_to_the_close(scripted):
+    stub, url = scripted("HTTP/1.0", (200, None))
+    client = ServerClient(url)
+    for _ in range(3):
+        assert client.health()["ok"]
+    assert stub.requests == ["GET"] * 3 and stub.connections == 3
+
+
 # ------------------------------------------------------ framing errors
 
 @pytest.mark.parametrize("request_bytes, status", [
@@ -213,8 +308,10 @@ def test_unreachable_server_is_status_zero():
      400),
     (b"POST /v1/jobs HTTP/1.1\r\nContent-Length: "
      + str(MAX_BODY_BYTES + 1).encode() + b"\r\n\r\n", 413),
+    (b"POST /v1/jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+     b"2\r\n{}\r\n0\r\n\r\n", 501),
 ], ids=["length-abc", "length-negative", "request-line", "header-line",
-        "header-too-long", "body-too-large"])
+        "header-too-long", "body-too-large", "transfer-encoding"])
 def test_framing_error_is_answered_and_the_connection_closed(
         plain, caplog, request_bytes, status):
     srv, url = plain
