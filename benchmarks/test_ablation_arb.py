@@ -9,31 +9,21 @@ We shrink the per-bank ARB until tomcatv's long tasks overflow it, and
 compare the paper's two policies.
 """
 
-from dataclasses import replace
+from repro.engine.job import SimJob
+from repro.harness.runner import run_jobs
 
-from repro.config import multiscalar_config
-from repro.core import MultiscalarProcessor
-from repro.workloads import WORKLOADS
+ENTRIES = (8, 16, 64, 256)
 
 
-def run(entries_per_bank, policy):
-    spec = WORKLOADS["tomcatv"]
-    config = multiscalar_config(8)
-    config = replace(config,
-                     memory=replace(config.memory,
-                                    arb_entries_per_bank=entries_per_bank),
-                     arb_full_policy=policy)
-    result = MultiscalarProcessor(spec.multiscalar_program(), config).run()
-    assert result.output == spec.expected_output
-    return result
+def job(entries_per_bank, policy):
+    return SimJob(kind="multiscalar", workload="tomcatv", units=8,
+                  arb_entries=entries_per_bank, arb_full_policy=policy)
 
 
 def build():
-    sweep = {}
-    for entries in (8, 16, 64, 256):
-        sweep[entries] = run(entries, "squash")
-    stall = run(8, "stall")
-    return sweep, stall
+    *squash, stall = run_jobs([job(entries, "squash") for entries in ENTRIES]
+                              + [job(8, "stall")])
+    return dict(zip(ENTRIES, squash)), stall
 
 
 def test_arb_capacity(once):

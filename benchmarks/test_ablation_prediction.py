@@ -6,26 +6,19 @@ a static always-first-target policy cannot. This ablation compares the
 two on the task-prediction-sensitive workloads.
 """
 
-from dataclasses import replace
+from repro.engine.job import SimJob
+from repro.harness.runner import run_jobs
 
-from repro.config import multiscalar_config
-from repro.core import MultiscalarProcessor
-from repro.workloads import WORKLOADS
-
-
-def run(name, static):
-    spec = WORKLOADS[name]
-    config = replace(multiscalar_config(8), predictor_static=static)
-    result = MultiscalarProcessor(spec.multiscalar_program(), config).run()
-    assert result.output == spec.expected_output
-    return result
+NAMES = ("espresso", "tomcatv", "example", "eqntott")
 
 
 def build():
-    out = {}
-    for name in ("espresso", "tomcatv", "example", "eqntott"):
-        out[name] = (run(name, static=False), run(name, static=True))
-    return out
+    results = run_jobs([
+        SimJob(kind="multiscalar", workload=name, units=8,
+               predictor_static=static)
+        for name in NAMES for static in (False, True)])
+    return {name: (pas, static) for name, pas, static
+            in zip(NAMES, results[::2], results[1::2])}
 
 
 def test_pas_vs_static_prediction(once):

@@ -7,26 +7,19 @@ of recurrence-bound workloads while barely touching independent-task
 ones.
 """
 
-from dataclasses import replace
-
-from repro.config import multiscalar_config
-from repro.core import MultiscalarProcessor
-from repro.workloads import WORKLOADS
+from repro.engine.job import SimJob
+from repro.harness.runner import run_jobs
 
 HOPS = (1, 2, 4, 8)
-
-
-def run(name, hop):
-    spec = WORKLOADS[name]
-    config = replace(multiscalar_config(8), ring_hop_latency=hop)
-    result = MultiscalarProcessor(spec.multiscalar_program(), config).run()
-    assert result.output == spec.expected_output
-    return result.cycles
+NAMES = ("compress", "cmp")
 
 
 def build():
-    return {name: [run(name, hop) for hop in HOPS]
-            for name in ("compress", "cmp")}
+    cycles = [result.cycles for result in run_jobs([
+        SimJob(kind="multiscalar", workload=name, units=8, ring_hop=hop)
+        for name in NAMES for hop in HOPS])]
+    return {name: cycles[i * len(HOPS):(i + 1) * len(HOPS)]
+            for i, name in enumerate(NAMES)}
 
 
 def test_ring_latency(once):

@@ -10,30 +10,19 @@ that sharing expensive units is a viable engineering trade — shows up
 as a small slowdown on the FP code and none on integer code.
 """
 
-from dataclasses import replace
+from repro.engine.job import SimJob
+from repro.harness.runner import run_jobs
 
-from repro.config import multiscalar_config
-from repro.core import MultiscalarProcessor
-from repro.workloads import WORKLOADS
-
-
-def run(name, shared, issue_width=1, ooo=False):
-    spec = WORKLOADS[name]
-    config = replace(multiscalar_config(8, issue_width, ooo),
-                     shared_fp_units=shared)
-    result = MultiscalarProcessor(spec.multiscalar_program(), config).run()
-    assert result.output == spec.expected_output
-    return result.cycles
+ROWS = [(name, width, ooo) for name in ("tomcatv", "cmp")
+        for width, ooo in ((1, False), (2, True))]
 
 
 def build():
-    rows = {}
-    for name in ("tomcatv", "cmp"):
-        for width, ooo in ((1, False), (2, True)):
-            key = (name, width, ooo)
-            rows[key] = (run(name, False, width, ooo),
-                         run(name, True, width, ooo))
-    return rows
+    cycles = [result.cycles for result in run_jobs([
+        SimJob(kind="multiscalar", workload=name, units=8,
+               issue_width=width, out_of_order=ooo, shared_fp_units=shared)
+        for name, width, ooo in ROWS for shared in (False, True)])]
+    return dict(zip(ROWS, zip(cycles[::2], cycles[1::2])))
 
 
 def test_shared_fp_units(once):

@@ -70,6 +70,41 @@ def code_fingerprint() -> str:
     return _fingerprint
 
 
+#: The machine axes a job sets beyond units, issue width and issue
+#: order: the one place a machine axis is declared. ``SimJob`` field ->
+#: (dotted ``MachineConfig`` path, allowed values, scale). No allowed
+#: values means any ``int >= 1``, and an int row's config value is the
+#: job's times ``scale``. ``SimJob``'s checks, :meth:`SimJob.key` and
+#: :meth:`SimJob.machine_config` loop over it; each field's default is
+#: the paper's Section-5.1 machine.
+MACHINE_AXES: dict[str, tuple[str, tuple, int]] = {
+    "ring_hop": ("ring_hop_latency", (), 1),
+    "arb_entries": ("memory.arb_entries_per_bank", (), 1),
+    "dcache_bank_kb": ("memory.dcache_bank_size", (), 1024),
+    "pred_history": ("predictor.history_entries", (), 1),
+    "pred_pattern": ("predictor.pattern_entries", (), 1),
+    "arb_full_policy": ("arb_full_policy", ("squash", "stall"), 1),
+    "predictor_static": ("predictor_static", (False, True), 1),
+    "shared_fp_units": ("shared_fp_units", (False, True), 1),
+}
+
+
+def _admits(values: tuple, value) -> bool:
+    """Whether ``value`` is one of an axis's allowed ``values`` (a
+    ``bool`` is never an int here, nor ``1`` a ``True``)."""
+    if not values:
+        return type(value) is int and value >= 1
+    return value in values and type(value) in map(type, values)
+
+
+def _with(obj, path: str, value):
+    """Frozen dataclass ``obj`` with its dotted attribute ``path`` set."""
+    head, _, rest = path.partition(".")
+    if rest:
+        value = _with(getattr(obj, head), rest, value)
+    return _dc_replace(obj, **{head: value})
+
+
 @dataclass(frozen=True)
 class SimJob:
     """One simulation request.
@@ -101,17 +136,23 @@ class SimJob:
     #: for the same reason as ``fast_path`` — on every kind, though a
     #: multiscalar machine is interpreter-only and ignores it.
     jit: bool = True
-    # -------- hardware axes beyond the paper's Section-5.1 defaults
-    #: Cycles per ring hop (paper default 1).
+    # -------- machine axes (MACHINE_AXES), at the paper's Section-5.1
+    #: Cycles per ring hop.
     ring_hop: int = 1
-    #: ARB entries per data-cache bank (paper default 256).
+    #: ARB entries per data-cache bank.
     arb_entries: int = 256
     #: Predictor first-level (history) table entries.
     pred_history: int = 64
     #: Predictor second-level (pattern) table entries.
     pred_pattern: int = 4096
-    #: Data-cache bank size in KB (paper default 8).
+    #: Data-cache bank size in KB.
     dcache_bank_kb: int = 8
+    #: What a full ARB does (Section 2.3): "squash" or "stall".
+    arb_full_policy: str = "squash"
+    #: Always predict a task's first target instead of PAs.
+    predictor_static: bool = False
+    #: One FP and one complex-integer unit shared by all units.
+    shared_fp_units: bool = False
     # -------- compiler knobs (annotated binaries only)
     #: Static-instruction task-size cap, 0 = unlimited.
     task_size: int = 0
@@ -136,22 +177,20 @@ class SimJob:
         if self.max_cycles < 1:
             raise ValueError(
                 f"max_cycles must be at least 1, not {self.max_cycles}")
+        for name, (_, values, _) in MACHINE_AXES.items():
+            value = getattr(self, name)
+            if not _admits(values, value):
+                allowed = " or ".join(map(repr, values))
+                raise ValueError(f"{name} must be {allowed or 'an int >= 1'}"
+                                 f", not {value!r}")
+            # A dataclass field's class attribute is its default.
+            if self.kind != "multiscalar" and value != getattr(SimJob, name):
+                raise ValueError(
+                    f"{name} is a machine axis: multiscalar jobs only")
         # Raises ValueError on a bad knob combination.
-        knobs = CompilerKnobs(task_size=self.task_size,
-                              loop_cut=self.loop_cut,
-                              create_mask=self.create_mask)
-        if self.kind != "multiscalar" and not self._hw_is_default():
-            raise ValueError(
-                "hardware axes (ring_hop/arb_entries/pred_*/dcache_bank_kb)"
-                " only apply to multiscalar jobs")
-        if not self._annotated() and not knobs.is_default:
+        if not self._annotated() and self.compiler_knobs() is not None:
             raise ValueError(
                 "compiler knobs only apply to annotated binaries")
-
-    def _hw_is_default(self) -> bool:
-        return (self.ring_hop == 1 and self.arb_entries == 256
-                and self.pred_history == 64 and self.pred_pattern == 4096
-                and self.dcache_bank_kb == 8)
 
     def compiler_knobs(self) -> CompilerKnobs | None:
         """The job's knob setting, or ``None`` at the defaults (so the
@@ -193,13 +232,7 @@ class SimJob:
             "max_cycles": self.max_cycles,
             "fast_path": self.fast_path,
             "jit": self.jit,
-            "hardware": {
-                "ring_hop": self.ring_hop,
-                "arb_entries": self.arb_entries,
-                "pred_history": self.pred_history,
-                "pred_pattern": self.pred_pattern,
-                "dcache_bank_kb": self.dcache_bank_kb,
-            },
+            "hardware": {name: getattr(self, name) for name in MACHINE_AXES},
             "knobs": {
                 "task_size": self.task_size,
                 "loop_cut": self.loop_cut,
@@ -275,19 +308,13 @@ class SimJob:
     def machine_config(self) -> MachineConfig:
         """The multiscalar :class:`~repro.config.MachineConfig` this job
         simulates: the paper's Section-5.1 machine with the job's
-        hardware axes applied."""
+        machine axes applied."""
         cfg = multiscalar_config(self.units, self.issue_width,
                                  self.out_of_order,
                                  fast_path=self.fast_path, jit=self.jit)
-        cfg = _dc_replace(
-            cfg,
-            ring_hop_latency=self.ring_hop,
-            memory=_dc_replace(cfg.memory,
-                               arb_entries_per_bank=self.arb_entries,
-                               dcache_bank_size=self.dcache_bank_kb * 1024),
-            predictor=_dc_replace(cfg.predictor,
-                                  history_entries=self.pred_history,
-                                  pattern_entries=self.pred_pattern))
+        for name, (path, _, scale) in MACHINE_AXES.items():
+            value = getattr(self, name)
+            cfg = _with(cfg, path, value * scale if scale != 1 else value)
         return cfg
 
     def _verify(self, output: str, expected: str | None) -> None:
@@ -311,21 +338,13 @@ def scalar_job(name: str, issue_width: int = 1, out_of_order: bool = False,
 def multiscalar_job(name: str, units: int, issue_width: int = 1,
                     out_of_order: bool = False,
                     max_cycles: int = DEFAULT_MAX_CYCLES,
-                    fast_path: bool = True, jit: bool = True,
-                    ring_hop: int = 1, arb_entries: int = 256,
-                    pred_history: int = 64, pred_pattern: int = 4096,
-                    dcache_bank_kb: int = 8,
-                    knobs: CompilerKnobs | None = None) -> SimJob:
-    """A multiscalar timing job for the named workload."""
-    knobs = knobs or CompilerKnobs()
+                    fast_path: bool = True, jit: bool = True) -> SimJob:
+    """A multiscalar timing job for the named workload, on the paper's
+    machine with the default compiler knobs (a job that sets a machine
+    axis or a knob builds :class:`SimJob` itself)."""
     return SimJob(kind="multiscalar", workload=name, units=units,
                   issue_width=issue_width, out_of_order=out_of_order,
-                  max_cycles=max_cycles, fast_path=fast_path, jit=jit,
-                  ring_hop=ring_hop, arb_entries=arb_entries,
-                  pred_history=pred_history, pred_pattern=pred_pattern,
-                  dcache_bank_kb=dcache_bank_kb,
-                  task_size=knobs.task_size, loop_cut=knobs.loop_cut,
-                  create_mask=knobs.create_mask)
+                  max_cycles=max_cycles, fast_path=fast_path, jit=jit)
 
 
 def count_job(name: str, annotated: bool) -> SimJob:

@@ -3,8 +3,9 @@
 Tables 3 and 4 and the report's cycle distribution are views of one
 :func:`~repro.engine.sweep.run_sweep` summary: its cells carry the
 speedups and prediction accuracies, its ``results`` the scalar IPCs and
-cycle distributions. Table 2 and the one-job reads resolve through the
-same :class:`~repro.engine.resolve.LocalResolver`, so every number here
+cycle distributions. Table 2, the one-job reads and the ablations' job
+batches resolve through :func:`run_jobs`, the same
+:class:`~repro.engine.resolve.LocalResolver`, so every number here
 shares the sweep's keys, store and worker pool. A failed job raises —
 :class:`~repro.engine.SimulationMismatchError` when its output was
 wrong, :class:`RuntimeError` naming the job otherwise — so a table
@@ -42,6 +43,7 @@ from repro.harness.paper_data import ROW_ORDER
 __all__ = [
     "TableRow",
     "paper_sweep",
+    "run_jobs",
     "run_multiscalar",
     "run_scalar",
     "table2_rows",
@@ -52,7 +54,7 @@ __all__ = [
 
 #: The ``store=`` default: the environment's store, chosen per call.
 _ENV = object()
-#: Grids resolve with one worker per CPU.
+#: Batches and grids resolve with one worker per CPU.
 _WORKERS = os.cpu_count() or 1
 
 
@@ -76,9 +78,11 @@ def _raise_first(interrupted: bool, errors: list[str]) -> None:
         raise RuntimeError(errors[0])
 
 
-def _results(jobs: list[SimJob], store, workers: int = 1) -> list:
-    """The native result of each job, in order, through the store."""
-    resolution = LocalResolver(_chosen(store), jobs=workers).resolve(jobs)
+def run_jobs(jobs: list[SimJob], store=_ENV) -> list:
+    """The native result of each job, in order, resolved as one batch
+    through the store and one worker per CPU; the first failed job
+    raises."""
+    resolution = LocalResolver(_chosen(store), jobs=_WORKERS).resolve(jobs)
     _raise_first(resolution.interrupted, [
         f"{job.label()}: {resolution.errors[job.key()]}"
         for job in jobs if job.key() in resolution.errors])
@@ -89,14 +93,14 @@ def _results(jobs: list[SimJob], store, workers: int = 1) -> list:
 def run_scalar(name: str, issue_width: int = 1, out_of_order: bool = False,
                store=_ENV) -> ScalarResult:
     """Run one workload on the scalar baseline."""
-    return _results([scalar_job(name, issue_width, out_of_order)], store)[0]
+    return run_jobs([scalar_job(name, issue_width, out_of_order)], store)[0]
 
 
 def run_multiscalar(name: str, units: int, issue_width: int = 1,
                     out_of_order: bool = False,
                     store=_ENV) -> MultiscalarResult:
     """Run one workload on a multiscalar configuration."""
-    return _results([multiscalar_job(name, units, issue_width,
+    return run_jobs([multiscalar_job(name, units, issue_width,
                                      out_of_order)], store)[0]
 
 
@@ -143,9 +147,9 @@ def table_rows(summary: SweepSummary, out_of_order: bool) -> list[TableRow]:
 def table2_rows(names=None, store=_ENV) -> list[tuple[str, int, int, float]]:
     """(name, scalar count, multiscalar count, percent increase) rows."""
     names = names or ROW_ORDER
-    counts = _results([count_job(name, annotated)
+    counts = run_jobs([count_job(name, annotated)
                        for name in names for annotated in (False, True)],
-                      store, workers=_WORKERS)
+                      store)
     return [(name, scalar, multi, 100.0 * (multi / scalar - 1))
             for name, scalar, multi
             in zip(names, counts[::2], counts[1::2])]

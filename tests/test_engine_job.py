@@ -66,11 +66,31 @@ def test_job_validation():
     with pytest.raises(ValueError):
         SimJob(kind="scalar", workload=NAME, source="x")   # both
     # Machines that cannot exist: a worker would spin to the livelock
-    # deadline (no units) or time out at once (no budget).
+    # deadline (no units) or time out at once (no budget); a ring hop
+    # below 1 simulated hop 1 under a key of its own, an empty ARB ran,
+    # and an empty bank or history table (or a string hop) died inside
+    # the simulator.
     for axes, message in (({"units": 0}, "units must be at least 1"),
                           ({"units": -1}, "units must be at least 1"),
                           ({"issue_width": 3}, "issue_width must be 1 or 2"),
-                          ({"max_cycles": 0}, "max_cycles must be at least")):
+                          ({"max_cycles": 0}, "max_cycles must be at least"),
+                          ({"ring_hop": 0}, "ring_hop must be an int >= 1"),
+                          ({"ring_hop": -1}, "ring_hop must be an int"),
+                          ({"ring_hop": -5}, "ring_hop must be an int"),
+                          ({"ring_hop": "1"}, "ring_hop must be an int"),
+                          ({"ring_hop": True}, "ring_hop must be an int"),
+                          ({"arb_entries": 0}, "arb_entries must be an int"),
+                          ({"arb_entries": -3}, "arb_entries must be an int"),
+                          ({"arb_entries": 1.5}, "arb_entries must be an int"),
+                          ({"dcache_bank_kb": 0}, "dcache_bank_kb must be"),
+                          ({"pred_history": 0}, "pred_history must be"),
+                          ({"pred_pattern": 0}, "pred_pattern must be"),
+                          ({"arb_full_policy": "drop"},
+                           "arb_full_policy must be 'squash' or 'stall'"),
+                          ({"predictor_static": 1},
+                           "predictor_static must be False or True"),
+                          ({"shared_fp_units": "yes"},
+                           "shared_fp_units must be False or True")):
         with pytest.raises(ValueError, match=message):
             SimJob(kind="multiscalar", workload=NAME, **axes)
 

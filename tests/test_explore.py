@@ -16,6 +16,7 @@ The load-bearing promises of ``repro explore``:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -44,7 +45,7 @@ from repro.explore import (
     validate_report,
     write_report,
 )
-from repro.engine.job import SimJob, multiscalar_job
+from repro.engine.job import MACHINE_AXES, SimJob, multiscalar_job
 from repro.workloads import WORKLOADS
 
 REPO = Path(__file__).parent.parent
@@ -123,10 +124,9 @@ def test_knob_axes_round_trip_through_simjob_keys_without_colliding():
     jobs = []
     for task_size, loop_cut, create_mask in itertools.product(
             AXES["task_size"], AXES["loop_cut"], AXES["create_mask"]):
-        jobs.append(multiscalar_job(
-            "wc", 4, knobs=CompilerKnobs(task_size=task_size,
-                                         loop_cut=loop_cut,
-                                         create_mask=create_mask)))
+        jobs.append(SimJob(kind="multiscalar", workload="wc", units=4,
+                           task_size=task_size, loop_cut=loop_cut,
+                           create_mask=create_mask))
     keys = [job.key() for job in jobs]
     assert len(set(keys)) == len(jobs)
     for job in jobs:
@@ -145,9 +145,36 @@ def test_hardware_axes_are_keyed_and_spec_round_trips():
     assert len(keys) == len(set(points))
 
 
-def test_scalar_jobs_reject_hardware_axes_and_knobs():
-    with pytest.raises(ValueError):
-        SimJob(kind="scalar", workload="wc", ring_hop=2)
+def _config_differences(a, b, prefix=""):
+    """Dotted paths at which two (nested) configs differ."""
+    paths = []
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if dataclasses.is_dataclass(x):
+            paths += _config_differences(x, y, f"{prefix}{field.name}.")
+        elif x != y or type(x) is not type(y):
+            paths.append(prefix + field.name)
+    return paths
+
+
+@pytest.mark.parametrize("name", list(MACHINE_AXES))
+def test_scalar_jobs_reject_hardware_axes_and_knobs(name):
+    path, values, _ = MACHINE_AXES[name]
+    default = getattr(SimJob, name)
+    value = next(v for v in values if v != default) if values \
+        else default * 2
+    base = SimJob(kind="multiscalar", workload="wc", units=4)
+    job = SimJob(kind="multiscalar", workload="wc", units=4, **{name: value})
+    # Every default is the paper's machine; the row moves its path only.
+    assert base.machine_config() == multiscalar_config(4)
+    assert _config_differences(base.machine_config(),
+                               job.machine_config()) == [path]
+    assert job.key() != base.key()
+    clone = SimJob.from_spec(json.loads(json.dumps(job.spec())))
+    assert clone == job and clone.key() == job.key()
+    for kind in ("scalar", "count"):
+        with pytest.raises(ValueError, match="machine axis"):
+            SimJob(kind=kind, workload="wc", **{name: value})
     with pytest.raises(ValueError):
         SimJob(kind="scalar", workload="wc", task_size=8)
 

@@ -170,11 +170,18 @@ def test_unknown_key_is_404(client):
 
 
 def test_malformed_submissions_are_400(client):
+    sim = multiscalar_job("wc", 4).spec()
     for envelope in ({"type": "nope", "spec": {}},
                      {"type": "sim", "spec": {"bogus": 1}},
                      {"type": "sim", "spec": "not-a-dict"},
+                     {"type": "sim", "spec": {**sim, "units": 0}},
+                     {"type": "sim", "spec": {**sim, "ring_hop": 0}},
+                     {"type": "sim", "spec": {**sim, "ring_hop": "1"}},
+                     {"type": "sim", "spec": {**sim, "arb_entries": 1.5}},
+                     {"type": "sim", "spec": {**sim, "dcache_bank_kb": 0}},
+                     {"type": "sim", "spec": {**sim, "pred_history": 0}},
                      {"type": "sim",
-                      "spec": {**multiscalar_job("wc", 4).spec(), "units": 0}},
+                      "spec": {**sim, "arb_full_policy": ["stall"]}},
                      {"type": "fuzz", "spec": {"seed": 1}},
                      {"type": "trace", "spec": {"workload": "zzz"}}):
         with pytest.raises(ServerError) as err:
