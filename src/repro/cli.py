@@ -16,9 +16,9 @@ Subcommands:
   hardware axes and compiler knobs that renders per-workload Pareto
   frontiers (cycles vs hardware cost) and writes deterministic
   Markdown/JSON reports;
-* ``chaos``          — fault-injection harness: SIGKILL workers, plant
-  truncated checkpoints, corrupt cache files, and plant a livelock,
-  then require bit-identical results (exit 1 on any surprise);
+* ``chaos``          — fault-injection harness: SIGKILL workers,
+  corrupt cache files, and plant a livelock, then require
+  bit-identical results (exit 1 on any surprise);
 * ``trace``          — run one workload or program with the structured
   event bus attached and export a Chrome trace-event JSON file
   (Perfetto/``chrome://tracing``) plus a terminal cycle-attribution
@@ -582,9 +582,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         request = self_test_request()
     else:
         request = ChaosRequest(workloads=_known_workloads(args.workloads),
-                               units=tuple(args.units),
-                               jobs=args.jobs,
-                               checkpoint_every=args.checkpoint_every)
+                               units=tuple(args.units), jobs=args.jobs)
     report = run_chaos(
         request,
         progress=lambda message: print(f"chaos: {message}",
@@ -698,7 +696,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.jobs, lease_ttl=args.lease_ttl,
         timeout=args.timeout, retries=args.retries,
         max_queue=args.max_queue, quota=args.quota,
-        checkpoint_every=args.checkpoint_every,
         chaos=args.chaos, store=store)
 
     def ready(port: int) -> None:
@@ -726,8 +723,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _positive(text: str) -> int:
-    """argparse type for counts, cycle budgets and checkpoint
-    intervals: an int >= 1."""
+    """argparse type for counts and cycle budgets: an int >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(
@@ -957,8 +953,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos", help="fault-injection harness: kill workers, corrupt "
-                      "checkpoints and caches, plant a livelock, and "
-                      "require bit-identical results")
+                      "the result cache, plant a livelock, and require "
+                      "bit-identical results")
     chaos.add_argument("--self-test", action="store_true",
                        help="one-workload quick configuration")
     chaos.add_argument("--workloads", type=lambda s: s.split(","),
@@ -969,9 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="multiscalar unit counts (default 2)")
     chaos.add_argument("--jobs", type=int, default=2,
                        help="worker processes for the sabotaged sweep")
-    chaos.add_argument("--checkpoint-every", type=_positive, default=2_000,
-                       help="cycles between checkpoints (small, so the "
-                            "kill-after-checkpoint fault resumes mid-run)")
     chaos.set_defaults(fn=cmd_chaos)
 
     trace = sub.add_parser(
@@ -1036,10 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--quota", type=int, default=None,
                        help="max in-flight jobs per client id "
                             "(default unlimited)")
-    serve.add_argument("--checkpoint-every", type=_positive,
-                       default=2_000_000,
-                       help="simulated cycles between worker "
-                            "checkpoints for sim jobs")
     serve.add_argument("--chaos", action="store_true",
                        help="accept fault-injection fields on "
                             "submissions (worker-kill drills)")

@@ -89,6 +89,11 @@ MACHINE_AXES: dict[str, tuple[str, tuple, int]] = {
 }
 
 
+#: The compiler knobs a job sets (annotated binaries only), as
+#: ``SimJob`` fields named like :class:`CompilerKnobs`' own.
+COMPILER_KNOBS = ("task_size", "loop_cut", "create_mask")
+
+
 def _admits(values: tuple, value) -> bool:
     """Whether ``value`` is one of an axis's allowed ``values`` (a
     ``bool`` is never an int here, nor ``1`` a ``True``)."""
@@ -166,6 +171,9 @@ class SimJob:
             raise ValueError(f"unknown job kind {self.kind!r}")
         if (self.workload is None) == (self.source is None):
             raise ValueError("exactly one of workload/source required")
+        if self.language not in ("minic", "asm"):
+            raise ValueError(f"language must be 'minic' or 'asm', "
+                             f"not {self.language!r}")
         # A machine that cannot exist must not reach a worker: zero
         # units spin to the livelock deadline, a zero budget times out
         # at once, and Table 1 defines 1- and 2-way units only.
@@ -196,9 +204,8 @@ class SimJob:
         """The job's knob setting, or ``None`` at the defaults (so the
         per-workload compile cache shares one entry with callers that
         never pass knobs)."""
-        knobs = CompilerKnobs(task_size=self.task_size,
-                              loop_cut=self.loop_cut,
-                              create_mask=self.create_mask)
+        knobs = CompilerKnobs(**{name: getattr(self, name)
+                                 for name in COMPILER_KNOBS})
         return None if knobs.is_default else knobs
 
     # ---------------------------------------------------------- identity
@@ -233,11 +240,7 @@ class SimJob:
             "fast_path": self.fast_path,
             "jit": self.jit,
             "hardware": {name: getattr(self, name) for name in MACHINE_AXES},
-            "knobs": {
-                "task_size": self.task_size,
-                "loop_cut": self.loop_cut,
-                "create_mask": self.create_mask,
-            },
+            "knobs": {name: getattr(self, name) for name in COMPILER_KNOBS},
         }
         blob = json.dumps(material, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -264,14 +267,22 @@ class SimJob:
         return cls(**fields)
 
     def label(self) -> str:
+        """Short name for logs, errors and server records: program,
+        kind and machine shape, then every machine axis and compiler
+        knob that differs from the paper's default (a paper-default
+        job's label has no such suffix)."""
         name = self.workload or f"<inline {self.language}>"
+        order = "ooo" if self.out_of_order else "io"
         if self.kind == "scalar":
-            return (f"{name}:scalar:{self.issue_width}w-"
-                    f"{'ooo' if self.out_of_order else 'io'}")
-        if self.kind == "multiscalar":
-            return (f"{name}:ms:{self.units}u-{self.issue_width}w-"
-                    f"{'ooo' if self.out_of_order else 'io'}")
-        return f"{name}:count:{'multi' if self.annotated else 'scalar'}"
+            label = f"{name}:scalar:{self.issue_width}w-{order}"
+        elif self.kind == "multiscalar":
+            label = f"{name}:ms:{self.units}u-{self.issue_width}w-{order}"
+        else:
+            label = f"{name}:count:{'multi' if self.annotated else 'scalar'}"
+        changed = [f"{axis}={getattr(self, axis)}"
+                   for axis in (*MACHINE_AXES, *COMPILER_KNOBS)
+                   if getattr(self, axis) != getattr(SimJob, axis)]
+        return f"{label}:{','.join(changed)}" if changed else label
 
     def _annotated(self) -> bool:
         return self.kind == "multiscalar" or self.annotated
@@ -380,36 +391,15 @@ def import_execution_modules() -> None:
     import repro.jit.engine
     import repro.minic.driver
     import repro.observability.metrics
-    import repro.resilience.checkpoint
     import repro.workloads
 
 
-def _checkpoint_manager(job: SimJob, checkpoints, attempt: int):
-    """Build the (manager, keep) pair for a checkpointed timing job."""
-    if checkpoints is None or job.kind == "count":
-        return None
-    from repro.resilience.checkpoint import CheckpointManager
-
-    manager = CheckpointManager(checkpoints.directory, job.key(),
-                                every=checkpoints.every)
-    if attempt in checkpoints.kill_after_checkpoint_on_attempts:
-        manager.die_after_capture = True
-    return manager
-
-
-def execute(job: SimJob, checkpoints=None, attempt: int = 0,
-            progress=None) -> dict:
+def execute(job: SimJob) -> dict:
     """Run one job to completion, returning its JSON-able payload.
 
-    With a :class:`~repro.resilience.checkpoint.CheckpointPolicy`, a
-    timing job periodically persists its machine state and — if a
-    checkpoint from a previous (crashed/killed) attempt survives —
-    resumes from it instead of re-simulating from cycle 0. Either way
-    the payload is bit-identical to an uncheckpointed run.
-
-    ``progress`` (optional) is called as ``progress({"cycle": n})``
-    whenever a checkpoint lands; the server daemon uses it as both a
-    lease heartbeat and a client-visible progress event.
+    A job is deterministic, so a retry after a killed worker simply
+    runs it again from cycle 0 and yields the same bytes — as the
+    paper's machine squashes a task and re-executes it from its start.
     """
     from repro.core.processor import MultiscalarProcessor
     from repro.core.scalar import ScalarProcessor
@@ -417,10 +407,6 @@ def execute(job: SimJob, checkpoints=None, attempt: int = 0,
     from repro.observability.metrics import collect_metrics
 
     program, expected = job._build()
-    manager = _checkpoint_manager(job, checkpoints, attempt)
-    if manager is not None and progress is not None:
-        manager.on_capture = \
-            lambda cycle: progress({"cycle": cycle})
     if job.kind == "scalar":
         processor = ScalarProcessor(
             program, scalar_config(job.issue_width, job.out_of_order,
@@ -432,12 +418,8 @@ def execute(job: SimJob, checkpoints=None, attempt: int = 0,
         cpu.run()
         job._verify(cpu.output, expected)
         return {"type": "count", "count": cpu.instruction_count}
-    if manager is not None:
-        manager.resume(processor)
-    result = processor.run(max_cycles=job.max_cycles, checkpointer=manager)
+    result = processor.run(max_cycles=job.max_cycles)
     job._verify(result.output, expected)
-    if manager is not None and not checkpoints.keep:
-        manager.discard()
     return {"type": job.kind, "result": result.to_dict(),
             "metrics": collect_metrics(processor).to_dict()}
 

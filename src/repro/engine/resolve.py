@@ -6,17 +6,17 @@ the transport already holds is a hit and goes no further) → **admit**
 (the caller's pre-check may refuse a miss with a reason) → **dispatch**
 (the rest runs, once per key, and what finishes is persisted). The two
 transports share one method, ``resolve(jobs, *, faults=None,
-admit=None) -> Resolution``, so callers never see pool jobs, checkpoint
-policies or HTTP statuses, and a test can substitute a fake.
+admit=None) -> Resolution``, so callers never see pool jobs or HTTP
+statuses, and a test can substitute a fake.
 
-Only leaves are imported at module scope: the scheduler and the
-checkpoint layer load on a store miss, the HTTP client with
-:class:`ServerResolver` (docs/INTERNALS.md, "import layering").
+Only leaves are imported at module scope: the scheduler loads on a
+store miss, the HTTP client with :class:`ServerResolver`
+(docs/INTERNALS.md, "import layering").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.engine.job import SimJob, execute, import_execution_modules
 from repro.engine.store import ResultStore
@@ -60,10 +60,10 @@ class _Resolver:
 
         ``faults`` (chaos harness, ``--self-test``) maps keys to
         injections — ``kill_on_attempts`` SIGKILLs the worker mid-job on
-        those attempts, ``kill_after_checkpoint`` (local only) right
-        after its first durable checkpoint — and a faulted key skips the
-        lookup so the injection runs. ``admit(job)`` returns ``None``
-        to let a miss run, or the reason it must not.
+        those attempts, and the retry runs the job again from cycle 0 —
+        and a faulted key skips the lookup so the injection runs.
+        ``admit(job)`` returns ``None`` to let a miss run, or the reason
+        it must not.
         """
         faults = faults or {}
         resolution = Resolution()
@@ -88,29 +88,25 @@ class _Resolver:
         return resolution
 
 
-def _pool_entrypoint(payload, attempt: int) -> dict:
+def _pool_entrypoint(payload: SimJob, attempt: int) -> dict:
     """Module-level worker entrypoint (picklable under any start
-    method); ``payload`` is ``(SimJob, CheckpointPolicy | None)``."""
-    job, policy = payload
-    return execute(job, checkpoints=policy, attempt=attempt)
+    method): every attempt runs the job from cycle 0."""
+    return execute(payload)
 
 
 class LocalResolver(_Resolver):
     """The persistent store in front of a local ``WorkerPool``. Workers
     never touch the store — the parent persists what they return, so
-    there is one writer — and checkpoint every ``checkpoint_every``
-    simulated cycles, so a killed job's retry resumes mid-run.
-    ``store=None`` always dispatches and persists nothing."""
+    there is one writer. ``store=None`` always dispatches and persists
+    nothing."""
 
     def __init__(self, store: ResultStore | None, jobs: int = 1,
                  timeout: float = 600.0, retries: int = 2,
-                 checkpoint_every: int = 2_000_000,
                  progress=None) -> None:
         self.store = store
         self.jobs = jobs
         self.timeout = timeout
         self.retries = retries
-        self.checkpoint_every = checkpoint_every
         self.progress = progress or (lambda message: None)
 
     def _lookup(self, key: str) -> dict | None:
@@ -119,28 +115,15 @@ class LocalResolver(_Resolver):
     def _dispatch(self, misses: dict[str, SimJob], faults: dict[str, dict],
                   resolution: Resolution) -> None:
         from repro.engine.scheduler import PoolJob, WorkerPool
-        from repro.resilience.checkpoint import CheckpointPolicy
 
         # Before the first fork: the pool forks one child per job, and a
         # child that finds the simulator missing imports it all over again.
         import_execution_modules()
         self.progress(f"{len(resolution.cached)} cached, "
                       f"{len(misses)} jobs to run on {self.jobs} workers")
-        policy = None
-        if self.store is not None:
-            policy = CheckpointPolicy(directory=str(self.store.root / "ckpt"),
-                                      every=self.checkpoint_every)
-        to_run = []
-        for key, job in misses.items():
-            fault = faults.get(key, {})
-            job_policy = policy
-            if policy is not None and fault.get("kill_after_checkpoint"):
-                job_policy = replace(
-                    policy, kill_after_checkpoint_on_attempts=tuple(
-                        fault["kill_after_checkpoint"]))
-            to_run.append(PoolJob(
-                job_id=key, payload=(job, job_policy),
-                kill_on_attempts=tuple(fault.get("kill_on_attempts", ()))))
+        to_run = [PoolJob(job_id=key, payload=job, kill_on_attempts=tuple(
+                      faults.get(key, {}).get("kill_on_attempts", ())))
+                  for key, job in misses.items()]
         pool = WorkerPool(_pool_entrypoint, jobs=self.jobs,
                           timeout=self.timeout, retries=self.retries,
                           progress=self.progress)

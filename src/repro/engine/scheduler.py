@@ -11,18 +11,16 @@ taxonomy):
   form behind ``python -m repro serve``: jobs arrive continuously,
   wait in a priority queue (``interactive`` < ``batch`` <
   ``background``), and are handed to a persistent fleet of worker
-  processes under *leases*. A lease is renewed by heartbeats (worker
-  liveness plus explicit progress messages, e.g. at every durable
-  checkpoint); when its worker dies or its heartbeat goes stale the
-  lease expires and the job is re-queued, so the next worker resumes
-  it from the last good checkpoint. The queue enforces per-client
-  quotas and a global depth bound (backpressure), and a daemon
-  shutdown drains it cleanly — leases revoked, workers joined, nothing
-  orphaned.
+  processes under *leases*. A lease is renewed while its worker is
+  alive; when the worker dies or the lease goes stale it expires and
+  the job is re-queued, and the next worker runs it again from the
+  start. The queue enforces per-client quotas and a global depth bound
+  (backpressure), and a daemon shutdown drains it cleanly — leases
+  revoked, workers joined, nothing orphaned.
 
-The pool runs a generic entrypoint ``fn(payload, attempt) -> value``
-for each submitted job, sharding up to ``jobs`` of them across child
-processes at a time. It is built for hostile weather:
+Both run a generic entrypoint ``fn(payload, attempt) -> value`` for
+each submitted job. The pool shards up to ``jobs`` of them across
+child processes at a time. It is built for hostile weather:
 
 * **per-job timeout** — a job that exceeds its wall-clock budget has
   its worker killed and is retried;
@@ -52,7 +50,9 @@ a :class:`_Worker` record per child, :func:`_spawn` to start one,
 
 from __future__ import annotations
 
+import functools
 import heapq
+import inspect
 import multiprocessing as _mp
 import os
 import signal
@@ -209,41 +209,32 @@ def _spawn(target, *args) -> _Worker:
     return _Worker(process, parent_conn)
 
 
-def _answer(conn, fn, job_id, payload, attempt, kill_on_attempts,
-            *extra) -> None:
+def _answer(conn, fn, payload, attempt, kill_on_attempts) -> None:
     """Run one attempt in a child and send its one answer,
-    ``(status, job_id, value, error)`` with the status from
-    :func:`_attempt` — unless the attempt is an injected death, when
-    the child SIGKILLs itself and the parent sees it die instead. The
-    pool's one-shot child is this function; a daemon worker calls it
-    once per job."""
+    ``(status, value, error)`` with the status from :func:`_attempt` —
+    unless the attempt is an injected death, when the child SIGKILLs
+    itself and the parent sees it die instead. The pool's one-shot
+    child is this function; a daemon worker calls it once per job."""
     if attempt in kill_on_attempts:
         os.kill(os.getpid(), signal.SIGKILL)
     # Sending is part of the attempt: a value that cannot be pickled
     # fails it like any other deterministic error.
     status, _, error = _attempt(lambda: conn.send(
-        ("ok", job_id, fn(payload, attempt, *extra), "")), BaseException)
+        ("ok", fn(payload, attempt), "")), BaseException)
     if status != "ok":
-        conn.send((status, job_id, None, error))
+        conn.send((status, None, error))
 
 
-def _collect(worker: _Worker, now: float,
-             progress: Callable[[str, Any], None] | None,
-             ) -> tuple[str, Any, str] | None:
+def _collect(worker: _Worker, now: float) -> tuple[str, Any, str] | None:
     """Read one busy worker: its answer as ``(status, value, error)``,
     ``("died", …)`` once it exited or closed its pipe without one,
     ``("timeout", …)`` past its deadline, or ``None`` while it still
-    runs. ``("progress", job_id, data, "")`` messages read on the way
-    go to ``progress(job_id, data)``. Liveness is sampled before the
-    pipe is read, so a child that answered and then exited reads as its
-    answer, not as a death."""
+    runs. Liveness is sampled before the pipe is read, so a child that
+    answered and then exited reads as its answer, not as a death."""
     alive = worker.process.is_alive()
     try:
-        while worker.conn.poll():
-            status, job_id, value, error = worker.conn.recv()
-            if status != "progress":
-                return status, value, error
-            progress(job_id, value)
+        if worker.conn.poll():
+            return worker.conn.recv()
     except (EOFError, OSError):
         alive = False
     if alive:
@@ -356,8 +347,8 @@ class WorkerPool:
                     job = entry.job
                     try:
                         worker = _spawn(_answer, self.entrypoint,
-                                        job.job_id, job.payload,
-                                        entry.attempt, job.kill_on_attempts)
+                                        job.payload, entry.attempt,
+                                        job.kill_on_attempts)
                     except Exception as exc:
                         self.progress(f"worker spawn failed ({exc}); "
                                       "degrading to serial execution")
@@ -369,7 +360,7 @@ class WorkerPool:
                     running.append(worker)
                 collected = False
                 for worker in list(running):
-                    answer = _collect(worker, time.monotonic(), None)
+                    answer = _collect(worker, time.monotonic())
                     if answer is None:
                         continue
                     if answer[0] == "timeout":
@@ -707,10 +698,8 @@ def _daemon_worker_main(conn, entrypoint) -> None:
     """Long-lived worker loop: execute assignments until told to stop.
 
     Protocol (over one duplex pipe): the parent sends
-    ``("run", job_id, payload, attempt, kill_on_attempts)`` or
-    ``("stop",)``; the child answers each run through :func:`_answer`,
-    preceded by zero or more ``("progress", job_id, data, "")``
-    messages from the entrypoint's ``progress(data)``.
+    ``("run", payload, attempt, kill_on_attempts)`` or ``("stop",)``;
+    the child answers each run through :func:`_answer`.
     """
     while True:
         try:
@@ -719,14 +708,13 @@ def _daemon_worker_main(conn, entrypoint) -> None:
             return
         if message[0] != "run":
             return
+        _answer(conn, entrypoint, *message[1:])
 
-        def progress(data, job_id=message[1]):
-            try:
-                conn.send(("progress", job_id, data, ""))
-            except OSError:
-                pass
 
-        _answer(conn, entrypoint, *message[1:], progress)
+def _without_progress(fn, payload, attempt):
+    """Call an entrypoint written for the retired daemon signature
+    ``fn(payload, attempt, progress)``, with no progress callback."""
+    return fn(payload, attempt, None)
 
 
 class WorkerDaemon:
@@ -734,17 +722,14 @@ class WorkerDaemon:
 
     Unlike :class:`WorkerPool`, the daemon never returns: jobs are
     :meth:`submit`\\ ted continuously and settle through callbacks.
-    Its entrypoint takes a third argument — ``fn(payload, attempt,
-    progress)`` — where ``progress(data)`` both streams a progress
-    event to the owner and renews the job's lease (a heartbeat).
+    Its entrypoint is the pool's, ``fn(payload, attempt)``.
 
-    Supervision (one background thread, one pass per arrival): relay
-    progress, settle finished jobs and grant the freed worker its next
-    lease in the same pass, renew the lease of every worker that is
-    demonstrably alive, and expire the lease of any worker that died or
-    overran the per-job ``timeout`` — the job re-queues and the next
-    attempt resumes from its last checkpoint (the entrypoint decides
-    what resuming means). Between passes the thread blocks in
+    Supervision (one background thread, one pass per arrival): settle
+    finished jobs and grant the freed worker its next lease in the same
+    pass, renew the lease of every worker that is demonstrably alive,
+    and expire the lease of any worker that died or overran the per-job
+    ``timeout`` — the job re-queues and the next attempt runs it from
+    the start. Between passes the thread blocks in
     :func:`_wait_ready` on the busy workers' pipes and process
     sentinels and on the wake-up that :meth:`submit` and
     :meth:`shutdown` write; the only timeouts are the nearest job
@@ -757,6 +742,10 @@ class WorkerDaemon:
                  on_event: Callable[[str, dict], None] | None = None,
                  on_settled: Callable[[str, JobOutcome], None] | None = None,
                  ) -> None:
+        if len(inspect.signature(entrypoint).parameters) == 3:
+            # The benchmark's daemon probe (perf/serve.py ``_noop``)
+            # still takes the retired progress callback.
+            entrypoint = functools.partial(_without_progress, entrypoint)
         self.entrypoint = entrypoint
         self.workers = max(1, workers)
         self.queue = queue or LeaseQueue()
@@ -843,7 +832,7 @@ class WorkerDaemon:
             return
         job, lease = leased
         try:
-            worker.conn.send(("run", job.job_id, job.payload, lease.attempt,
+            worker.conn.send(("run", job.payload, lease.attempt,
                               job.kill_on_attempts))
         except OSError:
             # Worker vanished while idle; give the lease back and come
@@ -856,10 +845,6 @@ class WorkerDaemon:
         self.on_event(job.job_id,
                       {"type": "lease", "worker": worker.worker_id,
                        "attempt": lease.attempt})
-
-    def _progress(self, job_id: str, data: dict) -> None:
-        self.queue.heartbeat(job_id)
-        self.on_event(job_id, {"type": "progress", **data})
 
     def _settle(self, worker: _Worker, status: str, value: Any,
                 error: str) -> None:
@@ -903,7 +888,7 @@ class WorkerDaemon:
                 self.on_event(expiry.job_id, event)
             for worker in self._workers:
                 if worker.job is not None:
-                    answer = _collect(worker, now, self._progress)
+                    answer = _collect(worker, now)
                     if answer is None:
                         # The worker is demonstrably alive: a heartbeat.
                         self.queue.heartbeat(worker.job.job_id, now)

@@ -52,9 +52,6 @@ class SweepRequest:
     max_cycles: int = 20_000_000
     fast_path: bool = True         # False: reference per-cycle simulator
     jit: bool = True               # False: fast path without the trace-JIT
-    #: Simulated cycles between worker checkpoints (timing jobs only);
-    #: long jobs killed mid-run resume from the last good checkpoint.
-    checkpoint_every: int = 2_000_000
 
 
 @dataclass
@@ -225,9 +222,7 @@ def run_sweep(request: SweepRequest, store: ResultStore | None,
     summary = _run_grid(
         request,
         LocalResolver(store, jobs=request.jobs, timeout=request.timeout,
-                      retries=request.retries,
-                      checkpoint_every=request.checkpoint_every,
-                      progress=progress),
+                      retries=request.retries, progress=progress),
         faults)
     if store is not None:
         store.flush_counters()

@@ -11,7 +11,8 @@ Layers:
 * :mod:`repro.resilience.watchdog` — forward-progress and budget
   guards hooked into the run loop;
 * :mod:`repro.resilience.checkpoint` — periodic on-disk checkpoints
-  and the resume protocol used by the job engine;
+  (a probe the benchmark times; the job engine reruns a killed job
+  from cycle 0 instead);
 * :mod:`repro.resilience.chaos` — the fault-injection harness behind
   ``python -m repro chaos``.
 """
@@ -22,7 +23,6 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "CheckpointManager",
-    "CheckpointPolicy",
     "CycleBudgetError",
     "InstructionBudgetError",
     "LivelockError",
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "checkpoint": ("CheckpointManager", "CheckpointPolicy"),
+    "checkpoint": ("CheckpointManager",),
     "failures": (
         "CycleBudgetError", "InstructionBudgetError", "LivelockError",
         "MemoryBudgetError", "SimulationFailure", "SimulationTimeout",

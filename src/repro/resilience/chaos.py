@@ -6,12 +6,9 @@ actively sabotages it — and asserts the sabotaged sweep still produces
 *bit-identical* results. The injected faults cover the crash modes the
 resilience layer claims to survive:
 
-* a worker SIGKILLed the moment it picks up a job (pure retry);
-* a worker SIGKILLed immediately after persisting its first durable
-  checkpoint (retry must *resume* mid-run, and the resumed result must
-  match the fault-free one exactly);
-* a truncated checkpoint file planted before the sweep (the checksum
-  must reject it and the job must silently start from cycle 0);
+* a worker SIGKILLed the moment it picks up a job (the retry runs the
+  job again from cycle 0, and its result must match the fault-free one
+  exactly);
 * a corrupted on-disk result cache entry (the store must treat it as a
   miss and recompute, not serve garbage);
 * a planted simulator livelock (must surface as a typed
@@ -40,9 +37,6 @@ class ChaosRequest:
     workloads: tuple[str, ...] = ("wc", "cmp")
     units: tuple[int, ...] = (2,)
     jobs: int = 2
-    #: Small on purpose: several checkpoints per job, so the
-    #: kill-after-checkpoint fault really does resume mid-run.
-    checkpoint_every: int = 2_000
     max_cycles: int = 2_000_000
     timeout: float = 120.0
 
@@ -71,8 +65,7 @@ class ChaosReport:
     def render(self) -> str:
         lines = [f"chaos: {len(self.request.workloads)} workloads x "
                  f"units {{{','.join(map(str, self.request.units))}}}, "
-                 f"{self.request.jobs} workers, checkpoint every "
-                 f"{self.request.checkpoint_every} cycles"]
+                 f"{self.request.jobs} workers"]
         for phase in self.phases:
             status = "ok" if phase.ok else "FAIL"
             lines.append(f"  [{status:4}] {phase.name}: {phase.detail}")
@@ -92,8 +85,7 @@ def run_chaos(request: ChaosRequest, progress=None) -> ChaosReport:
     sweep_request = SweepRequest(
         workloads=request.workloads, units=request.units,
         widths=(1,), orders=(False,), jobs=request.jobs,
-        timeout=request.timeout, max_cycles=request.max_cycles,
-        checkpoint_every=request.checkpoint_every)
+        timeout=request.timeout, max_cycles=request.max_cycles)
     grid = build_grid(sweep_request)
 
     # -------------------------------------------- phase 0: reference run
@@ -102,36 +94,24 @@ def run_chaos(request: ChaosRequest, progress=None) -> ChaosReport:
     reference = {job.key(): execute(job) for job in grid}
 
     ms_keys = [job.key() for job in grid if job.kind == "multiscalar"]
-    scalar_keys = [job.key() for job in grid if job.kind == "scalar"]
-    faults: dict[str, dict] = {}
-    if ms_keys:
-        faults[ms_keys[0]] = {"kill_on_attempts": (0,)}
-    if len(ms_keys) > 1:
-        faults[ms_keys[1]] = {"kill_after_checkpoint": (0,)}
-    elif ms_keys:
-        faults[ms_keys[0]]["kill_after_checkpoint"] = (1,)
+    # The first multiscalar job dies twice, so its third attempt is a
+    # rerun of a rerun; the second (if any) dies once.
+    faults = {key: {"kill_on_attempts": kills}
+              for key, kills in zip(ms_keys, [(0, 1), (0,)])}
+    kills = sum(len(fault["kill_on_attempts"]) for fault in faults.values())
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         store = ResultStore(Path(tmp))
 
-        # Plant a truncated checkpoint for a scalar job: the checksum
-        # must reject it and the job must run from cycle 0, correctly.
-        if scalar_keys:
-            ckpt_dir = store.root / "ckpt"
-            ckpt_dir.mkdir(parents=True, exist_ok=True)
-            (ckpt_dir / f"{scalar_keys[0]}.ckpt.json").write_text(
-                '{"schema": 1, "key": "' + scalar_keys[0]
-                + '", "cycle": 999, "checksum": "feedface", "payl')
-
         # ------------------------------- phase 1: sweep under sabotage
-        progress(f"chaos sweep: {len(faults)} injected faults over "
+        progress(f"chaos sweep: {kills} injected worker kills over "
                  f"{len(grid)} jobs")
         summary = run_sweep(sweep_request, store,
                             progress=progress, faults=faults)
         deaths = summary.worker_deaths
-        _compare(report, "killed workers + truncated checkpoint",
+        _compare(report, "killed workers",
                  summary, store, grid, reference,
-                 extra_ok=deaths >= len(faults),
+                 extra_ok=deaths >= kills,
                  extra_msg=f"{deaths} worker deaths, "
                            f"{summary.retries} retries")
 

@@ -7,8 +7,8 @@ long-lived service. Clients POST content-addressed job envelopes
 from the shared :class:`~repro.engine.store.ResultStore`, and queues
 everything else onto the leased
 :class:`~repro.engine.scheduler.WorkerDaemon` — priority classes,
-per-client quotas, heartbeat-renewed leases that requeue on worker
-death, and checkpoint-resume for interrupted simulations. Standalone
+per-client quotas, and leases renewed while the worker lives that
+requeue the job (to run again from the start) on worker death. Standalone
 ``repro sweep``/``repro fuzz`` keep working unchanged; pass
 ``--server URL`` to run the same commands as thin clients of a shared
 fleet. See ``docs/SERVER.md`` for the endpoint and lifecycle contract.

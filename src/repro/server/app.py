@@ -17,7 +17,7 @@ long-lived :class:`~repro.engine.scheduler.WorkerDaemon`:
 ``GET /v1/jobs/K/result``  the stored payload (``202`` while running,
                          ``409`` for failed jobs, ``404`` unknown)
 ``GET /v1/jobs/K/stream``  Server-Sent Events: the job's full event
-                         history, then live progress until terminal
+                         history, then live events until terminal
 ``GET /v1/queue``        queue snapshot (depth per priority, leases)
 ``GET /metrics``         the server registry merged with every
                          completed job's simulation metrics
@@ -27,8 +27,8 @@ long-lived :class:`~repro.engine.scheduler.WorkerDaemon`:
 
 Job lifecycle: ``queued → running → done | failed``, with ``requeue``
 events in between whenever a lease expired (worker death, timeout,
-stale heartbeat) and the job went back for another attempt — sim jobs
-resume from their last durable checkpoint. ``fault`` injections
+stale heartbeat) and the job went back for another attempt, which runs
+it again from cycle 0. ``fault`` injections
 (SIGKILL a worker on given attempts) are refused unless the server was
 started with ``--chaos``.
 """
@@ -54,7 +54,6 @@ from repro.engine.scheduler import (
 )
 from repro.engine.store import ResultStore
 from repro.observability.metrics import MetricsRegistry
-from repro.resilience.checkpoint import CheckpointPolicy
 from repro.server.jobs import BadJobError, ServerJob, execute_server_job
 
 #: Submission bodies larger than this are rejected outright.
@@ -141,8 +140,8 @@ class ReproServer:
     def __init__(self, *, workers: int = 2, lease_ttl: float = 30.0,
                  timeout: float = 600.0, retries: int = 2,
                  max_queue: int = 256, quota: int | None = None,
-                 checkpoint_every: int = 2_000_000, chaos: bool = False,
-                 store: ResultStore | None = None) -> None:
+                 chaos: bool = False, store: ResultStore | None = None,
+                 ) -> None:
         self.store = store
         self.chaos = chaos
         self.queue = LeaseQueue(lease_ttl=lease_ttl, max_depth=max_queue,
@@ -151,10 +150,6 @@ class ReproServer:
                                    queue=self.queue, timeout=timeout,
                                    on_event=self._on_event,
                                    on_settled=self._on_settled)
-        self.policy = None
-        if store is not None:
-            self.policy = CheckpointPolicy(
-                directory=str(store.root / "ckpt"), every=checkpoint_every)
         self._lock = threading.Lock()
         self.jobs: dict[str, JobRecord] = {}
         self._results: dict[str, dict] = {}    # only when store is None
@@ -312,8 +307,7 @@ class ReproServer:
                     self.metrics.count("server.cache_hits")
                 return 200, {"key": key, "status": "done",
                              "cached": True}
-        queued = QueuedJob(job_id=key,
-                           payload=(self._core(body), self.policy),
+        queued = QueuedJob(job_id=key, payload=self._core(body),
                            priority=priority, client=client,
                            kill_on_attempts=kill_on)
         with self._lock:
@@ -596,10 +590,15 @@ class ReproServer:
             # Idle keep-alive connections and parked long-polls end only
             # when told to, and Server.wait_closed() (3.12) waits for
             # every connection: Ctrl-C must not hang on a quiet client.
-            self._loop = None
+            # Each handler closes its transport on the way out; once
+            # they have all ended, every client socket reads EOF, so a
+            # client never sends its next request down a dead one.
             server.close()
-            for task in list(self._connections):
+            handlers = list(self._connections)
+            for task in handlers:
                 task.cancel()
+            await asyncio.gather(*handlers, return_exceptions=True)
+            self._loop = None
             await server.wait_closed()
 
     def run(self, host: str = "127.0.0.1", port: int = 0,

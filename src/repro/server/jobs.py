@@ -16,8 +16,8 @@ Fuzz and trace keys hash the canonical envelope together with the
 simulator's :func:`~repro.engine.job.code_fingerprint`, so — like sim
 jobs — their cached results self-invalidate when the simulator
 changes. :func:`execute_server_job` is the daemon worker entrypoint:
-module-level (picklable), checkpoint-aware for sim jobs, and reporting
-progress through the daemon's heartbeat callback.
+module-level (picklable), with the pool's ``fn(payload, attempt)``
+signature.
 """
 
 from __future__ import annotations
@@ -148,19 +148,15 @@ def _execute_trace(spec: dict) -> dict:
             "metrics": collect_metrics(processor).to_dict()}
 
 
-def execute_server_job(payload, attempt: int, progress) -> dict:
+def execute_server_job(payload: dict, attempt: int) -> dict:
     """Daemon worker entrypoint for every server job type.
 
-    ``payload`` is ``(envelope_dict, CheckpointPolicy | None)``;
-    ``progress`` is the daemon's heartbeat/progress callback. Sim jobs
-    checkpoint through the policy and therefore resume mid-run when a
-    previous attempt's worker was killed.
+    ``payload`` is the submission envelope. A sim job whose previous
+    attempt's worker was killed runs again from cycle 0.
     """
-    envelope, policy = payload
-    job = ServerJob.from_envelope(envelope)
+    job = ServerJob.from_envelope(payload)
     if job.type == "sim":
-        return execute(job.sim_job(), checkpoints=policy,
-                       attempt=attempt, progress=progress)
+        return execute(job.sim_job())
     if job.type == "fuzz":
         from repro.difftest.campaign import check_entry
 

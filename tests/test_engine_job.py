@@ -1,5 +1,8 @@
 """Tests for the engine's content-addressed job model."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.engine import job as job_mod
@@ -14,6 +17,7 @@ from repro.engine.job import (
 )
 
 NAME = "cmp"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def test_key_is_deterministic_and_hex():
@@ -93,6 +97,29 @@ def test_job_validation():
                            "shared_fp_units must be False or True")):
         with pytest.raises(ValueError, match=message):
             SimJob(kind="multiscalar", workload=NAME, **axes)
+    # Only MinC and assembly compile; anything else used to compile as
+    # MinC under a key of its own.
+    with pytest.raises(ValueError, match="language must be 'minic' or 'asm'"):
+        SimJob(kind="scalar", source="void main() {}", language="fortran")
+
+
+def test_labels_name_every_non_default_axis_and_knob():
+    # Paper-default labels are what sweep errors, server records and the
+    # benchmark's messages show: they must not change.
+    assert multiscalar_job("tomcatv", 8).label() == "tomcatv:ms:8u-1w-io"
+    assert scalar_job(NAME, 2, True).label() == f"{NAME}:scalar:2w-ooo"
+    assert count_job(NAME, True).label() == f"{NAME}:count:multi"
+    assert SimJob(kind="multiscalar", workload=NAME, units=4, ring_hop=2,
+                  loop_cut="all").label() \
+        == f"{NAME}:ms:4u-1w-io:ring_hop=2,loop_cut=all"
+    # The ARB ablation's five tomcatv jobs used to share one label.
+    spec = importlib.util.spec_from_file_location(
+        "ablation_arb", BENCHMARKS / "test_ablation_arb.py")
+    ablation = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ablation)
+    batch = [ablation.job(entries, "squash") for entries in ablation.ENTRIES] \
+        + [ablation.job(8, "stall")]
+    assert len({job.label() for job in batch}) == len(batch) == 5
 
 
 def test_execute_scalar_and_roundtrip():

@@ -34,9 +34,11 @@ HEAVY = (
     "repro.server.app",
     "multiprocessing",
 )
-#: What a parent must hold before it forks a worker that simulates.
+#: What a parent must hold before it forks a worker that simulates (a
+#: job never checkpoints, so the checkpoint layer is not among them).
 EXECUTION = tuple(name for name in HEAVY
-                  if name not in ("repro.server.app", "multiprocessing"))
+                  if name not in ("repro.server.app", "multiprocessing",
+                                  "repro.resilience.checkpoint"))
 #: The resolver's transports: the scheduler loads only on a store
 #: miss, the HTTP client only with ``--server``.
 TRANSPORT = ("repro.engine.scheduler", "repro.server.client")

@@ -1,10 +1,10 @@
-"""Engine-level resilience: durable writes, crash resume, clean Ctrl-C.
+"""Engine-level resilience: durable writes, crash reruns, clean Ctrl-C.
 
-Covers the integration seams: every persistent artifact (result store
-entries, checkpoints) goes through the shared checksummed atomic
-writer and reads corrupt data as absent; a worker killed after a
-durable checkpoint resumes bit-identically; and a KeyboardInterrupt
-drains pools without orphans while keeping every finished result.
+Covers the integration seams: every persistent store entry goes
+through the shared checksummed atomic writer and reads corrupt data as
+absent; a killed worker's job runs again from cycle 0 bit-identically;
+and a KeyboardInterrupt drains pools without orphans while keeping
+every finished result.
 """
 
 import json
@@ -12,19 +12,11 @@ import logging
 import multiprocessing
 import time
 
-import pytest
-
 from repro.difftest.campaign import FuzzCampaign
 from repro.engine.job import execute, multiscalar_job
-from repro.engine.scheduler import (
-    InjectedWorkerDeath,
-    JobOutcome,
-    PoolJob,
-    WorkerPool,
-)
+from repro.engine.scheduler import JobOutcome, PoolJob, WorkerPool
 from repro.engine.store import ResultStore
 from repro.engine.sweep import SweepRequest, run_sweep
-from repro.resilience.checkpoint import CheckpointPolicy
 
 KEY = "ab" + "0" * 62
 
@@ -47,45 +39,23 @@ def test_store_checksum_mismatch_is_a_miss_and_warns_once(tmp_path,
     assert len(warned) == 1
 
 
-# -------------------------------------------------- checkpointed execution
+# ------------------------------------------------------ killed-job rerun
 
-def test_execute_resumes_bit_identically_after_post_checkpoint_death(
-        tmp_path):
-    job = multiscalar_job("wc", 4, max_cycles=2_000_000)
-    reference = execute(job)
-    policy = CheckpointPolicy(directory=str(tmp_path), every=3_000,
-                              kill_after_checkpoint_on_attempts=(0,))
-    with pytest.raises(InjectedWorkerDeath):
-        execute(job, checkpoints=policy, attempt=0)
-    ckpt = tmp_path / f"{job.key()}.ckpt.json"
-    assert ckpt.is_file()              # the crash left a durable state
-    retried = execute(job, checkpoints=policy, attempt=1)
-    assert retried == reference        # resumed, yet bit-identical
-    assert not ckpt.exists()           # discarded on clean completion
-
-
-def test_execute_keeps_checkpoint_when_policy_says_so(tmp_path):
-    job = multiscalar_job("wc", 4, max_cycles=2_000_000)
-    policy = CheckpointPolicy(directory=str(tmp_path), every=3_000,
-                              keep=True)
-    execute(job, checkpoints=policy)
-    assert (tmp_path / f"{job.key()}.ckpt.json").is_file()
-
-
-def test_sweep_self_test_survives_kill_after_checkpoint(tmp_path):
+def test_sweep_killed_job_reruns_bit_identically(tmp_path):
     """End-to-end: the sweep's chaos fault path (serial here) kills the
-    runner right after its first checkpoint and must recover by resume
-    with identical results."""
+    job's first attempt; the retry runs it again from cycle 0 and
+    stores exactly what an undisturbed run returns."""
     request = SweepRequest(workloads=("wc",), units=(4,), jobs=1,
-                           max_cycles=2_000_000, checkpoint_every=3_000)
+                           max_cycles=2_000_000)
     store = ResultStore(tmp_path / "cache")
     key = multiscalar_job("wc", 4, max_cycles=2_000_000).key()
     summary = run_sweep(request, store,
-                        faults={key: {"kill_after_checkpoint": (0,)}})
+                        faults={key: {"kill_on_attempts": (0,)}})
     assert summary.ok
     assert summary.worker_deaths == 1
     assert store.get(key) == execute(
         multiscalar_job("wc", 4, max_cycles=2_000_000))
+    assert not (tmp_path / "cache" / "ckpt").exists()
 
 
 # ------------------------------------------------------ interrupt draining

@@ -180,6 +180,7 @@ def test_malformed_submissions_are_400(client):
                      {"type": "sim", "spec": {**sim, "arb_entries": 1.5}},
                      {"type": "sim", "spec": {**sim, "dcache_bank_kb": 0}},
                      {"type": "sim", "spec": {**sim, "pred_history": 0}},
+                     {"type": "sim", "spec": {**sim, "language": "fortran"}},
                      {"type": "sim",
                       "spec": {**sim, "arb_full_policy": ["stall"]}},
                      {"type": "fuzz", "spec": {"seed": 1}},
@@ -289,10 +290,10 @@ def test_status_answers_from_a_previous_server_life():
 
 # ------------------------------------------------------------ timeouts
 
-def _stall_first_attempt(payload, attempt, progress):
+def _stall_first_attempt(payload, attempt):
     if attempt == 0:
         time.sleep(60)
-    return execute_server_job(payload, attempt, progress)
+    return execute_server_job(payload, attempt)
 
 
 def test_overrunning_attempt_is_recorded_as_a_timeout(serve):

@@ -4,7 +4,7 @@ The LeaseQueue tests drive time explicitly (every method takes a
 ``now``), so lease expiry and heartbeat renewal are exact, not
 sleep-based. The daemon tests use tiny module-level entrypoints
 (picklable under any multiprocessing start method) plus one real
-simulation job to prove the kill → re-queue → checkpoint-resume story
+simulation job to prove the kill → re-queue → rerun-from-cycle-0 story
 end to end.
 """
 
@@ -159,12 +159,11 @@ def test_snapshot_and_drain():
 
 # ------------------------------------------------------------------ daemon
 
-def square3(payload, attempt, progress):
-    progress({"step": "computing"})
+def square(payload, attempt):
     return payload * payload
 
 
-def boom3(payload, attempt, progress):
+def boom(payload, attempt):
     raise ValueError("deterministic failure")
 
 
@@ -206,17 +205,16 @@ def run_daemon(entrypoint, jobs, *, workers=2, queue=None,
 
 
 def test_daemon_runs_jobs_and_reports_events():
-    rec = run_daemon(square3, [qjob(str(i), i) for i in range(5)])
+    rec = run_daemon(square, [qjob(str(i), i) for i in range(5)])
     assert {k: o.value for k, o in rec.outcomes.items()} \
         == {str(i): i * i for i in range(5)}
     for i in range(5):
         kinds = rec.kinds(str(i))
-        assert kinds[0] == "queued" and kinds[-1] == "done"
-        assert "lease" in kinds and "progress" in kinds
+        assert kinds == ["queued", "lease", "done"]
 
 
 def test_daemon_deterministic_failure_not_requeued():
-    rec = run_daemon(boom3, [qjob("bad", 1)])
+    rec = run_daemon(boom, [qjob("bad", 1)])
     outcome = rec.outcomes["bad"]
     assert not outcome.ok and "deterministic failure" in outcome.error
     assert outcome.attempts == 1
@@ -225,7 +223,7 @@ def test_daemon_deterministic_failure_not_requeued():
 
 def test_daemon_sigkilled_worker_requeues_and_recovers():
     queue = LeaseQueue(retries=2)
-    rec = run_daemon(square3, [qjob("k", 7, kill_on_attempts=(0,))],
+    rec = run_daemon(square, [qjob("k", 7, kill_on_attempts=(0,))],
                      queue=queue)
     outcome = rec.outcomes["k"]
     assert outcome.ok and outcome.value == 49
@@ -236,7 +234,7 @@ def test_daemon_sigkilled_worker_requeues_and_recovers():
 
 def test_daemon_always_dying_job_fails_with_budget_error():
     queue = LeaseQueue(retries=1)
-    rec = run_daemon(square3, [qjob("k", 3, kill_on_attempts=(0, 1))],
+    rec = run_daemon(square, [qjob("k", 3, kill_on_attempts=(0, 1))],
                      queue=queue)
     outcome = rec.outcomes["k"]
     assert not outcome.ok and "attempt budget" in outcome.error
@@ -247,7 +245,7 @@ def test_daemon_shutdown_drains_unfinished_jobs():
     import multiprocessing
 
     rec = Recorder()
-    daemon = WorkerDaemon(sleep3, workers=2,
+    daemon = WorkerDaemon(sleep_for, workers=2,
                           on_event=rec.on_event,
                           on_settled=rec.on_settled)
     daemon.start()
@@ -267,7 +265,7 @@ def test_daemon_shutdown_drains_unfinished_jobs():
     assert not multiprocessing.active_children(), "orphan workers"
 
 
-def sleep3(payload, attempt, progress):
+def sleep_for(payload, attempt):
     time.sleep(payload)
     return "woke"
 
@@ -275,7 +273,7 @@ def sleep3(payload, attempt, progress):
 # ------------------------------- supervision blocks on what it waits for
 
 def test_idle_daemon_does_not_tick(passes):
-    daemon = WorkerDaemon(noop3, workers=2)
+    daemon = WorkerDaemon(noop, workers=2)
     daemon.start()
     try:
         time.sleep(0.5)
@@ -290,7 +288,7 @@ def test_idle_daemon_does_not_tick(passes):
 def test_burst_costs_passes_in_proportion_to_messages(passes):
     # 20 submissions and 20 answers are 40 arrivals; a pass may also
     # find its wake-up already consumed by the one before.
-    rec = run_daemon(noop3, [qjob(str(i), i) for i in range(20)])
+    rec = run_daemon(noop, [qjob(str(i), i) for i in range(20)])
     assert {k: o.value for k, o in rec.outcomes.items()} \
         == {str(i): i for i in range(20)}
     assert len(passes) <= 2 * 40 + 5
@@ -301,7 +299,7 @@ def test_settled_slot_is_granted_its_next_job_in_the_same_pass(passes):
     # lead straight to the next lease, with no pass that finds the
     # worker idle while jobs are pending.
     rec = Recorder()
-    daemon = WorkerDaemon(noop3, workers=1, on_event=rec.on_event,
+    daemon = WorkerDaemon(noop, workers=1, on_event=rec.on_event,
                           on_settled=rec.on_settled)
     for i in range(3):
         daemon.submit(qjob(str(i), i))
@@ -319,7 +317,7 @@ def test_busy_daemon_wakes_to_renew_the_lease(passes):
     # A quiet worker must still be seen alive well inside the lease's
     # life: passes are at most lease_ttl / 3 apart.
     queue = LeaseQueue(lease_ttl=0.6)
-    rec = run_daemon(sleep3, [qjob("long", 1.0)], queue=queue, workers=1)
+    rec = run_daemon(sleep_for, [qjob("long", 1.0)], queue=queue, workers=1)
     assert rec.outcomes["long"].ok and rec.outcomes["long"].attempts == 1
     assert "requeue" not in rec.kinds("long")
     timeouts = [timeout for workers, timeout in passes if workers]
@@ -328,7 +326,7 @@ def test_busy_daemon_wakes_to_renew_the_lease(passes):
 
 
 def test_job_timeout_bounds_the_wait(passes):
-    rec = run_daemon(sleep3, [qjob("slow", 30.0)], timeout=0.3, workers=1,
+    rec = run_daemon(sleep_for, [qjob("slow", 30.0)], timeout=0.3, workers=1,
                      queue=LeaseQueue(retries=0, lease_ttl=30.0))
     assert not rec.outcomes["slow"].ok and rec.outcomes["slow"].timeouts == 1
     timeouts = [timeout for workers, timeout in passes if workers]
@@ -336,46 +334,40 @@ def test_job_timeout_bounds_the_wait(passes):
     assert len(passes) <= 8
 
 
-def noop3(payload, attempt, progress):
+def noop(payload, attempt):
     return payload
 
 
-# ------------------------------------- checkpoint-resume through the daemon
+def legacy_square(payload, attempt, progress):
+    assert progress is None
+    return payload * payload
 
-def test_killed_sim_job_resumes_from_checkpoint():
-    """A worker SIGKILLed after its first durable checkpoint re-queues,
-    and the next attempt resumes mid-run: its progress (= checkpoint)
-    cycles continue past the first attempt's instead of restarting at
-    the first boundary. The recovered payload is bit-identical to an
-    undisturbed run."""
+
+def test_three_argument_entrypoint_runs_without_progress():
+    # The benchmark's daemon probe still takes the retired progress
+    # argument; the daemon hands it None (delete with the adapter).
+    rec = run_daemon(legacy_square, [qjob("k", 3)], workers=1)
+    assert rec.outcomes["k"].ok and rec.outcomes["k"].value == 9
+
+
+# ------------------------------------------ killed-job rerun through the daemon
+
+def test_killed_sim_job_reruns_from_cycle_zero():
+    """A real sim job whose worker is SIGKILLed re-queues, and the next
+    attempt runs it again from cycle 0: two attempts, and a payload
+    bit-identical to an undisturbed run."""
     from repro.engine.job import execute, multiscalar_job
-    from repro.engine.store import default_cache_dir
-    from repro.resilience.checkpoint import CheckpointPolicy
     from repro.server.jobs import execute_server_job
 
     job = multiscalar_job("wc", 2)
-    policy = CheckpointPolicy(
-        directory=str(default_cache_dir() / "ckpt"), every=2_000,
-        kill_after_checkpoint_on_attempts=(0,))
-    queue = LeaseQueue(retries=2)
     envelope = {"type": "sim", "spec": job.spec()}
     rec = run_daemon(execute_server_job,
-                     [QueuedJob(job_id=job.key(),
-                                payload=(envelope, policy))],
-                     queue=queue)
+                     [QueuedJob(job_id=job.key(), payload=envelope,
+                                kill_on_attempts=(0,))],
+                     queue=LeaseQueue(retries=2))
     outcome = rec.outcomes[job.key()]
     assert outcome.ok and outcome.attempts == 2
-    kinds = rec.kinds(job.key())
-    assert "requeue" in kinds
-    with rec.lock:
-        events = rec.events[job.key()]
-    cut = next(i for i, e in enumerate(events) if e["type"] == "requeue")
-    before = [e["cycle"] for e in events[:cut]
-              if e["type"] == "progress" and "cycle" in e]
-    after = [e["cycle"] for e in events[cut:]
-             if e["type"] == "progress" and "cycle" in e]
-    assert before and after, "expected checkpoint progress on both sides"
-    assert min(after) > max(before), \
-        "attempt 2 re-simulated cycles attempt 1 had already checkpointed"
-    clean = execute(multiscalar_job("wc", 2))
-    assert outcome.value == clean
+    assert outcome.worker_deaths == 1
+    assert rec.kinds(job.key()) == ["queued", "lease", "requeue", "lease",
+                                    "done"]
+    assert outcome.value == execute(job)

@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import re
+import select
 import signal
 import socket
 import subprocess
@@ -35,12 +36,12 @@ def sim_envelope(job):
     return {"type": "sim", "spec": job.spec()}
 
 
-def _slow(payload, attempt, progress):
+def _slow(payload, attempt):
     time.sleep(0.7)
-    return execute_server_job(payload, attempt, progress)
+    return execute_server_job(payload, attempt)
 
 
-def _stuck(payload, attempt, progress):
+def _stuck(payload, attempt):
     time.sleep(60)
 
 
@@ -191,6 +192,57 @@ def test_client_reconnects_after_a_server_restart_on_its_port(serve):
     assert serve(second, port=first.port) == url
     assert client.health()["ok"]        # same client, stale socket
     assert counter(second, "http_connections") == 1
+
+
+class _Watched(ReproServer):
+    """A server that, at the moment its serve loop lets go of the event
+    loop (``_loop`` turns ``None``), records for each of ``sockets``
+    whether it already reads EOF: readable by a zero-wait ``select``,
+    and a read that returns no bytes."""
+
+    sockets: tuple = ()
+    eof: list | None = None
+
+    @property
+    def _loop(self):
+        return self.__dict__.get("loop")
+
+    @_loop.setter
+    def _loop(self, loop):
+        if loop is None and self._loop is not None:
+            readable = select.select(self.sockets, [], [], 0)[0]
+            self.eof = [sock in readable
+                        and sock.recv(1, socket.MSG_DONTWAIT) == b""
+                        for sock in self.sockets]
+        self.__dict__["loop"] = loop
+
+
+def test_kept_alive_sockets_read_eof_once_the_server_loop_is_gone(serve):
+    # A client's next request on a connection the stopped server still
+    # held open waited out the client's whole timeout.
+    srv = _Watched(workers=1, store=None)
+    serve(srv)
+    sockets, readers = [], []
+    try:
+        for _ in range(4):
+            sock = socket.create_connection(("127.0.0.1", srv.port),
+                                            timeout=10)
+            sockets.append(sock)
+            readers.append(sock.makefile("rb"))
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert read_response(readers[-1])[0] == 200
+        srv.sockets = tuple(sockets)
+        srv.shutdown()
+        srv.stop()
+        deadline = time.monotonic() + 10
+        while srv.eof is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert srv.eof == [True] * 4
+    finally:
+        for reader in readers:
+            reader.close()
+        for sock in sockets:
+            sock.close()
 
 
 def test_unreachable_server_is_status_zero():

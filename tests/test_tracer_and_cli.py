@@ -177,12 +177,6 @@ def test_cli_bad_program_is_one_line_and_exit_2(command, source, message,
      "argument --max-cycles: must be at least 1, not 0"),
     (["trace", "wc", "--max-cycles", "0"], 2,
      "argument --max-cycles: must be at least 1, not 0"),
-    (["chaos", "--checkpoint-every", "0"], 2,
-     "argument --checkpoint-every: must be at least 1, not 0"),
-    (["chaos", "--checkpoint-every", "-5"], 2,
-     "argument --checkpoint-every: must be at least 1, not -5"),
-    (["serve", "--checkpoint-every", "0"], 2,
-     "argument --checkpoint-every: must be at least 1, not 0"),
     (["serve", "--lease-ttl", "0"], 2,
      "argument --lease-ttl: must be more than 0 seconds, not 0"),
     (["serve", "--timeout", "-1"], 2,
@@ -203,9 +197,7 @@ def test_cli_bad_program_is_one_line_and_exit_2(command, source, message,
      "--self-test cannot run against --server"),
 ], ids=("tables-unknown-workload", "workloads-unknown-workload",
         "run-budget-scalar", "run-budget-ms4", "trace-budget",
-        "run-max-cycles-0", "trace-max-cycles-0", "chaos-checkpoint-0",
-        "chaos-checkpoint-negative", "serve-checkpoint-0",
-        "serve-lease-ttl-0", "serve-timeout-negative",
+        "run-max-cycles-0", "trace-max-cycles-0", "serve-lease-ttl-0", "serve-timeout-negative",
         "explore-timeout-negative", "explore-budget-0",
         "run-timeline-scalar", "fuzz-budget-0", "fuzz-unknown-language",
         "fuzz-unknown-opcode", "fuzz-self-test-server"))
