@@ -782,10 +782,25 @@ def _issue_widths(text: str) -> list[int]:
 class _Parser(argparse.ArgumentParser):
     """argparse whose rejections are one line, ``repro CMD: error:
     ...`` and exit 2, like every other error the CLI prints (``-h``
-    still shows the usage); subcommand parsers inherit the class."""
+    still shows the usage); subcommand parsers inherit the class, and
+    an argument no parser knows is rejected by the chosen
+    subcommand's."""
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def add_subparsers(self, **kwargs):
+        self._commands = super().add_subparsers(**kwargs)
+        return self._commands
+
+    def parse_args(self, args=None, namespace=None):
+        # argparse reports leftovers through the top-level parser
+        # ("repro: error:"); the chosen subcommand's parser names it.
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self._commands.choices[namespace.command].error(
+                f"unrecognized arguments: {' '.join(extras)}")
+        return namespace
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -55,7 +55,7 @@ from repro.jit.blocks import (
 )
 from repro.observability.events import Category as _Cat
 from repro.pipeline.context import StallReason
-from repro.pipeline.unit import _InFlight
+from repro.pipeline.unit import NO_PRODUCERS, _InFlight
 
 #: Body-feature bits. F_MEM / F_BRANCH prune the issue arms and the
 #: memory / control-flow machinery for windows that provably contain
@@ -392,6 +392,7 @@ def _emit_phases(L: _Lines, mem: bool, br: bool, traced: bool,
     w("slots[0] = cycle + 1")
     w("rec.issued = True")
     w("rec.done_cycle = done")
+    w("rec.producers = NOPROD  # an issued record links no producer")
     w("issued = 1")
     w("unissued -= 1")
     w("busy += 1")
@@ -601,7 +602,8 @@ def build_source(feat: int, inject_taken: bool = False) -> str:
     L = _Lines()
     w = L.w
 
-    w("def _make(T, XV, RSE, RSN, EMPTY, u32, arch_next_pc, _InFlight):")
+    w("def _make(T, XV, RSE, RSN, EMPTY, NOPROD, u32, arch_next_pc,")
+    w("          _InFlight):")
     L.indent()
     _emit_tables(L)
     w("def run(p, ctx, cycle, budget, counts):")
@@ -713,4 +715,5 @@ def compile_body(tables, xdok: list, feat: int,
     exec(compile(src, f"<jit:scalar:trace:feat{feat}>", "exec"),
          namespace)
     return namespace["_make"](tables, xdok, _RS_ENUM, _RS_NAME,
-                              _EMPTY_SRCS, _u32, _arch_next_pc, _InFlight)
+                              _EMPTY_SRCS, NO_PRODUCERS, _u32,
+                              _arch_next_pc, _InFlight)

@@ -17,7 +17,9 @@ hardware's tag-bit-aware instruction cache would (Section 2.2).
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
 
 from repro.config import UnitConfig
 from repro.isa import semantics
@@ -61,12 +63,25 @@ class MemRetry(Exception):
     retries on a later cycle."""
 
 
+#: What an issued record holds in place of its producer links: one
+#: shared, read-only empty mapping.
+NO_PRODUCERS = MappingProxyType({})
+
+
 class _InFlight:
     """One instruction in the ROB (dispatch through commit).
 
     A ``__slots__`` class rather than a dataclass: tens of millions are
     created per simulation and attribute access on them dominates the
     issue/commit loops.
+
+    An unissued record holds its producers, the in-flight records that
+    will write its source registers (None for a register read from the
+    register file). Issue reads the sources and swaps that mapping for
+    :data:`NO_PRODUCERS`, and only an unissued record can hold a
+    ``blocker``: an issued record keeps the values it computed and
+    links no other record, so records do not chain through a
+    loop-carried register (docs/INTERNALS.md §3).
     """
 
     __slots__ = ("uop", "pc", "idx", "issuable_at", "producers", "blocker",
@@ -79,10 +94,11 @@ class _InFlight:
         self.pc = pc
         self.idx = idx                # dispatch order, monotonic
         self.issuable_at = issuable_at
-        self.producers: dict[int, _InFlight | None] = {}
-        #: The producer that last refused this record issue. Derived
-        #: (never snapshotted): the out-of-order scan skips the record
-        #: until that producer has delivered.
+        self.producers: Mapping[int, _InFlight | None] = NO_PRODUCERS
+        #: The producer that last refused this record issue, set under
+        #: out-of-order issue only. Derived (never snapshotted): the
+        #: scan skips the record until that producer has delivered, and
+        #: clears it before it tries the record again.
         self.blocker: _InFlight | None = None
         self.issued = False
         self.done_cycle = 0
@@ -279,6 +295,7 @@ class UnitPipeline:
                                 rec.issued = True
                                 rec.done_cycle = cycle \
                                     + fus.latencies[uop.latency_key]
+                                rec.producers = NO_PRODUCERS
                                 issued = 1
                                 break
             elif self._in_order:
@@ -628,7 +645,8 @@ class UnitPipeline:
             elif producer.issued and cycle >= producer.done_cycle:
                 srcs[reg] = producer.result
             else:
-                rec.blocker = producer
+                if not self._in_order:
+                    rec.blocker = producer
                 return False
         uop = rec.uop
         kind = uop.kind
@@ -693,6 +711,7 @@ class UnitPipeline:
         slots[slot] = cycle + 1   # claim the instance's issue port
         rec.issued = True
         rec.done_cycle = done
+        rec.producers = NO_PRODUCERS
         return True
 
     # ---------------------------------------------------------- dispatch
@@ -792,8 +811,9 @@ class UnitPipeline:
 
     def state_dict(self) -> dict:
         # "Ghosts" are committed records still referenced as producers by
-        # ROB entries. Only their issued/done_cycle/result are ever read
-        # again, so a stub rebuilt from (idx, pc, done_cycle, result) is
+        # unissued ROB entries (an issued record names no producer). Only
+        # their issued/done_cycle/result are ever read again, so a stub
+        # rebuilt from (idx, pc, done_cycle, result) is
         # behaviour-identical.
         in_rob = {rec.idx for rec in self.rob}
         ghosts: dict[int, _InFlight] = {}
@@ -854,8 +874,9 @@ class UnitPipeline:
             rob.append(rec)
             by_idx[rec.idx] = rec
         for rec, rs in zip(rob, state["rob"]):
-            rec.producers = {reg: None if idx is None else by_idx[idx]
-                             for reg, idx in rs["producers"]}
+            if not rec.issued:
+                rec.producers = {reg: None if idx is None else by_idx[idx]
+                                 for reg, idx in rs["producers"]}
         self.pc = state["pc"]
         self.rob = rob
         self.fetch_buffer = deque(

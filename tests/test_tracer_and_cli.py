@@ -195,12 +195,15 @@ def test_cli_bad_program_is_one_line_and_exit_2(command, source, message,
      "unknown opcode 'nosuchop' for --self-test"),
     (["fuzz", "--self-test", "xor", "--server", "http://127.0.0.1:1"], 2,
      "--self-test cannot run against --server"),
+    (["chaos", "--bogus", "1"], 2, "unrecognized arguments: --bogus 1"),
+    (["sweep", "--bogus"], 2, "unrecognized arguments: --bogus"),
 ], ids=("tables-unknown-workload", "workloads-unknown-workload",
         "run-budget-scalar", "run-budget-ms4", "trace-budget",
         "run-max-cycles-0", "trace-max-cycles-0", "serve-lease-ttl-0", "serve-timeout-negative",
         "explore-timeout-negative", "explore-budget-0",
         "run-timeline-scalar", "fuzz-budget-0", "fuzz-unknown-language",
-        "fuzz-unknown-opcode", "fuzz-self-test-server"))
+        "fuzz-unknown-opcode", "fuzz-self-test-server", "chaos-unknown-flag",
+        "sweep-unknown-flag"))
 def test_cli_rejection_is_one_line(argv, code, message, tmp_path, capsys,
                                    monkeypatch):
     # Unusable input exits 2 and a typed simulation failure exits 1,
