@@ -115,84 +115,72 @@ def _known_workloads(names) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _load_program(path: str, multiscalar: bool,
-                  entries: list[str], auto_loops: bool):
-    """Compile/assemble ``path`` (.mc/.minc or assembly) into a
-    Program, annotated for multiscalar execution when requested."""
-    from repro.compiler.annotate import annotate_program
-    from repro.isa.assembler import assemble
-    from repro.minic.driver import compile_and_annotate, compile_scalar
+def _knobs(args: argparse.Namespace, annotated: bool) -> dict:
+    """``--auto-loops`` as the compiler knob it means, ``loop_cut="all"``
+    (every loop header a task entry), which only an annotated binary
+    takes."""
+    return {"loop_cut": "all"} if args.auto_loops and annotated else {}
 
-    def build():
-        text = Path(path).read_text()
-        if path.endswith(".mc") or path.endswith(".minc"):
-            if multiscalar:
-                return compile_and_annotate(
-                    text, path, extra_entries=entries,
-                    auto_loops=auto_loops)
-            return compile_scalar(text, path)
-        program = assemble(text, path)
-        if multiscalar:
-            return annotate_program(program, task_entries=entries,
-                                    auto_loops=auto_loops)
-        return program
 
-    return _checked(build)
+def _machine(args: argparse.Namespace, multiscalar: bool) -> dict:
+    """The machine flags of ``run`` and ``trace`` as ``SimJob`` fields."""
+    return {"kind": "multiscalar" if multiscalar else "scalar",
+            "units": args.units, "issue_width": args.issue,
+            "out_of_order": args.ooo, "fast_path": not args.no_fast_path,
+            "jit": not args.no_jit, **_knobs(args, multiscalar)}
+
+
+def _file_job(path: str, entries: list[str], **fields):
+    """The ``SimJob`` (with ``fields``) that runs the program file
+    ``path`` — MinC for ``.mc``/``.minc``, else assembly — with extra
+    task ``entries``. A missing or unreadable file is a
+    :class:`_CommandError`."""
+    from repro.engine.job import SimJob
+
+    text = _checked(lambda: Path(path).read_text())
+    language = "minic" if path.endswith((".mc", ".minc")) else "asm"
+    return SimJob(source=text, language=language, entries=tuple(entries),
+                  **fields)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Entry point for ``repro run``: simulate one program on
     the scalar baseline or a multiscalar machine."""
-    from repro.config import multiscalar_config, scalar_config
-    from repro.core.processor import MultiscalarProcessor
-    from repro.core.scalar import ScalarProcessor
     from repro.observability import Category, EventBus, render_timeline
 
     multiscalar = args.units > 1 or args.multiscalar
     if args.timeline and not multiscalar:
         raise _CommandError("--timeline needs a multiscalar machine "
                             "(--units above 1, or --multiscalar)")
-    program = _load_program(args.file, multiscalar, args.entries,
-                            args.auto_loops)
-    fast_path = not args.no_fast_path
-    jit = not args.no_jit
-    if multiscalar:
-        config = multiscalar_config(args.units, args.issue, args.ooo,
-                                    fast_path=fast_path, jit=jit)
-        processor = MultiscalarProcessor(program, config)
-        bus = EventBus(Category.TASK).attach(processor) \
-            if args.timeline else None
-        result = _simulate(processor.run, max_cycles=args.max_cycles)
-        print(result.output, end="")
-        if result.output and not result.output.endswith("\n"):
-            print()
-        print(f"-- {result.cycles} cycles, {result.instructions} "
-              f"instructions retired (IPC {result.ipc:.2f})",
-              file=sys.stderr)
-        print(f"-- tasks: {result.tasks_retired} retired, "
-              f"{result.tasks_squashed} squashed "
-              f"(mispredict {result.squashes_mispredict}, "
-              f"memory {result.squashes_memory}, "
-              f"ARB {result.squashes_arb}); "
-              f"prediction {result.prediction_accuracy:.1%}",
-              file=sys.stderr)
-        if args.stats:
-            for key, value in result.distribution.as_dict().items():
-                print(f"--   {key}: {value}", file=sys.stderr)
-        if bus is not None:
-            chart, summary = render_timeline(bus, processor.num_units)
-            print(chart, file=sys.stderr)
-            print("-- " + summary, file=sys.stderr)
-    else:
-        config = scalar_config(args.issue, args.ooo, fast_path=fast_path,
-                               jit=jit)
-        result = _simulate(ScalarProcessor(program, config).run,
-                           max_cycles=args.max_cycles)
-        print(result.output, end="")
-        if result.output and not result.output.endswith("\n"):
-            print()
+    job = _file_job(args.file, args.entries, **_machine(args, multiscalar))
+    processor = job.processor(_checked(job.program)[0])
+    bus = EventBus(Category.TASK).attach(processor) \
+        if args.timeline else None
+    result = _simulate(processor.run, max_cycles=args.max_cycles)
+    print(result.output, end="")
+    if result.output and not result.output.endswith("\n"):
+        print()
+    if not multiscalar:
         print(f"-- {result.cycles} cycles, {result.instructions} "
               f"instructions (IPC {result.ipc:.2f})", file=sys.stderr)
+        return 0
+    print(f"-- {result.cycles} cycles, {result.instructions} "
+          f"instructions retired (IPC {result.ipc:.2f})",
+          file=sys.stderr)
+    print(f"-- tasks: {result.tasks_retired} retired, "
+          f"{result.tasks_squashed} squashed "
+          f"(mispredict {result.squashes_mispredict}, "
+          f"memory {result.squashes_memory}, "
+          f"ARB {result.squashes_arb}); "
+          f"prediction {result.prediction_accuracy:.1%}",
+          file=sys.stderr)
+    if args.stats:
+        for key, value in result.distribution.as_dict().items():
+            print(f"--   {key}: {value}", file=sys.stderr)
+    if bus is not None:
+        chart, summary = render_timeline(bus, processor.num_units)
+        print(chart, file=sys.stderr)
+        print("-- " + summary, file=sys.stderr)
     return 0
 
 
@@ -216,9 +204,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
 def cmd_disasm(args: argparse.Namespace) -> int:
     """Entry point for ``repro disasm``: print the annotated
     listing and task descriptors of a program."""
-    program = _load_program(args.file, args.multiscalar, args.entries,
-                            args.auto_loops)
-    print(program.listing())
+    job = _file_job(args.file, args.entries, kind="count",
+                    annotated=args.multiscalar,
+                    **_knobs(args, args.multiscalar))
+    print(_checked(job.program)[0].listing())
     return 0
 
 
@@ -604,16 +593,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
         write_chrome_trace,
     )
 
-    multiscalar = args.units > 1 or args.multiscalar
-    from repro.config import multiscalar_config, scalar_config
-    from repro.core.processor import MultiscalarProcessor
-    from repro.core.scalar import ScalarProcessor
+    from repro.engine.job import SimJob
     from repro.workloads import WORKLOADS
 
+    multiscalar = args.units > 1 or args.multiscalar
+    machine = _machine(args, multiscalar)
     if args.target in WORKLOADS:
-        spec = WORKLOADS[args.target]
-        program = spec.multiscalar_program() if multiscalar \
-            else spec.scalar_program()
+        job = SimJob(workload=args.target, **machine)
         label = f"{args.target}:" \
             + (f"ms{args.units}" if multiscalar else "scalar")
     elif not Path(args.target).exists():
@@ -621,19 +607,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
             f"{args.target!r} is neither a workload "
             f"({', '.join(sorted(WORKLOADS))}) nor a program file")
     else:
-        program = _load_program(args.target, multiscalar, args.entries,
-                                args.auto_loops)
+        job = _file_job(args.target, args.entries, **machine)
         label = Path(args.target).name
-    fast_path = not args.no_fast_path
-    jit = not args.no_jit
-    if multiscalar:
-        processor = MultiscalarProcessor(
-            program, multiscalar_config(args.units, args.issue, args.ooo,
-                                        fast_path=fast_path, jit=jit))
-    else:
-        processor = ScalarProcessor(
-            program, scalar_config(args.issue, args.ooo,
-                                   fast_path=fast_path, jit=jit))
+    processor = job.processor(_checked(job.program)[0])
     bus = EventBus(args.categories, window=args.window).attach(processor)
     result = _simulate(processor.run, max_cycles=args.max_cycles)
     trace = chrome_trace(bus, num_units=args.units if multiscalar else 1,
@@ -822,7 +798,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--entries", type=lambda s: s.split(","),
                        default=[], help="extra task-entry labels")
         p.add_argument("--auto-loops", action="store_true",
-                       help="make every loop header a task entry")
+                       help="make every loop header a task entry (the "
+                            "compiler knob loop_cut=all; annotated "
+                            "binaries only)")
         p.add_argument("--no-fast-path", action="store_true",
                        help="force the reference per-cycle simulator "
                             "(results are identical, just slower)")

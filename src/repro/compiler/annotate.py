@@ -56,7 +56,6 @@ class AnnotationError(Exception):
 
 def annotate_program(program: Program,
                      task_entries: list[str] | None = None,
-                     auto_loops: bool = False,
                      knobs: CompilerKnobs | None = None) -> Program:
     """Produce an annotated multiscalar binary.
 
@@ -68,13 +67,12 @@ def annotate_program(program: Program,
     task_entries:
         Labels to use as task entry points (in addition to the program
         entry and any ``.task`` directives).
-    auto_loops:
-        Also make every natural-loop header a task entry (one task per
-        loop iteration — the paper's canonical partitioning).
     knobs:
         Tunable partitioning heuristics
         (:class:`~repro.compiler.knobs.CompilerKnobs`): the loop-cut
-        strategy (which may override ``task_entries``/``auto_loops``),
+        strategy (``"all"`` also makes every natural-loop header a task
+        entry, one task per loop iteration — the paper's canonical
+        partitioning; ``"none"`` overrides ``task_entries``),
         the create-mask policy, and the task-size cap. ``None`` means
         the hand-tuned defaults, which reproduce the historical
         behaviour of this pass exactly.
@@ -96,7 +94,7 @@ def annotate_program(program: Program,
     # Entry labels need not be branch targets; hand them to the CFG
     # builder so blocks split at every requested entry.
     cfg = build_cfg(program, extra_leaders=entries)
-    if knobs.loop_cut == "all" or (auto_loops and knobs.loop_cut != "none"):
+    if knobs.loop_cut == "all":
         entries |= cfg.loop_headers(program.entry)
     entries = close_entries(cfg, entries, program.entry)
     liveness = LivenessAnalysis(cfg, program.entry, whole_program=True)

@@ -30,13 +30,13 @@ from repro.difftest.shrink import shrink
 
 __all__ = [
     "AsmProgramGenerator",
-    "BackendSpec",
     "CampaignResult",
     "DiffReport",
     "Divergence",
     "FuzzCampaign",
     "GeneratedProgram",
     "MinicProgramGenerator",
+    "backend_label",
     "check_program",
     "current_backend",
     "full_grid",
@@ -58,7 +58,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "inject_opcode_bug",
     ),
     "oracle": (
-        "BackendSpec", "DiffReport", "Divergence", "check_program",
+        "DiffReport", "Divergence", "backend_label", "check_program",
         "full_grid",
     ),
 })

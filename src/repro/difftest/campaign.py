@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 from repro.difftest.generator import GeneratedProgram, generator_for
 from repro.difftest.oracle import (
-    BackendSpec,
     DiffReport,
     ProgramInvalid,
+    backend_label,
     check_program,
     full_grid,
 )
@@ -106,7 +106,7 @@ def check_entry(payload: dict, attempt: int) -> dict:
                                     % len(payload["languages"])]
     program = generator_for(language).generate(
         payload["seed"] * SEED_STRIDE + payload["index"])
-    grid = tuple(BackendSpec(*spec) for spec in payload["grid"])
+    grid = tuple(payload["grid"])
     kwargs = {}
     if payload["max_cycles"] is not None:
         kwargs["max_cycles"] = payload["max_cycles"]
@@ -146,9 +146,8 @@ class FuzzCampaign:
         #: The scalar baseline, plus its ``-nojit`` twin when ``jits``
         #: asks for one: the JIT serves the scalar core only, so that
         #: is the one machine the axis can select anything on.
-        self.scalar_backends = tuple(
-            BackendSpec("scalar", 1, 1, False, jit=jit)
-            for jit in jits)
+        self.scalar_backends = tuple({"kind": "scalar", "jit": jit}
+                                     for jit in jits)
         self.max_shrink_checks = max_shrink_checks
         self.max_cycles = max_cycles
         self.jobs = max(1, jobs)
@@ -159,11 +158,12 @@ class FuzzCampaign:
 
     # ------------------------------------------------------------- parts
 
-    def grid_for(self, index: int) -> tuple[BackendSpec, ...]:
+    def grid_for(self, index: int) -> tuple[dict, ...]:
         """Scalar backends + a rotating window of multiscalar configs."""
         window = [self.ms_grid[(index * WINDOW + k) % len(self.ms_grid)]
                   for k in range(min(WINDOW, len(self.ms_grid)))]
-        return (*self.scalar_backends, *dict.fromkeys(window))
+        return (*self.scalar_backends,
+                *(b for k, b in enumerate(window) if b not in window[:k]))
 
     def generate(self, index: int) -> GeneratedProgram:
         language = self.languages[index % len(self.languages)]
@@ -171,7 +171,7 @@ class FuzzCampaign:
             self.seed * SEED_STRIDE + index)
 
     def _check(self, program: GeneratedProgram,
-               grid: tuple[BackendSpec, ...]) -> DiffReport:
+               grid: tuple[dict, ...]) -> DiffReport:
         kwargs = {}
         if self.max_cycles is not None:
             kwargs["max_cycles"] = self.max_cycles
@@ -238,9 +238,12 @@ class FuzzCampaign:
         wave width. The pool runs ``jobs=1`` serially in this process,
         where looking ahead past a divergence only costs time (a planted
         bug can make a neighbouring check run to its cycle budget), so a
-        serial wave is one program."""
+        serial wave is one program. The simulator is loaded before the
+        pool forks, so no worker imports it again per program."""
+        from repro.engine.job import import_execution_modules
         from repro.engine.scheduler import PoolJob, WorkerPool
 
+        import_execution_modules()
         pool = WorkerPool(check_entry, jobs=self.jobs, retries=2,
                           progress=self.progress)
 
@@ -288,18 +291,17 @@ class FuzzCampaign:
             "seed": self.seed,
             "index": index,
             "languages": self.languages,
-            "grid": [(s.kind, s.units, s.issue_width, s.out_of_order,
-                      s.fast_path, s.jit)
-                     for s in self.grid_for(index)],
+            "grid": list(self.grid_for(index)),
             "max_cycles": self.max_cycles,
         }
 
     def _shrink(self, program: GeneratedProgram, report: DiffReport,
-                grid: tuple[BackendSpec, ...]) -> ShrinkResult:
+                grid: tuple[dict, ...]) -> ShrinkResult:
         # Re-check candidates only on the backends that diverged; the
         # full grid would multiply every ddmin probe's cost.
         guilty = {d.backend for d in report.divergences}
-        focus = tuple(s for s in grid if s.label in guilty) or grid
+        focus = tuple(b for b in grid if backend_label(b) in guilty) \
+            or grid
 
         def still_diverges(candidate: GeneratedProgram) -> bool:
             return not self._check(candidate, focus).ok

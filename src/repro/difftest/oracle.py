@@ -32,17 +32,13 @@ the ``task`` events of an attached
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.compiler import annotate_program
-from repro.config import multiscalar_config, scalar_config
-from repro.core.processor import MultiscalarProcessor
-from repro.core.scalar import ScalarProcessor
 from repro.difftest.generator import GeneratedProgram
 from repro.difftest.injection import use_backend
-from repro.isa import FunctionalCPU, Program, assemble
+from repro.engine.job import SimJob
+from repro.isa import FunctionalCPU, Program
 from repro.isa.memory_image import PAGE_SIZE, SparseMemory
-from repro.minic import compile_and_annotate, compile_scalar
 from repro.observability import Category, EventBus
 
 DEFAULT_MAX_INSTRUCTIONS = 400_000
@@ -55,42 +51,17 @@ class ProgramInvalid(Exception):
     skips such programs; the shrinker treats them as uninteresting."""
 
 
-@dataclass(frozen=True)
-class BackendSpec:
-    """One timing backend of the oracle grid."""
-
-    kind: str                     # "scalar" or "multiscalar"
-    units: int = 1
-    issue_width: int = 1
-    out_of_order: bool = False
-    #: False runs the reference per-cycle simulator (``--no-fast-path``)
-    #: — the same machine, so it must produce identical results; the
-    #: oracle treats it as just another backend axis.
-    fast_path: bool = True
-    #: False disables the trace-JIT (``--no-jit``) so the fast-path
-    #: interpreter runs every cycle itself; yet another same-machine
-    #: backend axis that must be bit-identical. Scalar backends only:
-    #: the multiscalar machine is interpreter-only, so the field
-    #: selects nothing there and earns no label.
-    jit: bool = True
-
-    @property
-    def label(self) -> str:
-        issue = f"{self.issue_width}w-" \
-            + ("ooo" if self.out_of_order else "io")
-        suffix = "" if self.fast_path else "-ref"
-        if self.kind == "scalar":
-            if self.fast_path and not self.jit:
-                suffix = "-nojit"
-            return f"scalar:{issue}{suffix}"
-        return f"ms:{self.units}u-{issue}{suffix}"
-
-
 def full_grid(units=(1, 2, 4, 8), widths=(1, 2),
               orders=(False, True),
-              fast_paths=(True,)) -> list[BackendSpec]:
-    """Every multiscalar configuration of the paper's evaluation grid."""
-    return [BackendSpec("multiscalar", u, w, o, fp)
+              fast_paths=(True,)) -> list[dict]:
+    """Every multiscalar configuration of the paper's evaluation grid.
+
+    A timing backend is a dict of :class:`SimJob` machine fields
+    (``kind`` and any of ``units``, ``issue_width``, ``out_of_order``,
+    ``fast_path``, ``jit`` or a machine axis); :func:`check_program`
+    binds it to each program as a job."""
+    return [{"kind": "multiscalar", "units": u, "issue_width": w,
+             "out_of_order": o, "fast_path": fp}
             for u in units for w in widths for o in orders
             for fp in fast_paths]
 
@@ -99,11 +70,18 @@ def full_grid(units=(1, 2, 4, 8), widths=(1, 2),
 #: shapes covering few/many units and in-order/out-of-order issue. The
 #: campaign rotates through :func:`full_grid` on top of this.
 DEFAULT_GRID = (
-    BackendSpec("scalar", 1, 1, False),
-    BackendSpec("multiscalar", 2, 1, False),
-    BackendSpec("multiscalar", 4, 1, False),
-    BackendSpec("multiscalar", 8, 2, True),
+    {"kind": "scalar"},
+    {"kind": "multiscalar", "units": 2},
+    {"kind": "multiscalar", "units": 4},
+    {"kind": "multiscalar", "units": 8, "issue_width": 2,
+     "out_of_order": True},
 )
+
+
+def backend_label(backend: dict) -> str:
+    """A backend's name in reports: its job's label after the program
+    name (``scalar:1w-io-nojit``, ``ms:4u-1w-io-ref``)."""
+    return SimJob(**backend, source="").label().partition(":")[2]
 
 
 @dataclass(frozen=True)
@@ -142,20 +120,23 @@ class DiffReport:
 
 # ======================================================= program loading
 
+def _bind(generated: GeneratedProgram, backend: dict,
+          max_cycles: int = DEFAULT_MAX_CYCLES) -> SimJob:
+    """``backend`` as the job that runs ``generated`` on it."""
+    entries = generated.task_entries() if generated.language == "asm" \
+        else ()
+    return SimJob(**backend, source=generated.source(),
+                  language=generated.language, entries=tuple(entries),
+                  max_cycles=max_cycles)
+
+
 def compile_backends(generated: GeneratedProgram) -> tuple[Program, Program]:
     """(scalar binary, annotated multiscalar binary) for one program."""
-    source = generated.source()
     try:
-        if generated.language == "asm":
-            scalar = assemble(source)
-            multi = annotate_program(assemble(source),
-                                     task_entries=generated.task_entries())
-        else:
-            scalar = compile_scalar(source)
-            multi = compile_and_annotate(source)
+        return tuple(_bind(generated, {"kind": kind}).program()[0]
+                     for kind in ("scalar", "multiscalar"))
     except Exception as exc:
         raise ProgramInvalid(f"compile failed: {exc}") from exc
-    return scalar, multi
 
 
 # ============================================================== outcomes
@@ -212,25 +193,6 @@ def run_functional(program: Program,
             instructions=cpu.instruction_count)
 
 
-def run_scalar_backend(program: Program, spec: BackendSpec,
-                       max_cycles: int = DEFAULT_MAX_CYCLES) -> Outcome:
-    with use_backend("scalar"):
-        processor = ScalarProcessor(
-            program, scalar_config(spec.issue_width, spec.out_of_order,
-                                   fast_path=spec.fast_path,
-                                   jit=spec.jit))
-        try:
-            result = processor.run(max_cycles=max_cycles)
-        except Exception as exc:
-            return Outcome(error=f"{type(exc).__name__}: {exc}")
-        return Outcome(
-            output=result.output,
-            regs=tuple(processor.regs),
-            memory=memory_delta(program.initial_memory(), processor.memory),
-            instructions=result.instructions,
-            cycles=result.cycles)
-
-
 def _lifecycle_failures(events, ring_senders=()) -> list[str]:
     """Fold a ``task``-category event stream into the lifecycle
     invariants it breaks (none for a healthy run): every assigned task
@@ -273,8 +235,7 @@ def _lifecycle_failures(events, ring_senders=()) -> list[str]:
     return failures
 
 
-def _check_invariants(processor: MultiscalarProcessor, result,
-                      events) -> tuple:
+def _check_invariants(processor, result, events) -> tuple:
     failures = []
     dist_total = result.distribution.total()
     expected_total = processor.num_units * result.cycles
@@ -290,26 +251,25 @@ def _check_invariants(processor: MultiscalarProcessor, result,
     return tuple(failures + _lifecycle_failures(events, senders))
 
 
-def run_multiscalar_backend(program: Program, spec: BackendSpec,
-                            max_cycles: int = DEFAULT_MAX_CYCLES
-                            ) -> Outcome:
-    with use_backend("multiscalar"):
-        processor = MultiscalarProcessor(
-            program, multiscalar_config(spec.units, spec.issue_width,
-                                        spec.out_of_order,
-                                        fast_path=spec.fast_path))
-        bus = EventBus(Category.TASK).attach(processor)
+def run_backend(job: SimJob, program: Program) -> Outcome:
+    """Run ``program`` on ``job``'s timing machine; a multiscalar run
+    also checks the machine invariants."""
+    with use_backend(job.kind):
+        processor = job.processor(program)
+        multi = job.kind == "multiscalar"
+        bus = EventBus(Category.TASK).attach(processor) if multi else None
         try:
-            result = processor.run(max_cycles=max_cycles)
+            result = processor.run(max_cycles=job.max_cycles)
         except Exception as exc:
             return Outcome(error=f"{type(exc).__name__}: {exc}")
         return Outcome(
             output=result.output,
-            regs=tuple(processor.arch_regs),
+            regs=tuple(processor.arch_regs if multi else processor.regs),
             memory=memory_delta(program.initial_memory(), processor.memory),
             instructions=result.instructions,
             cycles=result.cycles,
-            invariant_failures=_check_invariants(processor, result, bus))
+            invariant_failures=_check_invariants(processor, result, bus)
+            if multi else ())
 
 
 # ============================================================ comparison
@@ -352,7 +312,7 @@ def _compare(backend: str, reference: Outcome, observed: Outcome,
 
 
 def check_program(generated: GeneratedProgram,
-                  grid: tuple[BackendSpec, ...] = DEFAULT_GRID,
+                  grid: tuple[dict, ...] = DEFAULT_GRID,
                   max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                   max_cycles: int = DEFAULT_MAX_CYCLES) -> DiffReport:
     """Run one generated program across the grid and diff everything."""
@@ -377,26 +337,24 @@ def check_program(generated: GeneratedProgram,
     # knobs (fast-path vs reference, jit vs interpreter) must agree on
     # the cycle count too — the functional reference has no clock, so
     # this is the only check that can catch a timing-only JIT bug.
-    machine_cycles: dict[tuple, tuple[str, int]] = {}
-    for spec in grid:
-        report.backends_run.append(spec.label)
-        if spec.kind == "scalar":
-            outcome = run_scalar_backend(scalar_bin, spec, max_cycles)
-            report.divergences.extend(
-                _compare(spec.label, ref_scalar, outcome, check_regs=True))
-        else:
-            outcome = run_multiscalar_backend(multi_bin, spec, max_cycles)
-            report.divergences.extend(
-                _compare(spec.label, ref_multi, outcome, check_regs=False))
+    machine_cycles: dict[SimJob, tuple[str, int]] = {}
+    for backend in grid:
+        job = _bind(generated, backend, max_cycles)
+        label = backend_label(backend)
+        report.backends_run.append(label)
+        scalar = job.kind == "scalar"
+        outcome = run_backend(job, scalar_bin if scalar else multi_bin)
+        report.divergences.extend(_compare(
+            label, ref_scalar if scalar else ref_multi, outcome,
+            check_regs=scalar))
         if outcome.error:
             continue
-        machine = (spec.kind, spec.units, spec.issue_width,
-                   spec.out_of_order)
+        machine = replace(job, fast_path=True, jit=True)
         seen = machine_cycles.get(machine)
         if seen is None:
-            machine_cycles[machine] = (spec.label, outcome.cycles)
+            machine_cycles[machine] = (label, outcome.cycles)
         elif seen[1] != outcome.cycles:
             report.divergences.append(Divergence(
-                spec.label, "cycles",
+                label, "cycles",
                 f"{seen[1]} (as {seen[0]})", str(outcome.cycles)))
     return report

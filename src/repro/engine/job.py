@@ -270,13 +270,20 @@ class SimJob:
         """Short name for logs, errors and server records: program,
         kind and machine shape, then every machine axis and compiler
         knob that differs from the paper's default (a paper-default
-        job's label has no such suffix)."""
+        job's label has no such suffix). The shape ends in ``-ref``
+        without the fast path, or in ``-nojit`` for a scalar job with
+        the fast path but no trace-JIT (the knob selects nothing on
+        the multiscalar machine, so it earns no suffix there)."""
         name = self.workload or f"<inline {self.language}>"
         order = "ooo" if self.out_of_order else "io"
+        knob = "" if self.fast_path else "-ref"
         if self.kind == "scalar":
-            label = f"{name}:scalar:{self.issue_width}w-{order}"
+            if self.fast_path and not self.jit:
+                knob = "-nojit"
+            label = f"{name}:scalar:{self.issue_width}w-{order}{knob}"
         elif self.kind == "multiscalar":
-            label = f"{name}:ms:{self.units}u-{self.issue_width}w-{order}"
+            label = (f"{name}:ms:{self.units}u-{self.issue_width}w-"
+                     f"{order}{knob}")
         else:
             label = f"{name}:count:{'multi' if self.annotated else 'scalar'}"
         changed = [f"{axis}={getattr(self, axis)}"
@@ -289,8 +296,13 @@ class SimJob:
 
     # --------------------------------------------------------- execution
 
-    def _build(self):
-        """(program, expected output or None) for this job."""
+    def program(self):
+        """``(program, expected output or None)``: the binary this job
+        runs, compiled or assembled and, for a multiscalar or annotated
+        count job, annotated under the job's compiler knobs. The first
+        half of the program/processor seam; a caller that runs one
+        binary on several machines builds it once and hands it to each
+        machine's :meth:`processor`."""
         knobs = self.compiler_knobs()
         if self.workload is not None:
             spec = _workload_spec(self.workload)
@@ -315,6 +327,24 @@ class SimJob:
             else:
                 program = compile_scalar(self.source)
         return program, None
+
+    def processor(self, program):
+        """A fresh, unrun timing machine of this job's kind, shape and
+        machine axes, loaded with ``program``: the second half of the
+        program/processor seam, and the one place in the package that
+        builds a processor. Only a scalar job loads the scalar core
+        (and with it the trace-JIT); a count job has no machine."""
+        if self.kind == "scalar":
+            from repro.core.scalar import ScalarProcessor
+
+            return ScalarProcessor(program, scalar_config(
+                self.issue_width, self.out_of_order,
+                fast_path=self.fast_path, jit=self.jit))
+        if self.kind == "multiscalar":
+            from repro.core.processor import MultiscalarProcessor
+
+            return MultiscalarProcessor(program, self.machine_config())
+        raise ValueError("a count job runs no timing machine")
 
     def machine_config(self) -> MachineConfig:
         """The multiscalar :class:`~repro.config.MachineConfig` this job
@@ -401,23 +431,16 @@ def execute(job: SimJob) -> dict:
     runs it again from cycle 0 and yields the same bytes — as the
     paper's machine squashes a task and re-executes it from its start.
     """
-    from repro.core.processor import MultiscalarProcessor
-    from repro.core.scalar import ScalarProcessor
     from repro.isa.executor import FunctionalCPU
     from repro.observability.metrics import collect_metrics
 
-    program, expected = job._build()
-    if job.kind == "scalar":
-        processor = ScalarProcessor(
-            program, scalar_config(job.issue_width, job.out_of_order,
-                                   fast_path=job.fast_path, jit=job.jit))
-    elif job.kind == "multiscalar":
-        processor = MultiscalarProcessor(program, job.machine_config())
-    else:
+    program, expected = job.program()
+    if job.kind == "count":
         cpu = FunctionalCPU(program)
         cpu.run()
         job._verify(cpu.output, expected)
         return {"type": "count", "count": cpu.instruction_count}
+    processor = job.processor(program)
     result = processor.run(max_cycles=job.max_cycles)
     job._verify(result.output, expected)
     return {"type": job.kind, "result": result.to_dict(),

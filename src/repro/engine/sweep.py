@@ -284,19 +284,15 @@ def render_timelines(request: SweepRequest, width: int = 72) -> str:
     ``task``-category :class:`~repro.observability.EventBus` attached
     and render the per-unit task timelines (serial; timing only,
     results ignored)."""
-    from repro.config import multiscalar_config
-    from repro.core.processor import MultiscalarProcessor
     from repro.observability import Category, EventBus, render_timeline
-    from repro.workloads import WORKLOADS
 
     units = max(request.units) if request.units else 4
     lines = []
     for name in request.workloads:
-        spec = WORKLOADS[name]
-        processor = MultiscalarProcessor(
-            spec.multiscalar_program(),
-            multiscalar_config(units, max(request.widths),
-                               request.orders[-1]))
+        job = SimJob(kind="multiscalar", workload=name, units=units,
+                     issue_width=max(request.widths),
+                     out_of_order=request.orders[-1])
+        processor = job.processor(job.program()[0])
         bus = EventBus(Category.TASK).attach(processor)
         processor.run(max_cycles=request.max_cycles)
         lines.append(f"-- {name} ({units} units) --")

@@ -24,7 +24,6 @@ def compile_scalar(source: str, name: str = "<minc>") -> Program:
 
 def compile_and_annotate(source: str, name: str = "<minc>",
                          extra_entries: list[str] | None = None,
-                         auto_loops: bool = False,
                          knobs: CompilerKnobs | None = None) -> Program:
     """Compile MinC to an annotated multiscalar binary.
 
@@ -35,12 +34,11 @@ def compile_and_annotate(source: str, name: str = "<minc>",
     (:class:`~repro.compiler.CompilerKnobs`; ``None`` = defaults).
     """
     return annotate_unit(compile_minic(source, name), name, extra_entries,
-                         auto_loops, knobs)
+                         knobs)
 
 
 def annotate_unit(unit: CompiledUnit, name: str = "<minc>",
                   extra_entries: list[str] | None = None,
-                  auto_loops: bool = False,
                   knobs: CompilerKnobs | None = None) -> Program:
     """The back half of :func:`compile_and_annotate`: assemble an
     already-compiled unit and annotate it. Callers that re-partition
@@ -48,5 +46,4 @@ def annotate_unit(unit: CompiledUnit, name: str = "<minc>",
     call this per setting (the unit is only read)."""
     program = assemble(unit.asm, name)
     entries = list(unit.task_labels) + list(extra_entries or [])
-    return annotate_program(program, task_entries=entries,
-                            auto_loops=auto_loops, knobs=knobs)
+    return annotate_program(program, task_entries=entries, knobs=knobs)

@@ -180,17 +180,14 @@ def _compare(report: ChaosReport, name: str, summary, store, grid,
 
 def _livelock_phase(request: ChaosRequest, progress) -> ChaosPhase:
     """Plant a retirement livelock; it must surface as LivelockError."""
-    from repro.config import multiscalar_config
-    from repro.core.processor import MultiscalarProcessor
     from repro.difftest.injection import inject_livelock
+    from repro.engine.job import SimJob
     from repro.resilience.watchdog import Watchdog
-    from repro.workloads import WORKLOADS
 
     progress("planting a retirement livelock under a watchdog")
-    spec = WORKLOADS[request.workloads[0]]
-    processor = MultiscalarProcessor(
-        spec.multiscalar_program(),
-        multiscalar_config(max(request.units), 1, False))
+    job = SimJob(kind="multiscalar", workload=request.workloads[0],
+                 units=max(request.units))
+    processor = job.processor(job.program()[0])
     watchdog = Watchdog(progress_window=2_000)
     try:
         with inject_livelock():

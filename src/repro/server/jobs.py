@@ -25,7 +25,12 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.engine.job import SimJob, code_fingerprint, execute
+from repro.engine.job import (
+    DEFAULT_MAX_CYCLES,
+    SimJob,
+    code_fingerprint,
+    execute,
+)
 
 #: Bump when the envelope or key recipe changes incompatibly.
 SERVER_JOB_SCHEMA_VERSION = 1
@@ -59,13 +64,39 @@ class ServerJob:
                 raise BadJobError(
                     f"fuzz spec missing {sorted(missing)}")
         else:
-            from repro.workloads import WORKLOADS
+            self._trace_job(spec)
 
-            workload = spec.get("workload")
-            if workload not in WORKLOADS:
-                raise BadJobError(
-                    f"trace spec needs a registered workload, "
-                    f"not {workload!r}")
+    def _trace_job(self, spec: dict) -> None:
+        """Check a ``trace`` spec as a ``sim`` spec is checked: its
+        machine becomes a :class:`SimJob` (multiscalar above one unit),
+        and its ``categories`` and ``window`` are parsed, so a spec
+        that cannot run fails here with HTTP 400, not in a worker."""
+        from repro.observability import Category
+        from repro.workloads import WORKLOADS
+
+        workload = spec.get("workload")
+        if workload not in WORKLOADS:
+            raise BadJobError(
+                f"trace spec needs a registered workload, "
+                f"not {workload!r}")
+        try:
+            units = spec.get("units", 4)
+            self._sim = SimJob(
+                kind="multiscalar" if units > 1 else "scalar",
+                workload=workload, units=units,
+                issue_width=spec.get("issue_width", 1),
+                out_of_order=spec.get("out_of_order", False),
+                max_cycles=spec.get("max_cycles", DEFAULT_MAX_CYCLES))
+            self._categories = Category.parse(spec.get("categories", "all"))
+            self._window = spec.get("window") or None
+            if self._window is not None:
+                start, end = self._window
+                if not (type(start) is type(end) is int and start < end):
+                    raise ValueError("window must be [start, end] cycles "
+                                     "with end after start")
+                self._window = (start, end)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise BadJobError(f"bad trace spec: {exc}") from None
 
     @classmethod
     def from_envelope(cls, data) -> "ServerJob":
@@ -113,36 +144,20 @@ class ServerJob:
 
 # --------------------------------------------------------------- execution
 
-def _execute_trace(spec: dict) -> dict:
+def _execute_trace(job: ServerJob) -> dict:
     """Run one workload with the event bus attached; return the
     Perfetto-loadable trace plus run metrics as a JSON payload."""
-    from repro.config import multiscalar_config, scalar_config
-    from repro.core import MultiscalarProcessor, ScalarProcessor
-    from repro.observability import Category, EventBus, chrome_trace
+    from repro.observability import EventBus, chrome_trace
     from repro.observability.metrics import collect_metrics
-    from repro.workloads import WORKLOADS
 
-    workload = spec["workload"]
-    units = int(spec.get("units", 4))
-    issue = int(spec.get("issue_width", 1))
-    ooo = bool(spec.get("out_of_order", False))
-    max_cycles = int(spec.get("max_cycles", 20_000_000))
-    categories = Category.parse(spec.get("categories", "all"))
-    window = spec.get("window")
-    window = tuple(window) if window else None
-    wl = WORKLOADS[workload]
-    if units > 1:
-        processor = MultiscalarProcessor(
-            wl.multiscalar_program(), multiscalar_config(units, issue, ooo))
-        label = f"{workload}:ms{units}"
-    else:
-        processor = ScalarProcessor(
-            wl.scalar_program(), scalar_config(issue, ooo))
-        label = f"{workload}:scalar"
-    bus = EventBus(categories, window=window).attach(processor)
-    result = processor.run(max_cycles=max_cycles)
-    trace = chrome_trace(bus, num_units=units if units > 1 else 1,
-                         total_cycles=result.cycles, label=label)
+    sim = job._sim
+    processor = sim.processor(sim.program()[0])
+    bus = EventBus(job._categories, window=job._window).attach(processor)
+    result = processor.run(max_cycles=sim.max_cycles)
+    label = f"{sim.workload}:" \
+        + (f"ms{sim.units}" if sim.kind == "multiscalar" else "scalar")
+    trace = chrome_trace(bus, num_units=sim.units, total_cycles=result.cycles,
+                         label=label)
     return {"type": "trace", "cycles": result.cycles,
             "events": len(bus.events), "trace": trace,
             "metrics": collect_metrics(processor).to_dict()}
@@ -162,4 +177,4 @@ def execute_server_job(payload: dict, attempt: int) -> dict:
 
         return {"type": "fuzz", "check": check_entry(dict(job.spec),
                                                      attempt)}
-    return _execute_trace(job.spec)
+    return _execute_trace(job)

@@ -8,13 +8,16 @@ structure, and producing a new binary."
 
 import pytest
 
-from repro.compiler import annotate_program
+from repro.compiler import CompilerKnobs, annotate_program
 from repro.compiler.annotate import strip_annotations
 from repro.config import multiscalar_config
 from repro.core.processor import MultiscalarProcessor
 from repro.isa import FunctionalCPU, assemble
 from repro.isa.opcodes import Op, StopKind
 from repro.minic import compile_and_annotate, compile_scalar
+
+#: Re-partition with every natural loop as a task.
+ALL_LOOPS = CompilerKnobs(loop_cut="all")
 
 SOURCE = """
 int out[32];
@@ -91,7 +94,7 @@ def test_migration_to_new_generation(annotated, expected):
     # Old generation: loop-iteration tasks. New generation: strip, then
     # re-partition with every natural loop as a task.
     stripped = strip_annotations(annotated)
-    new_generation = annotate_program(stripped, auto_loops=True)
+    new_generation = annotate_program(stripped, knobs=ALL_LOOPS)
     assert new_generation.is_multiscalar()
     result = MultiscalarProcessor(new_generation,
                                   multiscalar_config(4)).run()
@@ -102,7 +105,7 @@ def test_round_trip_annotation_is_stable(annotated, expected):
     # strip(annotate(strip(annotate(p)))) keeps executing correctly.
     once = strip_annotations(annotated)
     twice = strip_annotations(
-        annotate_program(once, auto_loops=True))
+        annotate_program(once, knobs=ALL_LOOPS))
     cpu = FunctionalCPU(twice)
     cpu.run()
     assert cpu.output == expected

@@ -3,7 +3,7 @@ of auto-annotated programs (the central toolchain property)."""
 
 import pytest
 
-from repro.compiler import annotate_program
+from repro.compiler import CompilerKnobs, annotate_program
 from repro.compiler.annotate import AnnotationError
 from repro.config import multiscalar_config
 from repro.core.processor import MultiscalarProcessor
@@ -71,9 +71,9 @@ sum:    lw $t4, 0($s7)
 """
 
 
-def annotate(source, entries=None, auto_loops=False):
+def annotate(source, entries=None, knobs=None):
     return annotate_program(assemble(source), task_entries=entries,
-                            auto_loops=auto_loops)
+                            knobs=knobs)
 
 
 def test_descriptors_created_and_closed():
@@ -217,7 +217,7 @@ def test_auto_loops_partitioning_runs():
     scalar = assemble(NESTED_LOOPS)
     reference = FunctionalCPU(scalar)
     reference.run()
-    annotated = annotate(NESTED_LOOPS, auto_loops=True)
+    annotated = annotate(NESTED_LOOPS, knobs=CompilerKnobs(loop_cut="all"))
     # inner, outer, and sum loops all became tasks.
     assert len(annotated.tasks) >= 4
     processor = MultiscalarProcessor(annotated, multiscalar_config(4))

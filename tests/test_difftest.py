@@ -16,7 +16,6 @@ from repro.config import multiscalar_config, scalar_config
 from repro.core import MultiscalarProcessor, ScalarProcessor
 from repro.difftest import (
     AsmProgramGenerator,
-    BackendSpec,
     FuzzCampaign,
     MinicProgramGenerator,
     check_program,
@@ -33,10 +32,11 @@ from repro.resilience.failures import SimulationFailure
 from repro import cli
 
 SMALL_GRID = (
-    BackendSpec("scalar", 1, 1, False),
-    BackendSpec("scalar", 1, 2, True),
-    BackendSpec("multiscalar", 4, 1, False),
-    BackendSpec("multiscalar", 8, 2, True),
+    {"kind": "scalar"},
+    {"kind": "scalar", "issue_width": 2, "out_of_order": True},
+    {"kind": "multiscalar", "units": 4},
+    {"kind": "multiscalar", "units": 8, "issue_width": 2,
+     "out_of_order": True},
 )
 
 

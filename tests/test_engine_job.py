@@ -120,6 +120,16 @@ def test_labels_name_every_non_default_axis_and_knob():
     batch = [ablation.job(entries, "squash") for entries in ablation.ENTRIES] \
         + [ablation.job(8, "stall")]
     assert len({job.label() for job in batch}) == len(batch) == 5
+    # The simulator knobs key jobs apart, so the labels tell them apart
+    # too; the JIT serves the scalar core alone and is named only there.
+    assert scalar_job(NAME, fast_path=False).label() \
+        == f"{NAME}:scalar:1w-io-ref"
+    assert scalar_job(NAME, jit=False).label() == f"{NAME}:scalar:1w-io-nojit"
+    assert scalar_job(NAME, fast_path=False, jit=False).label() \
+        == f"{NAME}:scalar:1w-io-ref"
+    assert multiscalar_job(NAME, 4, fast_path=False).label() \
+        == f"{NAME}:ms:4u-1w-io-ref"
+    assert multiscalar_job(NAME, 4, jit=False).label() == f"{NAME}:ms:4u-1w-io"
 
 
 def test_execute_scalar_and_roundtrip():
@@ -138,6 +148,16 @@ def test_execute_multiscalar_and_count_agree_with_labels():
     # Retired (useful) instructions of the timing run match the
     # functional dynamic count of the same binary.
     assert multi["result"]["instructions"] == count["count"]
+
+
+def test_program_and_processor_are_execute_in_two_halves():
+    job = multiscalar_job(NAME, units=2)
+    program, expected = job.program()
+    result = job.processor(program).run(max_cycles=job.max_cycles)
+    assert result.output == expected
+    assert result.to_dict() == execute(job)["result"]
+    with pytest.raises(ValueError, match="count job"):
+        count_job(NAME, annotated=True).processor(program)
 
 
 def test_execute_inline_minic_source():

@@ -27,7 +27,6 @@ from repro.config import multiscalar_config, scalar_config
 from repro.core.processor import MultiscalarProcessor
 from repro.core.scalar import ScalarProcessor
 from repro.difftest import (
-    BackendSpec,
     FuzzCampaign,
     check_program,
     generator_for,
@@ -98,10 +97,10 @@ def test_generated_programs_fast_path_matches_reference():
 def test_oracle_grid_carries_the_fast_path_axis():
     generated = generator_for("asm").generate(41)
     grid = (
-        BackendSpec("scalar", 1, 1, False),
-        BackendSpec("scalar", 1, 1, False, fast_path=False),
-        BackendSpec("multiscalar", 4, 1, False),
-        BackendSpec("multiscalar", 4, 1, False, fast_path=False),
+        {"kind": "scalar"},
+        {"kind": "scalar", "fast_path": False},
+        {"kind": "multiscalar", "units": 4},
+        {"kind": "multiscalar", "units": 4, "fast_path": False},
     )
     report = check_program(generated, grid=grid)
     assert report.ok, report.render()

@@ -37,13 +37,17 @@ from repro.config import multiscalar_config, scalar_config
 from repro.core.processor import MultiscalarProcessor
 from repro.core.scalar import ScalarProcessor
 from repro.difftest import (
-    BackendSpec,
     FuzzCampaign,
     check_program,
     generator_for,
     inject_jit_guard_miss,
 )
-from repro.difftest.oracle import ProgramInvalid, compile_backends, full_grid
+from repro.difftest.oracle import (
+    ProgramInvalid,
+    backend_label,
+    compile_backends,
+    full_grid,
+)
 from repro.jit import engine_for
 from repro.observability import collect_metrics
 from repro.workloads import WORKLOADS
@@ -124,18 +128,19 @@ def test_generated_programs_jit_matches_interpreter():
 def test_oracle_grid_carries_the_jit_axis():
     generated = generator_for("asm").generate(43)
     grid = (
-        BackendSpec("scalar", 1, 1, False),
-        BackendSpec("scalar", 1, 1, False, jit=False),
-        BackendSpec("multiscalar", 4, 1, False),
-        BackendSpec("multiscalar", 4, 1, False, fast_path=False),
+        {"kind": "scalar"},
+        {"kind": "scalar", "jit": False},
+        {"kind": "multiscalar", "units": 4},
+        {"kind": "multiscalar", "units": 4, "fast_path": False},
     )
     report = check_program(generated, grid=grid)
     assert report.ok, report.render()
     assert "scalar:1w-io-nojit" in report.backends_run
     assert "ms:4u-1w-io-ref" in report.backends_run
     # The axis exists only where it selects something.
-    labels = {spec.label for spec in full_grid(fast_paths=(True, False))}
-    labels.add(BackendSpec("multiscalar", 4, 1, False, jit=False).label)
+    labels = {backend_label(b) for b in full_grid(fast_paths=(True, False))}
+    labels.add(backend_label({"kind": "multiscalar", "units": 4,
+                              "jit": False}))
     assert not any(label.endswith("-nojit") for label in labels)
 
 
@@ -176,9 +181,9 @@ def test_no_jit_config_never_builds_an_engine():
 def test_guard_miss_is_caught_by_the_jit_axis():
     generated = generator_for("minic").generate(12345)
     grid = (
-        BackendSpec("scalar", 1, 1, False),
-        BackendSpec("scalar", 1, 1, False, jit=False),
-        BackendSpec("multiscalar", 4, 1, False),
+        {"kind": "scalar"},
+        {"kind": "scalar", "jit": False},
+        {"kind": "multiscalar", "units": 4},
     )
     assert check_program(generated, grid=grid).ok
     with inject_jit_guard_miss("taken-branch"):

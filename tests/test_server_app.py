@@ -105,8 +105,8 @@ def test_fault_injection_requeues_and_matches_standalone(server, client):
 
 def test_fuzz_job_type(server, client):
     spec = {"seed": 3, "index": 0, "languages": ["asm"],
-            "grid": [["scalar", 1, 1, False, True, True],
-                     ["multiscalar", 2, 1, False, True, True]],
+            "grid": [{"kind": "scalar"},
+                     {"kind": "multiscalar", "units": 2}],
             "max_cycles": 200_000}
     answer = client.submit({"type": "fuzz", "spec": spec})
     client.wait([answer["key"]], timeout=60)
@@ -184,7 +184,18 @@ def test_malformed_submissions_are_400(client):
                      {"type": "sim",
                       "spec": {**sim, "arb_full_policy": ["stall"]}},
                      {"type": "fuzz", "spec": {"seed": 1}},
-                     {"type": "trace", "spec": {"workload": "zzz"}}):
+                     {"type": "trace", "spec": {"workload": "zzz"}},
+                     {"type": "trace",
+                      "spec": {"workload": "wc", "units": "x"}},
+                     {"type": "trace", "spec": {"workload": "wc", "units": 0}},
+                     {"type": "trace",
+                      "spec": {"workload": "wc", "issue_width": 3}},
+                     {"type": "trace",
+                      "spec": {"workload": "wc", "max_cycles": 0}},
+                     {"type": "trace",
+                      "spec": {"workload": "wc", "categories": "bogus"}},
+                     {"type": "trace",
+                      "spec": {"workload": "wc", "window": [5]}}):
         with pytest.raises(ServerError) as err:
             client.submit(envelope, max_retries=0)
         assert err.value.status == 400, envelope
