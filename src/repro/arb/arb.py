@@ -195,20 +195,13 @@ class AddressResolutionBuffer:
                         if mask & (1 << byte) and store_seq > best[byte]:
                             best[byte] = store_seq
                             vals[byte] = data[byte]
-        out = bytearray(4)
+        out = self.memory.read_aligned_word(word_addr << 2)
         forwarded = False
-        base = word_addr << 2
-        read_byte = self.memory.read_byte
-        if best is None:
-            for byte in (0, 1, 2, 3):
-                out[byte] = read_byte(base + byte)
-        else:
+        if best is not None:
             for byte in (0, 1, 2, 3):
                 if best[byte] >= 0:
                     out[byte] = vals[byte]
                     forwarded = True
-                else:
-                    out[byte] = read_byte(base + byte)
         if not is_head:
             record = entry.loads.get(seq)
             if record is None:

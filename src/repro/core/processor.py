@@ -356,13 +356,12 @@ class MultiscalarProcessor:
                 # the (stable) stall reason exactly as it would have.
                 task.cycles.stall_cycles[pipeline._last_stall] += 1
                 continue
-            issued, reason = pipeline.step(cycle)
             # TaskCycleRecord.note, in line (once per unit-cycle).
-            if issued:
+            if pipeline.step(cycle):
                 task.cycles.busy_cycles += 1
                 issuing = True
             else:
-                task.cycles.stall_cycles[reason] += 1
+                task.cycles.stall_cycles[pipeline._last_stall] += 1
                 if pipeline._activity:
                     moving = True
                 elif fast and self._squash_request is None:

@@ -153,10 +153,11 @@ class ScalarProcessor:
                     stall_cycles[reason.name] += stalled
                     counts[reason] = 0
         else:
-            issued, reason = pipeline.step(cycle)
+            issued = pipeline.step(cycle)
             if issued:
                 self._last_progress = cycle
             else:
+                reason = pipeline._last_stall
                 stall_cycles[reason.name] += 1
             next_cycle = cycle + 1
             if self._fast and not issued and not self.halted:

@@ -174,6 +174,18 @@ class SimJob:
         if self.language not in ("minic", "asm"):
             raise ValueError(f"language must be 'minic' or 'asm', "
                              f"not {self.language!r}")
+        # Types first: a bool is no int here, nor an int a bool.
+        # ``issue_width=True`` would be keyed apart from 1, and
+        # ``out_of_order="no"`` would run out of order.
+        for name in ("units", "issue_width", "max_cycles"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, not {value!r}")
+        for name in ("out_of_order", "fast_path", "jit", "annotated"):
+            value = getattr(self, name)
+            if type(value) is not bool:
+                raise ValueError(
+                    f"{name} must be False or True, not {value!r}")
         # A machine that cannot exist must not reach a worker: zero
         # units spin to the livelock deadline, a zero budget times out
         # at once, and Table 1 defines 1- and 2-way units only.

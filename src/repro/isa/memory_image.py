@@ -54,6 +54,16 @@ class SparseMemory:
             return 0
         return page[addr & PAGE_MASK]
 
+    def read_aligned_word(self, addr: int) -> bytearray:
+        """A fresh copy of the 4 bytes of the aligned word at ``addr``
+        (one page slice: an aligned word never straddles a page)."""
+        addr &= MASK32
+        page = self._pages.get(addr >> PAGE_BITS)
+        if page is None:
+            return bytearray(4)
+        offset = addr & PAGE_MASK
+        return page[offset:offset + 4]
+
     def write_byte(self, addr: int, value: int) -> None:
         addr &= MASK32
         self._page(addr)[addr & PAGE_MASK] = value & 0xFF

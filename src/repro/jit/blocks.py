@@ -53,9 +53,9 @@ class TraceTables:
 
     __slots__ = (
         "uops", "text_base", "nwords",
-        "kind", "fui", "lat", "srcs", "dsts", "dst1", "imm", "target",
+        "kind", "fui", "lat", "deps", "dst1", "imm", "target",
         "alu", "branch", "ea_base", "store_reg",
-        "is_jal", "is_release", "instrs",
+        "is_jal", "instrs",
         "regions", "region_of", "blocks", "block_of",
         "block_entries", "region_calls", "region_cycles", "region_uops",
         "region_exits",
@@ -69,8 +69,7 @@ class TraceTables:
         self.kind = [KIND_ID[u.kind] for u in uops]
         self.fui = [u.fui for u in uops]
         self.lat = [latencies[u.latency_key] for u in uops]
-        self.srcs = [u.srcs for u in uops]
-        self.dsts = [u.dsts for u in uops]
+        self.deps = [u.deps for u in uops]
         self.dst1 = [u.dst if u.dst is not None else 0 for u in uops]
         self.imm = [u.imm for u in uops]
         self.target = [u.target for u in uops]
@@ -80,7 +79,6 @@ class TraceTables:
         self.store_reg = [u.store_reg for u in uops]
         self.is_jal = [u.kind is Kind.CALL and u.op is Op.JAL
                        for u in uops]
-        self.is_release = [u.op is Op.RELEASE for u in uops]
         self.instrs = [u.instr for u in uops]
 
         self.regions = trace_regions(uops)

@@ -55,7 +55,7 @@ from repro.jit.blocks import (
 )
 from repro.observability.events import Category as _Cat
 from repro.pipeline.context import StallReason
-from repro.pipeline.unit import NO_PRODUCERS, _InFlight
+from repro.pipeline.unit import _NO_WRITERS, OPERANDS, _InFlight
 
 #: Body-feature bits. F_MEM / F_BRANCH prune the issue arms and the
 #: memory / control-flow machinery for windows that provably contain
@@ -76,12 +76,6 @@ _R_NONE = int(StallReason.NONE)
 _R_INTRA = int(StallReason.INTRA_TASK)
 _R_WAIT = int(StallReason.WAIT_RETIRE)
 _R_FETCH = int(StallReason.FETCH)
-
-#: Shared sources dict for uops with no register producers: their bound
-#: closures never index it (LUI/LI/LA ignore the argument), and gathered
-#: source dicts are never mutated after issue, so sharing is safe.
-_EMPTY_SRCS: dict = {}
-
 
 class _Lines:
     """Tiny indented-source builder."""
@@ -111,10 +105,10 @@ def _emit_tables(L: _Lines) -> None:
     """
     w = L.w
     w("KIND = T.kind; LAT = T.lat; FUI = T.fui")
-    w("SRCS = T.srcs; DSTS = T.dsts; DST1 = T.dst1")
+    w("DEPS = T.deps; DST1 = T.dst1")
     w("IMM = T.imm; TGT = T.target; ALUF = T.alu; BRF = T.branch")
     w("EA = T.ea_base; SREG = T.store_reg; INSTR = T.instrs")
-    w("UOPS = T.uops; ISREL = T.is_release; ISJAL = T.is_jal")
+    w("UOPS = T.uops; ISJAL = T.is_jal")
     w("BLOCK_OF = T.block_of; BENT = T.block_entries")
     w("TB = T.text_base; NW = T.nwords")
     w("IFNEW = _InFlight.__new__")
@@ -134,6 +128,8 @@ def _emit_phases(L: _Lines, mem: bool, br: bool, traced: bool,
                      loads_t stores_t
     out scalars      issued rid act (plus scratch)
     aliased state    rob fb lw unres fbv stats counts regs
+    operand slots    s (the pipeline module's shared OPERANDS list)
+    empty scoreboard NOWR (copied into lw in place)
     bound callables  fetch_group mem_load mem_store
     constants        window fetchq stopc cycle trace tid
     """
@@ -153,24 +149,17 @@ def _emit_phases(L: _Lines, mem: bool, br: bool, traced: bool,
     w("rob.pop(0)")
     w("committed += 1")
     w("w0 = (r0.pc - TB) >> 2")
-    w("ds = DSTS[w0]")
-    w("if ds:")
+    w("d1 = DST1[w0]")
+    w("if d1:")
     L.indent()
     w("res = r0.result")
     w("if res is not None:")
     L.indent()
-    w("d1 = DST1[w0]")
-    w("if d1:")
-    L.indent()
     w("regs[d1] = res")
     L.dedent()
-    L.dedent()
-    w("for d in ds:")
+    w("if lw[d1] is r0:")
     L.indent()
-    w("if lw.get(d) is r0:")
-    L.indent()
-    w("del lw[d]")
-    L.dedent()
+    w("lw[d1] = None")
     L.dedent()
     L.dedent()
     if mem:
@@ -240,7 +229,8 @@ def _emit_phases(L: _Lines, mem: bool, br: bool, traced: bool,
         if mem:
             w("pstores = 0")
         w("unissued = 0")
-        w("lw.clear()")
+        w("# The scoreboard, rebuilt from the surviving issued records.")
+        w("lw[:] = NOWR")
         w("for r in keep:")
         L.indent()
         w("wk = (r.pc - TB) >> 2")
@@ -253,9 +243,9 @@ def _emit_phases(L: _Lines, mem: bool, br: bool, traced: bool,
         L.indent()
         w("unissued += 1")
         L.dedent()
-        w("for d in DSTS[wk]:")
+        w("elif DST1[wk]:")
         L.indent()
-        w("lw[d] = r")
+        w("lw[DST1[wk]] = r")
         L.dedent()
         L.dedent()
         L.dedent()
@@ -271,26 +261,27 @@ def _emit_phases(L: _Lines, mem: bool, br: bool, traced: bool,
 
     # ------------------------------------------------------------- issue
     w("# Issue (in-order, width 1): exact _try_issue transcription.")
+    w("# Each source comes from its latest issued writer on the")
+    w("# scoreboard or from the register file (no reservations on")
+    w("# the scalar core).")
     w("issued = 0")
     w("if unissued:")
     L.indent()
     w("rec = rob[-unissued]")
     w("if cycle >= rec.issuable_at:")
     L.indent()
-    w("prod = rec.producers")
+    w("wq = (rec.pc - TB) >> 2")
     w("ok = True")
-    w("if prod:")
+    w("for reg in DEPS[wq]:")
     L.indent()
-    w("srcs = {}")
-    w("for reg, pr in prod.items():")
+    w("wr = lw[reg]")
+    w("if wr is None:")
     L.indent()
-    w("if pr is None:")
-    L.indent()
-    w("srcs[reg] = regs[reg]")
+    w("s[reg] = regs[reg]")
     L.dedent()
-    w("elif pr.issued and cycle >= pr.done_cycle:")
+    w("elif cycle >= wr.done_cycle:")
     L.indent()
-    w("srcs[reg] = pr.result")
+    w("s[reg] = wr.result")
     L.dedent()
     w("else:")
     L.indent()
@@ -298,19 +289,13 @@ def _emit_phases(L: _Lines, mem: bool, br: bool, traced: bool,
     w("break")
     L.dedent()
     L.dedent()
-    L.dedent()
-    w("else:")
-    L.indent()
-    w("srcs = EMPTY")
-    L.dedent()
     w("if ok:")
     L.indent()
-    w("wq = (rec.pc - TB) >> 2")
     w("k = KIND[wq]")
     w("fail = False")
     if mem:
-        # Load-ordering constraints (exact _older_unresolved_branch /
-        # _older_uncommitted_store transcription).
+        # Load-ordering constraints (exact UnitPipeline._load_waits
+        # transcription).
         w(f"if k == {K_LOAD}:")
         L.indent()
         w("ri = rec.idx")
@@ -353,26 +338,26 @@ def _emit_phases(L: _Lines, mem: bool, br: bool, traced: bool,
     w("fn = ALUF[wq]")
     w("if fn is not None:")
     L.indent()
-    w("rec.result = fn(srcs)")
+    w("rec.result = fn(s)")
     L.dedent()
     L.dedent()
     if mem:
         w(f"elif k == {K_LOAD}:")
         L.indent()
-        w("rec.ea = ea = u32(srcs[EA[wq]] + IMM[wq])")
+        w("rec.ea = ea = u32(s[EA[wq]] + IMM[wq])")
         w("v, done = mem_load(INSTR[wq], ea, cycle + 1)")
         w("rec.result = v")
         w("loads_t += 1")
         L.dedent()
         w(f"elif k == {K_STORE}:")
         L.indent()
-        w("rec.ea = ea = u32(srcs[EA[wq]] + IMM[wq])")
-        w("rec.store_value = srcs[SREG[wq]]")
+        w("rec.ea = ea = u32(s[EA[wq]] + IMM[wq])")
+        w("rec.store_value = s[SREG[wq]]")
         L.dedent()
     if br:
         w(f"elif k == {K_BRANCH}:")
         L.indent()
-        w("t = BRF[wq](srcs)")
+        w("t = BRF[wq](s)")
         w("rec.taken = t")
         w("rec.next_pc = TGT[wq] if t else rec.pc + 4")
         L.dedent()
@@ -380,7 +365,7 @@ def _emit_phases(L: _Lines, mem: bool, br: bool, traced: bool,
     # without F_BRANCH never holds such a record.
     w(f"elif k == {K_JUMP} or k == {K_CALL} or k == {K_JUMP_REG}:")
     L.indent()
-    w("rec.next_pc = arch_next_pc(INSTR[wq], srcs, rec.pc)")
+    w("rec.next_pc = arch_next_pc(INSTR[wq], s, rec.pc)")
     w(f"if k == {K_CALL}:")
     L.indent()
     w("rec.result = u32(rec.pc + 4)")
@@ -392,7 +377,11 @@ def _emit_phases(L: _Lines, mem: bool, br: bool, traced: bool,
     w("slots[0] = cycle + 1")
     w("rec.issued = True")
     w("rec.done_cycle = done")
-    w("rec.producers = NOPROD  # an issued record links no producer")
+    w("d1 = DST1[wq]")
+    w("if d1:")
+    L.indent()
+    w("lw[d1] = rec")
+    L.dedent()
     w("issued = 1")
     w("unissued -= 1")
     w("busy += 1")
@@ -413,38 +402,17 @@ def _emit_phases(L: _Lines, mem: bool, br: bool, traced: bool,
     w("wd = (dpc - TB) >> 2")
     w("# Inlined _InFlight construction (one record per dispatched")
     w("# instruction): __new__ plus direct slot stores skips the")
-    w("# __init__ call frame. Every slot is written — snapshot and")
-    w("# interpreter code read them all after a demotion.")
+    w("# __init__ call frame. The slots are those UnitPipeline.step")
+    w("# writes; issue writes the results, and a branch the flag the")
+    w("# interpreter's resolution reads after a demotion.")
     w("rec = IFNEW(_InFlight)")
     w("rec.uop = uop")
     w("rec.pc = dpc")
     w("rec.idx = didx")
     w("rec.issuable_at = cycle + 1")
-    w("rec.blocker = None")
     w("rec.issued = False")
-    w("rec.done_cycle = 0")
-    w("rec.result = None")
-    w("rec.ea = 0")
-    w("rec.store_value = None")
-    w("rec.taken = False")
     w("rec.resolved = True")
-    w("rec.stalled_fetch = False")
-    w("rec.next_pc = dpc + 4")
     w("didx += 1")
-    w("st = SRCS[wd]")
-    w("prod = {}")
-    w("rec.producers = prod")
-    w("if st and not ISREL[wd]:")
-    L.indent()
-    w("for reg in st:")
-    L.indent()
-    w("prod[reg] = lw.get(reg)")
-    L.dedent()
-    L.dedent()
-    w("for dst in DSTS[wd]:")
-    L.indent()
-    w("lw[dst] = rec")
-    L.dedent()
     if mem:
         w(f"if KIND[wd] == {K_STORE}:")
         L.indent()
@@ -460,6 +428,7 @@ def _emit_phases(L: _Lines, mem: bool, br: bool, traced: bool,
         w(f"if kd == {K_BRANCH}:")
         L.indent()
         w("rec.resolved = False")
+        w("rec.stalled_fetch = False")
         w("unres.append(rec)")
         L.dedent()
         w(f"elif kd == {K_JUMP}:")
@@ -602,8 +571,7 @@ def build_source(feat: int, inject_taken: bool = False) -> str:
     L = _Lines()
     w = L.w
 
-    w("def _make(T, XV, RSE, RSN, EMPTY, NOPROD, u32, arch_next_pc,")
-    w("          _InFlight):")
+    w("def _make(T, XV, RSE, RSN, u32, arch_next_pc, _InFlight, s, NOWR):")
     L.indent()
     _emit_tables(L)
     w("def run(p, ctx, cycle, budget, counts):")
@@ -714,6 +682,6 @@ def compile_body(tables, xdok: list, feat: int,
     namespace: dict = {}
     exec(compile(src, f"<jit:scalar:trace:feat{feat}>", "exec"),
          namespace)
-    return namespace["_make"](tables, xdok, _RS_ENUM, _RS_NAME,
-                              _EMPTY_SRCS, NO_PRODUCERS, _u32,
-                              _arch_next_pc, _InFlight)
+    return namespace["_make"](tables, xdok, _RS_ENUM, _RS_NAME, _u32,
+                              _arch_next_pc, _InFlight, OPERANDS,
+                              _NO_WRITERS)

@@ -26,6 +26,7 @@ from repro.isa import semantics
 from repro.isa.executor import next_pc as arch_next_pc
 from repro.isa.memory_image import MASK32, u32
 from repro.isa.opcodes import Kind, Op, StopKind
+from repro.isa.registers import NUM_UNIFIED_REGS
 from repro.isa.uop import MicroOp
 from repro.observability.events import Category as _Cat
 from repro.pipeline.context import PipelineContext, StallReason
@@ -37,6 +38,7 @@ _CAT_PIPE = int(_Cat.PIPE)
 #: Enum members the hot loop compares against, bound once (a global
 #: load instead of a global load plus an attribute load per test).
 _ALU = Kind.ALU
+_LOAD = Kind.LOAD
 _STORE = Kind.STORE
 _SYSCALL = Kind.SYSCALL
 _HALT = Kind.HALT
@@ -47,6 +49,16 @@ _R_INTRA = StallReason.INTRA_TASK
 _R_SYSCALL = StallReason.SYSCALL
 _R_WAIT = StallReason.WAIT_RETIRE
 _R_FETCH = StallReason.FETCH
+
+#: The operand slots issue fills, indexed by register number. The
+#: bound ``uop.alu`` / ``uop.branch`` closures, ``arch_next_pc`` and
+#: ``semantics.*`` read ``s[reg]`` for the issuing record's sources
+#: only, and each issue reads what it filled before it returns, so one
+#: list serves every unit (and the JIT's windows) and is never cleared.
+OPERANDS: list = [0] * NUM_UNIFIED_REGS
+
+#: An empty ``last_writer`` table, copied in place (no allocation).
+_NO_WRITERS = (None,) * NUM_UNIFIED_REGS
 
 #: What :meth:`UnitPipeline._commit` reports back to ``step``.
 _BLOCKED, _RETIRED, _RETIRED_LAST = range(3)
@@ -63,8 +75,8 @@ class MemRetry(Exception):
     retries on a later cycle."""
 
 
-#: What an issued record holds in place of its producer links: one
-#: shared, read-only empty mapping.
+#: What an in-order record (and an issued out-of-order one) holds in
+#: place of producer links: one shared, read-only empty mapping.
 NO_PRODUCERS = MappingProxyType({})
 
 
@@ -75,18 +87,29 @@ class _InFlight:
     created per simulation and attribute access on them dominates the
     issue/commit loops.
 
-    An unissued record holds its producers, the in-flight records that
-    will write its source registers (None for a register read from the
-    register file). Issue reads the sources and swaps that mapping for
-    :data:`NO_PRODUCERS`, and only an unissued record can hold a
-    ``blocker``: an issued record keeps the values it computed and
-    links no other record, so records do not chain through a
-    loop-carried register (docs/INTERNALS.md §3).
+    Under in-order issue a record links no other record at all: issue
+    reads each source from the unit's scoreboard (``last_writer``, the
+    latest *issued* writer of each register) or from the register file,
+    so the record lives exactly from dispatch to commit
+    (docs/INTERNALS.md §3). ``producers`` and ``blocker`` are class
+    attributes here, read-only and empty; :class:`_OooInFlight` gives
+    them slots.
+
+    ``__init__`` writes every slot; ``step`` writes only the six every
+    record reads (``uop``, ``pc``, ``idx``, ``issuable_at``, ``issued``,
+    ``resolved``). Issue writes the results where the kind has them,
+    and ``_dispatch_control`` writes ``taken``, ``next_pc`` and
+    ``stalled_fetch`` on the control and stop-tagged records that read
+    them; every other read is behind the ``issued`` flag or the kind
+    that guarantees the store.
     """
 
-    __slots__ = ("uop", "pc", "idx", "issuable_at", "producers", "blocker",
-                 "issued", "done_cycle", "result", "ea", "store_value",
-                 "taken", "next_pc", "resolved", "stalled_fetch")
+    __slots__ = ("uop", "pc", "idx", "issuable_at", "issued", "done_cycle",
+                 "result", "ea", "store_value", "taken", "next_pc",
+                 "resolved", "stalled_fetch")
+
+    producers: Mapping[int, _InFlight | None] = NO_PRODUCERS
+    blocker: _InFlight | None = None
 
     def __init__(self, uop: MicroOp, pc: int, idx: int,
                  issuable_at: int) -> None:
@@ -94,12 +117,6 @@ class _InFlight:
         self.pc = pc
         self.idx = idx                # dispatch order, monotonic
         self.issuable_at = issuable_at
-        self.producers: Mapping[int, _InFlight | None] = NO_PRODUCERS
-        #: The producer that last refused this record issue, set under
-        #: out-of-order issue only. Derived (never snapshotted): the
-        #: scan skips the record until that producer has delivered, and
-        #: clears it before it tries the record again.
-        self.blocker: _InFlight | None = None
         self.issued = False
         self.done_cycle = 0
         self.result = None            # destination value (ALU/load/link)
@@ -111,8 +128,30 @@ class _InFlight:
         self.stalled_fetch = False    # this instruction stopped the fetcher
 
 
+class _OooInFlight(_InFlight):
+    """A record of an out-of-order unit, which captures producers at
+    dispatch.
+
+    An unissued record holds its producers, the in-flight records that
+    will write its source registers (None for a register read from the
+    register file). Issue reads the sources and swaps that mapping for
+    :data:`NO_PRODUCERS`; only an unissued record can hold a
+    ``blocker``, the producer that last refused it issue (derived,
+    never snapshotted: the scan skips the record until that producer
+    has delivered, and clears it before it tries the record again).
+    """
+
+    __slots__ = ("producers", "blocker")
+
+    def __init__(self, uop: MicroOp, pc: int, idx: int,
+                 issuable_at: int) -> None:
+        super().__init__(uop, pc, idx, issuable_at)
+        self.producers = NO_PRODUCERS
+        self.blocker = None
+
+
 #: ``step`` builds records with ``__new__`` and direct slot stores (one
-#: per dispatched instruction): no ``__init__`` frame.
+#: record per dispatched instruction): no ``__init__`` frame.
 _new_record = _InFlight.__new__
 
 
@@ -144,6 +183,12 @@ class UnitPipeline:
         #: not cleared by reset(): attachment outlives task changes.
         self.trace = None
         self.trace_tid = 0
+        #: Per register, the latest in-flight writer (None: read the
+        #: register file). Under in-order issue it is a scoreboard
+        #: written at issue, so it holds only issued records; under
+        #: out-of-order issue it is the renaming table, written at
+        #: dispatch. Cleared in place, never rebound.
+        self.last_writer: list[_InFlight | None] = list(_NO_WRITERS)
         self.reset(pc=None)
 
     # ----------------------------------------------------------- control
@@ -155,7 +200,7 @@ class UnitPipeline:
         self.fetch_buffer: deque[tuple[MicroOp, int]] = deque()
         self.fetch_pending_until: int | None = None
         self.fetch_pending_pc: int | None = None
-        self.last_writer: dict[int, _InFlight] = {}
+        self.last_writer[:] = _NO_WRITERS
         self.unresolved: list[_InFlight] = []
         self.pending_stores = 0
         self._dispatch_idx = 0
@@ -169,8 +214,7 @@ class UnitPipeline:
         self._window = self.config.window_size
         self._fetchq = self.config.fetch_queue
         self._in_order = not self.config.out_of_order
-        #: The paper's default shape: 1-way, in-order.
-        self._serial = self._width == 1 and self._in_order
+        self._record = _InFlight if self._in_order else _OooInFlight
         # Constant per context class (True for the scalar baseline,
         # False for a multiscalar unit); cached off the hot paths.
         self._suppress = self.ctx.suppress_annotations()
@@ -181,6 +225,9 @@ class UnitPipeline:
         # disabled the fast path), so planted bugs still fire.
         self._fast = (self.fast_path and semantics.evaluate_alu
                       is semantics._GENUINE_EVALUATE_ALU)
+        #: The paper's default shape, 1-way in-order, on the fast path:
+        #: ``step`` issues its ALU records in its own frame.
+        self._serial = self._width == 1 and self._in_order and self._fast
 
     def busy(self) -> bool:
         """True while any instruction is in flight or fetch is active."""
@@ -194,8 +241,9 @@ class UnitPipeline:
 
     # ------------------------------------------------------------- step
 
-    def step(self, cycle: int) -> tuple[int, StallReason]:
-        """Advance one cycle; returns (instructions issued, stall reason).
+    def step(self, cycle: int) -> int:
+        """Advance one cycle; returns the instructions issued (the
+        cycle's stall reason is left in ``_last_stall``).
 
         The one place a unit-cycle happens, for both issue widths and
         both issue orders: commit, branch resolution, issue, dispatch,
@@ -207,6 +255,12 @@ class UnitPipeline:
         :meth:`_dispatch_control`) are called per record. Every
         container named below is mutated in place for the life of a
         task, so the local aliases stay valid across those calls.
+
+        Under in-order issue every older record has issued before a
+        record does, so its producer is the latest *issued* writer of
+        each source: ``last_writer`` is then a scoreboard written at
+        issue, and dispatch links nothing. Out-of-order issue captures
+        each record's producers at dispatch instead.
         """
         fetch_until_before = self.fetch_pending_until
         rob = self.rob
@@ -229,15 +283,14 @@ class UnitPipeline:
                     instr.forward or instr.stop is not _NO_STOP)):
                 del rob[0]
                 committed += 1
-                dsts = uop.dsts
-                if dsts:
-                    dst = uop.dst
-                    if dst and rec.result is not None:
+                dst = uop.dst
+                if dst is not None:
+                    if rec.result is not None:
                         regs[dst] = rec.result
-                        pending.pop(dst, None)
-                    for dst in dsts:
-                        if last_writer.get(dst) is rec:
-                            del last_writer[dst]
+                        if pending:
+                            pending.pop(dst, None)
+                    if last_writer[dst] is rec:
+                        last_writer[dst] = None
                 continue
             outcome = self._commit(rec, cycle)
             if outcome != _BLOCKED:
@@ -268,36 +321,40 @@ class UnitPipeline:
             if self._serial:
                 rec = rob[-unissued]
                 uop = rec.uop
-                if uop.kind is not _ALU or not self._fast:
+                if uop.kind is not _ALU:
                     if self._try_issue(rec, cycle):
                         issued = 1
                 elif cycle >= rec.issuable_at:
-                    # _try_issue's ALU arm, in line.
-                    srcs = {}
-                    for reg, producer in rec.producers.items():
-                        if producer is None:
+                    # _try_issue's in-order ALU arm, in line.
+                    s = OPERANDS
+                    for reg in uop.deps:
+                        writer = last_writer[reg]
+                        if writer is None:
                             if reg in pending:
                                 break
-                            srcs[reg] = regs[reg]
-                        elif producer.issued \
-                                and cycle >= producer.done_cycle:
-                            srcs[reg] = producer.result
+                            s[reg] = regs[reg]
+                        elif cycle >= writer.done_cycle:
+                            s[reg] = writer.result
                         else:
                             break
                     else:
                         fus = self.fus
                         slots = fus._free_by_val[uop.fui]
-                        for slot, free in enumerate(slots):
+                        slot = 0
+                        for free in slots:
                             if free <= cycle:
                                 if uop.alu is not None:
-                                    rec.result = uop.alu(srcs)
+                                    rec.result = uop.alu(s)
                                 slots[slot] = cycle + 1
                                 rec.issued = True
                                 rec.done_cycle = cycle \
                                     + fus.latencies[uop.latency_key]
-                                rec.producers = NO_PRODUCERS
+                                dst = uop.dst
+                                if dst is not None:
+                                    last_writer[dst] = rec
                                 issued = 1
                                 break
+                            slot += 1
             elif self._in_order:
                 # In-order issue keeps the issued flags a prefix of the
                 # ROB, so the unissued records are its tail; it stops at
@@ -338,27 +395,23 @@ class UnitPipeline:
             issuable = cycle + 1
             while len(rob) < window:
                 uop, pc = fetch_buffer.popleft()
-                rec = _new_record(_InFlight)
+                rec = _new_record(self._record)
                 rec.uop = uop
                 rec.pc = pc
                 rec.idx = idx
                 rec.issuable_at = issuable
-                rec.producers = producers = {}
-                rec.blocker = None
                 rec.issued = False
-                rec.done_cycle = 0
-                rec.result = None
-                rec.ea = 0
-                rec.store_value = None
-                rec.taken = False
-                rec.next_pc = pc + 4  # control overwrites it at issue
                 rec.resolved = True
-                rec.stalled_fetch = False
                 idx += 1
-                for reg in uop.deps:
-                    producers[reg] = last_writer.get(reg)
-                for dst in uop.dsts:
-                    last_writer[dst] = rec
+                if not self._in_order:
+                    # Renaming: capture each source's in-flight writer.
+                    rec.producers = producers = {}
+                    rec.blocker = None
+                    for reg in uop.deps:
+                        producers[reg] = last_writer[reg]
+                    dst = uop.dst
+                    if dst is not None:
+                        last_writer[dst] = rec
                 if uop.kind is _STORE:
                     self.pending_stores += 1
                 rob.append(rec)
@@ -399,13 +452,16 @@ class UnitPipeline:
             reason = _R_NONE
         elif unissued:
             reason = _R_INTRA
-            # What holds the oldest unissued instruction back?
-            rec = rob[-unissued] if self._in_order \
-                else next(r for r in rob if not r.issued)
-            for reg, producer in rec.producers.items():
-                if producer is None and reg in pending:
-                    reason = _R_INTER
-                    break
+            # What holds the oldest unissued instruction back? A source
+            # with no in-flight writer that a predecessor still owes.
+            if pending:
+                rec = rob[-unissued] if self._in_order \
+                    else next(r for r in rob if not r.issued)
+                writers = last_writer if self._in_order else rec.producers
+                for reg in rec.uop.deps:
+                    if writers[reg] is None and reg in pending:
+                        reason = _R_INTER
+                        break
         elif rob:
             head = rob[0]
             if head.uop.kind is _SYSCALL and head.issued \
@@ -442,7 +498,7 @@ class UnitPipeline:
         else:
             self._activity = \
                 self.fetch_pending_until != fetch_until_before
-        return issued, reason
+        return issued
 
     def wake_cycle(self, cycle: int) -> int:
         """Earliest future cycle at which this unit could act, given only
@@ -481,21 +537,21 @@ class UnitPipeline:
             # event unblocks them.
             bound = rec.issuable_at
             external = False
-            for reg, producer in rec.producers.items():
-                if producer is None:
+            uop = rec.uop
+            writers = self.last_writer if self._in_order else rec.producers
+            for reg in uop.deps:
+                writer = writers[reg]
+                if writer is None:
                     if reg in pending:
                         external = True
                         break
-                elif not producer.issued:
+                elif not writer.issued:
                     external = True
                     break
-                elif producer.done_cycle > bound:
-                    bound = producer.done_cycle
+                elif writer.done_cycle > bound:
+                    bound = writer.done_cycle
             if not external:
-                uop = rec.uop
-                if uop.kind is Kind.LOAD and (
-                        self._older_unresolved_branch(rec)
-                        or self._older_uncommitted_store(rec)):
+                if uop.kind is _LOAD and self._load_waits(rec):
                     external = True
                 else:
                     fu_free = min(self.fus._free_by_val[uop.fui])
@@ -527,13 +583,13 @@ class UnitPipeline:
             return _BLOCKED
         instr = uop.instr
         del self.rob[0]
-        dsts = uop.dsts
-        if dsts and uop.dst and rec.result is not None:
-            ctx.regs[uop.dst] = rec.result
-            ctx.pending.pop(uop.dst, None)
-        for dst in dsts:
-            if self.last_writer.get(dst) is rec:
-                del self.last_writer[dst]
+        dst = uop.dst
+        if dst is not None:
+            if rec.result is not None:
+                ctx.regs[dst] = rec.result
+                ctx.pending.pop(dst, None)
+            if self.last_writer[dst] is rec:
+                self.last_writer[dst] = None
         if kind is _STORE:
             ctx.mem_store(instr, rec.ea, rec.store_value, cycle)
             self.pending_stores -= 1
@@ -555,8 +611,8 @@ class UnitPipeline:
             self._redirect_fetch(None)
             return _RETIRED_LAST
         if not self._suppress:
-            if instr.forward and dsts:
-                ctx.on_forward(dsts[0], rec.result)
+            if instr.forward and dst is not None:
+                ctx.on_forward(dst, rec.result)
             if kind is Kind.RELEASE:
                 ctx.on_release(instr.regs)
             if self._stop_satisfied(rec):
@@ -616,17 +672,18 @@ class UnitPipeline:
 
     # ------------------------------------------------------------- issue
 
-    def _older_unresolved_branch(self, rec: _InFlight) -> bool:
-        return any(b.idx < rec.idx for b in self.unresolved)
-
-    def _older_uncommitted_store(self, rec: _InFlight) -> bool:
-        if not self.pending_stores:
-            return False
-        for other in self.rob:
-            if other.idx >= rec.idx:
-                return False
-            if other.uop.kind is Kind.STORE:
-                return True
+    def _load_waits(self, rec: _InFlight) -> bool:
+        """A load waits for every older branch to resolve and every older
+        store to commit (``unresolved`` is kept in dispatch order)."""
+        unresolved = self.unresolved
+        if unresolved and unresolved[0].idx < rec.idx:
+            return True
+        if self.pending_stores:
+            for other in self.rob:
+                if other.idx >= rec.idx:
+                    return False
+                if other.uop.kind is _STORE:
+                    return True
         return False
 
     def _try_issue(self, rec: _InFlight, cycle: int) -> bool:
@@ -636,22 +693,26 @@ class UnitPipeline:
         # Check readiness and gather source values in one pass (reads
         # have no side effects, so a later constraint failing after a
         # partial gather is harmless).
-        srcs: dict[int, object] = {}
-        for reg, producer in rec.producers.items():
-            if producer is None:
+        s = OPERANDS
+        uop = rec.uop
+        # Each source's in-flight writer (None: the register file) is
+        # on the unit's scoreboard under in-order issue, in the record's
+        # own producers under out-of-order issue.
+        writers = self.last_writer if self._in_order else rec.producers
+        for reg in uop.deps:
+            writer = writers[reg]
+            if writer is None:
                 if reg in ctx.pending:
                     return False
-                srcs[reg] = ctx.regs[reg]
-            elif producer.issued and cycle >= producer.done_cycle:
-                srcs[reg] = producer.result
+                s[reg] = ctx.regs[reg]
+            elif writer.issued and cycle >= writer.done_cycle:
+                s[reg] = writer.result
             else:
                 if not self._in_order:
-                    rec.blocker = producer
+                    rec.blocker = writer
                 return False
-        uop = rec.uop
         kind = uop.kind
-        if kind is Kind.LOAD and (self._older_unresolved_branch(rec)
-                                  or self._older_uncommitted_store(rec)):
+        if kind is _LOAD and self._load_waits(rec):
             return False
         fus = self.fus
         slots = fus._free_by_val[uop.fui]
@@ -669,16 +730,16 @@ class UnitPipeline:
                 return False
         done = cycle + fus.latencies[uop.latency_key]
         fast = self._fast
-        if kind is Kind.ALU:
+        if kind is _ALU:
             fn = uop.alu
             if fn is not None:
-                rec.result = (fn(srcs) if fast
-                              else semantics.evaluate_alu(uop.instr, srcs))
-        elif kind is Kind.LOAD:
+                rec.result = (fn(s) if fast
+                              else semantics.evaluate_alu(uop.instr, s))
+        elif kind is _LOAD:
             if fast:
-                rec.ea = ea = (srcs[uop.ea_base] + uop.imm) & MASK32
+                rec.ea = ea = (s[uop.ea_base] + uop.imm) & MASK32
             else:
-                rec.ea = ea = semantics.effective_addr(uop.instr, srcs)
+                rec.ea = ea = semantics.effective_addr(uop.instr, s)
             try:
                 # Address generation takes the EX cycle; the cache access
                 # begins the cycle after.
@@ -687,37 +748,48 @@ class UnitPipeline:
                 return False
             rec.result = value
             self.stats.loads += 1
-        elif kind is Kind.STORE:
+        elif kind is _STORE:
             if fast:
-                rec.ea = ea = (srcs[uop.ea_base] + uop.imm) & MASK32
+                rec.ea = ea = (s[uop.ea_base] + uop.imm) & MASK32
             else:
-                rec.ea = ea = semantics.effective_addr(uop.instr, srcs)
+                rec.ea = ea = semantics.effective_addr(uop.instr, s)
             try:
                 ctx.mem_store_prepare(uop.instr, ea)
             except MemRetry:
                 return False
-            rec.store_value = srcs[uop.store_reg]
+            rec.store_value = s[uop.store_reg]
         elif kind is Kind.BRANCH:
-            taken = (uop.branch(srcs) if fast
-                     else semantics.branch_taken(uop.instr, srcs))
+            taken = (uop.branch(s) if fast
+                     else semantics.branch_taken(uop.instr, s))
             rec.taken = taken
             rec.next_pc = uop.target if taken else rec.pc + 4
         elif kind is Kind.JUMP or kind is Kind.CALL \
                 or kind is Kind.JUMP_REG:
-            rec.next_pc = arch_next_pc(uop.instr, srcs, rec.pc)
+            rec.next_pc = arch_next_pc(uop.instr, s, rec.pc)
             if kind is Kind.CALL:
                 rec.result = u32(rec.pc + 4)  # link value for $ra
         # SYSCALL / HALT / RELEASE carry no EX-stage result.
         slots[slot] = cycle + 1   # claim the instance's issue port
         rec.issued = True
         rec.done_cycle = done
-        rec.producers = NO_PRODUCERS
+        if self._in_order:
+            dst = uop.dst
+            if dst is not None:
+                self.last_writer[dst] = rec
+        else:
+            rec.producers = NO_PRODUCERS
         return True
 
     # ---------------------------------------------------------- dispatch
 
     def _dispatch_control(self, rec: _InFlight) -> bool:
-        """Handle fetch redirection at decode; True if dispatch must stop."""
+        """Handle fetch redirection at decode; True if dispatch must stop.
+
+        Also stores the slots that resolution and a stop read, which
+        ``step`` leaves unwritten on other records."""
+        rec.taken = False
+        rec.next_pc = rec.pc + 4   # control overwrites it at issue
+        rec.stalled_fetch = False
         uop = rec.uop
         instr = uop.instr
         kind = uop.kind
@@ -784,10 +856,17 @@ class UnitPipeline:
         self.pending_stores = sum(
             1 for r in rob if r.uop.kind is Kind.STORE)
         self._unissued = sum(1 for r in rob if not r.issued)
+        # Rebuild the table from the survivors: their issued records
+        # under in-order issue (a scoreboard), all of them under
+        # out-of-order issue (renaming).
         last_writer = self.last_writer
-        last_writer.clear()
+        last_writer[:] = _NO_WRITERS
+        in_order = self._in_order
         for rec in rob:
-            for dst in rec.uop.dsts:
+            if in_order and not rec.issued:
+                break   # the issued records are a prefix of the ROB
+            dst = rec.uop.dst
+            if dst is not None:
                 last_writer[dst] = rec
         self._redirect_fetch(self.pc)
 
@@ -799,20 +878,28 @@ class UnitPipeline:
             "pc": rec.pc, "idx": rec.idx,
             "issuable_at": rec.issuable_at,
             # Producer order must survive the round trip: issue gathers
-            # sources in dict insertion order.
+            # sources in dict insertion order. Empty for an in-order
+            # record and an issued out-of-order one.
             "producers": [[reg, None if p is None else p.idx]
                           for reg, p in rec.producers.items()],
-            "issued": rec.issued, "done_cycle": rec.done_cycle,
-            "result": rec.result, "ea": rec.ea,
-            "store_value": rec.store_value, "taken": rec.taken,
-            "next_pc": rec.next_pc, "resolved": rec.resolved,
-            "stalled_fetch": rec.stalled_fetch,
+            # A slot ``step`` left unwritten reads as its dispatch-time
+            # value: the defaults below, the fall-through for next_pc.
+            "issued": rec.issued,
+            "done_cycle": getattr(rec, "done_cycle", 0),
+            "result": getattr(rec, "result", None),
+            "ea": getattr(rec, "ea", 0),
+            "store_value": getattr(rec, "store_value", None),
+            "taken": getattr(rec, "taken", False),
+            "next_pc": getattr(rec, "next_pc", rec.pc + 4),
+            "resolved": rec.resolved,
+            "stalled_fetch": getattr(rec, "stalled_fetch", False),
         }
 
     def state_dict(self) -> dict:
         # "Ghosts" are committed records still referenced as producers by
-        # unissued ROB entries (an issued record names no producer). Only
-        # their issued/done_cycle/result are ever read again, so a stub
+        # unissued ROB entries of an out-of-order unit (an in-order or an
+        # issued record names no producer). Only their
+        # issued/done_cycle/result are ever read again, so a stub
         # rebuilt from (idx, pc, done_cycle, result) is
         # behaviour-identical.
         in_rob = {rec.idx for rec in self.rob}
@@ -831,8 +918,9 @@ class UnitPipeline:
             "fetch_buffer": [pc for _uop, pc in self.fetch_buffer],
             "fetch_pending_until": self.fetch_pending_until,
             "fetch_pending_pc": self.fetch_pending_pc,
-            "last_writer": sorted([reg, rec.idx] for reg, rec
-                                  in self.last_writer.items()),
+            "last_writer": [[reg, rec.idx] for reg, rec
+                            in enumerate(self.last_writer)
+                            if rec is not None],
             "unresolved": [rec.idx for rec in self.unresolved],
             "pending_stores": self.pending_stores,
             "dispatch_idx": self._dispatch_idx,
@@ -860,8 +948,8 @@ class UnitPipeline:
             by_idx[rec.idx] = rec
         rob: list[_InFlight] = []
         for rs in state["rob"]:
-            rec = _InFlight(uop_at(rs["pc"]), rs["pc"], rs["idx"],
-                            rs["issuable_at"])
+            rec = self._record(uop_at(rs["pc"]), rs["pc"], rs["idx"],
+                               rs["issuable_at"])
             rec.issued = rs["issued"]
             rec.done_cycle = rs["done_cycle"]
             rec.result = rs["result"]
@@ -874,7 +962,7 @@ class UnitPipeline:
             rob.append(rec)
             by_idx[rec.idx] = rec
         for rec, rs in zip(rob, state["rob"]):
-            if not rec.issued:
+            if rs["producers"]:
                 rec.producers = {reg: None if idx is None else by_idx[idx]
                                  for reg, idx in rs["producers"]}
         self.pc = state["pc"]
@@ -883,8 +971,8 @@ class UnitPipeline:
             (uop_at(pc), pc) for pc in state["fetch_buffer"])
         self.fetch_pending_until = state["fetch_pending_until"]
         self.fetch_pending_pc = state["fetch_pending_pc"]
-        self.last_writer = {reg: by_idx[idx]
-                            for reg, idx in state["last_writer"]}
+        for reg, idx in state["last_writer"]:
+            self.last_writer[reg] = by_idx[idx]
         self.unresolved = [by_idx[idx] for idx in state["unresolved"]]
         self.pending_stores = state["pending_stores"]
         self._dispatch_idx = state["dispatch_idx"]

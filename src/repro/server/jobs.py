@@ -63,8 +63,25 @@ class ServerJob:
             if missing:
                 raise BadJobError(
                     f"fuzz spec missing {sorted(missing)}")
+            self._check_fuzz_grid(spec["grid"])
         else:
             self._trace_job(spec)
+
+    @staticmethod
+    def _check_fuzz_grid(grid) -> None:
+        """Bind each backend of a ``fuzz`` grid as the oracle's
+        ``check_program`` will, so a grid that cannot run fails here
+        with HTTP 400, not in a worker."""
+        if not isinstance(grid, list) \
+                or not all(isinstance(backend, dict) for backend in grid):
+            raise BadJobError("fuzz grid must be a list of backend objects")
+        for backend in grid:
+            try:
+                SimJob(**backend, source="", language="minic", entries=(),
+                       max_cycles=DEFAULT_MAX_CYCLES)
+            except (TypeError, ValueError) as exc:
+                raise BadJobError(
+                    f"bad fuzz backend {backend!r}: {exc}") from None
 
     def _trace_job(self, spec: dict) -> None:
         """Check a ``trace`` spec as a ``sim`` spec is checked: its

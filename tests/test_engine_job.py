@@ -97,6 +97,25 @@ def test_job_validation():
                            "shared_fp_units must be False or True")):
         with pytest.raises(ValueError, match=message):
             SimJob(kind="multiscalar", workload=NAME, **axes)
+    # Types are checked too: a bool is no int and an int no bool. A
+    # 1-way job spelled ``issue_width=True`` was keyed apart from
+    # ``issue_width=1``, ``out_of_order="no"`` ran out of order, and a
+    # fractional unit count failed only inside a worker.
+    for kind, fields, message in (
+            ("scalar", {"issue_width": True}, "issue_width must be an int"),
+            ("multiscalar", {"units": 2.5}, "units must be an int"),
+            ("multiscalar", {"units": True}, "units must be an int"),
+            ("scalar", {"max_cycles": 1e6}, "max_cycles must be an int"),
+            ("scalar", {"out_of_order": "no"},
+             "out_of_order must be False or True"),
+            ("scalar", {"out_of_order": 0},
+             "out_of_order must be False or True"),
+            ("scalar", {"fast_path": 1}, "fast_path must be False or True"),
+            ("scalar", {"jit": None}, "jit must be False or True"),
+            ("count", {"annotated": "yes"},
+             "annotated must be False or True")):
+        with pytest.raises(ValueError, match=message):
+            SimJob(kind=kind, workload=NAME, **fields)
     # Only MinC and assembly compile; anything else used to compile as
     # MinC under a key of its own.
     with pytest.raises(ValueError, match="language must be 'minic' or 'asm'"):

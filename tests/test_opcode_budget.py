@@ -3,11 +3,13 @@
 ``benchmarks/opcount.py`` counts the bytecode instructions CPython
 executes for a run. Wall-clock on a shared box drifts by tens of
 percent; this count does not drift at all, so the gain of the fused
-``UnitPipeline.step`` (docs/INTERNALS.md §3) is held by a ceiling on a
-bounded window instead of by a timing. The window is the first 600
-``MultiscalarProcessor.step()`` calls of ``wc`` on 4 units with the
-JIT off, the program's lazy tables already built: 1,447,638 opcode
-events before the fusion, 1,077,905 after.
+``UnitPipeline.step`` and of the in-order scoreboard (docs/INTERNALS.md
+§3) is held by a ceiling on a bounded window instead of by a timing.
+The window is the first 600 ``MultiscalarProcessor.step()`` calls of
+``wc`` on 4 units with the JIT off, the program's lazy tables already
+built: 1,447,638 opcode events before the fusion, 1,077,905 after it,
+1,080,062 with producer links at dispatch, and 981,679 with the
+scoreboard.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ _SPEC = importlib.util.spec_from_file_location(
 opcount = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(opcount)
 
-#: 0.82 x the pre-fusion count, per bytecode version (the count is a
-#: property of the compiler's output, so it is pinned per CPython).
-CEILING = {(3, 11): 1_187_063}
+#: The scoreboard's count plus 2 %, per bytecode version (the count is
+#: a property of the compiler's output, so it is pinned per CPython).
+CEILING = {(3, 11): 999_000}
 
 
 def _window(processor):

@@ -2,11 +2,15 @@
 
 The paper's processing unit holds an instruction from dispatch to
 in-order commit; once it issues it has read its operands and keeps
-only the values it computed. ``_InFlight`` records follow suit: issue
-swaps a record's producer links for the shared empty
-``NO_PRODUCERS``, and no record issues holding a ``blocker``
-(docs/INTERNALS.md §3), so a loop-carried register cannot chain each
-record to the previous iteration's. Checked here on the live heap, at sampled cycles, on the
+only the values it computed. ``_InFlight`` records follow suit
+(docs/INTERNALS.md §3). Under in-order issue a record links no record
+at all: issue reads its sources from the unit's scoreboard
+(``last_writer``, which holds only issued records still in the ROB),
+so every live record is in a ROB. Under out-of-order issue a record
+captures its producers at dispatch; issue swaps them for the shared
+empty ``NO_PRODUCERS``, and no record issues holding a ``blocker``, so
+a loop-carried register cannot chain each record to the previous
+iteration's. Checked here on the live heap, at sampled cycles, on the
 interpreter (8 units, both issue shapes) and on the scalar core with
 its compiled windows on and off.
 """
@@ -48,22 +52,32 @@ class _RecordProbe:
 
 
 def _check_live_records() -> int:
-    """Every ``_InFlight`` on the heap is in a unit's ROB or a producer
-    of an unissued record there, and no issued one links a record.
-    Returns how many records the heap held."""
+    """Every ``_InFlight`` on the heap is in a unit's ROB or (out of
+    order only) a producer of an unissued record there; an in-order
+    unit's ``last_writer`` holds only issued records of its ROB; and no
+    issued record links a record. Returns how many records the heap
+    held."""
     gc.collect()    # what only the cycle collector would free is not live
     objects = gc.get_objects()
-    records = [o for o in objects if type(o) is _InFlight]
+    records = [o for o in objects if isinstance(o, _InFlight)]
     allowed: set[int] = set()
     for pipeline in (o for o in objects if type(o) is UnitPipeline):
-        for rec in pipeline.rob:
-            allowed.add(id(rec))
-            if not rec.issued:
-                allowed.update(id(p) for p in rec.producers.values()
-                               if p is not None)
+        in_rob = {id(rec) for rec in pipeline.rob}
+        allowed |= in_rob
+        if pipeline.config.out_of_order:
+            for rec in pipeline.rob:
+                if not rec.issued:
+                    allowed.update(id(p) for p in rec.producers.values()
+                                   if p is not None)
+        else:
+            board = [rec for rec in pipeline.last_writer if rec is not None]
+            assert all(id(rec) in in_rob and rec.issued for rec in board), \
+                "an in-order scoreboard holds a record that is not an " \
+                "issued record of its ROB"
     strays = [rec for rec in records if id(rec) not in allowed]
     assert not strays, (f"{len(strays)} of {len(records)} live records are "
-                        f"neither in a ROB nor an unissued record's producer")
+                        f"neither in a ROB nor an out-of-order unissued "
+                        f"record's producer")
     linked = [rec for rec in records
               if rec.issued and (rec.producers or rec.blocker is not None)]
     assert not linked, f"{len(linked)} issued records still link a record"

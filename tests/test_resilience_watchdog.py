@@ -15,7 +15,6 @@ from repro.core import scalar as scalar_mod
 from repro.core.processor import MultiscalarProcessor
 from repro.core.scalar import ScalarProcessor
 from repro.difftest.injection import inject_livelock
-from repro.pipeline.context import StallReason
 from repro.resilience import (
     CycleBudgetError,
     InstructionBudgetError,
@@ -75,7 +74,7 @@ def test_livelock_without_watchdog_uses_default_window():
 def test_scalar_livelock_raises_typed_error():
     processor = ScalarProcessor(WORKLOADS["wc"].scalar_program(),
                                 scalar_config(1, False))
-    processor.pipeline.step = lambda cycle: (False, StallReason.FETCH)
+    processor.pipeline.step = lambda cycle: 0
     with pytest.raises(LivelockError) as excinfo:
         processor.run(max_cycles=2_000_000,
                       watchdog=Watchdog(progress_window=2_000))

@@ -171,6 +171,8 @@ def test_unknown_key_is_404(client):
 
 def test_malformed_submissions_are_400(client):
     sim = multiscalar_job("wc", 4).spec()
+    fuzz = {"seed": 1, "index": 0, "languages": ["asm"],
+            "grid": [{"kind": "scalar"}]}
     for envelope in ({"type": "nope", "spec": {}},
                      {"type": "sim", "spec": {"bogus": 1}},
                      {"type": "sim", "spec": "not-a-dict"},
@@ -183,11 +185,28 @@ def test_malformed_submissions_are_400(client):
                      {"type": "sim", "spec": {**sim, "language": "fortran"}},
                      {"type": "sim",
                       "spec": {**sim, "arb_full_policy": ["stall"]}},
+                     {"type": "sim", "spec": {**sim, "issue_width": True}},
+                     {"type": "sim", "spec": {**sim, "out_of_order": "no"}},
+                     {"type": "sim", "spec": {**sim, "jit": 1}},
                      {"type": "fuzz", "spec": {"seed": 1}},
+                     # A grid is a list of SimJob field dicts, bound at
+                     # submission as the oracle binds it.
+                     {"type": "fuzz",
+                      "spec": {**fuzz, "grid": [["scalar", 1, 1, False,
+                                                 True, True]]}},
+                     {"type": "fuzz",
+                      "spec": {**fuzz, "grid": [{"kind": "scalar",
+                                                 "bogus": 1}]}},
+                     {"type": "fuzz",
+                      "spec": {**fuzz, "grid": [{"kind": "multiscalar",
+                                                 "units": 0}]}},
+                     {"type": "fuzz", "spec": {**fuzz, "grid": "scalar"}},
                      {"type": "trace", "spec": {"workload": "zzz"}},
                      {"type": "trace",
                       "spec": {"workload": "wc", "units": "x"}},
                      {"type": "trace", "spec": {"workload": "wc", "units": 0}},
+                     {"type": "trace",
+                      "spec": {"workload": "wc", "units": 2.5}},
                      {"type": "trace",
                       "spec": {"workload": "wc", "issue_width": 3}},
                      {"type": "trace",
